@@ -5,9 +5,10 @@ from .asd import (ASDConfig, ASDResult, SimplexComplex, SolutionRegister,
                   build_complex, dedup, mark_and_refine, mean_edge_length,
                   normalize_objectives, pareto_filter, run_asd)
 from .elasticity import (FixedBoundary, LoadSpec, MaterialParams,
-                         PointConstraint, SparseSystem, Spring, Traction,
-                         assemble_state, dirac_const, ersatz_dtau, ersatz_tau,
-                         heaviside, solve, stress_pnorm, von_mises)
+                         PointConstraint, SparseSystem, Spring,
+                         StiffnessPattern, Traction, assemble_state,
+                         dirac_const, ersatz_dtau, ersatz_tau, heaviside,
+                         solve, stress_pnorm, von_mises)
 from .errors import (ConfigError, DegenerateSensitivityError, InvalidArgument,
                      MoltoError, SingularSystemError, SolverFailure,
                      TagMatchError)

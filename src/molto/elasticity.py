@@ -7,7 +7,7 @@ the whole domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -126,12 +126,18 @@ class LoadSpec:
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric system with homogeneous Dirichlet data."""
+    """Assembled symmetric system with homogeneous Dirichlet data.
 
-    matrix: sp.csr_matrix
+    ``reduced`` is ``matrix`` restricted to the free DOFs, the operator that
+    gets factorized; ``rhs`` is the pattern's load vector, shared between
+    assemblies and not to be written to.
+    """
+
+    matrix: sp.csc_matrix
     rhs: np.ndarray
     fixed_dofs: np.ndarray
-    traction_rhs: np.ndarray = field(default=None)
+    free_dofs: np.ndarray
+    reduced: sp.csc_matrix
 
     @property
     def num_dofs(self) -> int:
@@ -235,25 +241,89 @@ def _element_dofs(mesh: Mesh) -> np.ndarray:
     return dofs
 
 
+class StiffnessPattern:
+    """The design-independent part of the constrained stiffness operator.
+
+    Built once per (mesh, material, loads, supports): the solid element
+    blocks, the CSC sparsity pattern with the map scattering element entries
+    into it, the summed spring entries, the fixed and free DOFs, the
+    selection of the free-DOF (reduced) submatrix and the traction load.
+    ``assemble`` then only scales the blocks by the element stiffness.
+    """
+
+    def __init__(self, mesh: Mesh, mat: MaterialParams, loads: LoadSpec, bcs):
+        n = 2 * mesh.num_nodes
+        self.fixed_dofs = _fixed_dofs(mesh, bcs)
+        if self.fixed_dofs.size == 0 and not loads.springs:
+            raise SingularSystemError("no Dirichlet, roller, or spring constraint present")
+        self.blocks = element_stiffness_blocks(mesh, mat).reshape(mesh.num_triangles, 36)
+        dofs = _element_dofs(mesh)
+        springs = spring_matrix(mesh, loads.springs).tocoo()
+        rows = np.concatenate([np.repeat(dofs, 6, axis=1).ravel(), springs.row])
+        cols = np.concatenate([np.tile(dofs, (1, 6)).ravel(), springs.col])
+        # column-major keys sort into CSC order with sorted row indices
+        keys, scatter = np.unique(cols * n + rows, return_inverse=True)
+        num_blocks = self.blocks.size
+        self._scatter = scatter[:num_blocks]
+        self._spring_data = (np.bincount(scatter[num_blocks:], weights=springs.data,
+                                         minlength=keys.size)
+                             if springs.nnz else None)
+        key_rows, key_cols = keys % n, keys // n
+        self._shape = (n, n)
+        self._indices = key_rows.astype(np.int32)
+        self._indptr = _column_pointers(key_cols, n)
+
+        free = np.ones(n, dtype=bool)
+        free[self.fixed_dofs] = False
+        self.free_dofs = np.flatnonzero(free)
+        keep = free[key_rows] & free[key_cols]
+        renumber = np.cumsum(free) - 1
+        self._reduced_select = np.flatnonzero(keep)
+        self._reduced_shape = (self.free_dofs.size, self.free_dofs.size)
+        self._reduced_indices = renumber[key_rows[keep]].astype(np.int32)
+        self._reduced_indptr = _column_pointers(renumber[key_cols[keep]],
+                                                self.free_dofs.size)
+
+        self.load = np.zeros(n)
+        for tr in loads.tractions:
+            self.load += boundary_vector(mesh, tr.tag, tr.vector)
+
+    def assemble(self, tau_e: np.ndarray) -> SparseSystem:
+        weighted = self.blocks * np.asarray(tau_e, dtype=float)[:, None]
+        data = np.bincount(self._scatter, weights=weighted.ravel(),
+                           minlength=self._indices.size)
+        if self._spring_data is not None:
+            data += self._spring_data
+        matrix = sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
+        reduced = sp.csc_matrix((data[self._reduced_select], self._reduced_indices,
+                                 self._reduced_indptr), shape=self._reduced_shape)
+        return SparseSystem(matrix=matrix, rhs=self.load, fixed_dofs=self.fixed_dofs,
+                            free_dofs=self.free_dofs, reduced=reduced)
+
+
+def _column_pointers(cols: np.ndarray, n: int) -> np.ndarray:
+    """CSC column pointers of entries whose sorted column indices are ``cols``."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def assemble_state(mesh: Mesh, tau_e: np.ndarray, mat: MaterialParams,
-                   loads: LoadSpec, bcs) -> SparseSystem:
-    """Assemble tau-scaled stiffness, boundary springs, and traction loads."""
-    ke = element_stiffness_blocks(mesh, mat) * np.asarray(tau_e)[:, None, None]
-    dofs = _element_dofs(mesh)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    n = 2 * mesh.num_nodes
-    k = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    k = k + spring_matrix(mesh, loads.springs)
+                   loads: LoadSpec, bcs,
+                   pattern: StiffnessPattern | None = None) -> SparseSystem:
+    """Assemble tau-scaled stiffness, boundary springs, and traction loads.
 
-    f = np.zeros(n)
-    for tr in loads.tractions:
-        f += boundary_vector(mesh, tr.tag, tr.vector)
+    ``pattern`` must have been built from the same mesh, material, loads and
+    supports; without one, a pattern is built for this call.
+    """
+    if pattern is None:
+        pattern = StiffnessPattern(mesh, mat, loads, bcs)
+    return pattern.assemble(tau_e)
 
-    fixed = _fixed_dofs(mesh, bcs)
-    if fixed.size == 0 and not loads.springs:
-        raise SingularSystemError("no Dirichlet, roller, or spring constraint present")
-    return SparseSystem(matrix=k, rhs=f, fixed_dofs=fixed, traction_rhs=f.copy())
+
+# The operator is symmetric positive definite: a symmetric fill-reducing
+# ordering of A + A^T keeps the factors well below COLAMD's fill.
+_ORDERING = "MMD_AT_PLUS_A"
 
 
 class FactorizedSystem:
@@ -262,10 +332,8 @@ class FactorizedSystem:
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        n = system.num_dofs
-        self.free = np.setdiff1d(np.arange(n), system.fixed_dofs)
-        reduced = system.matrix[self.free][:, self.free].tocsc()
-        self._lu = spla.splu(reduced)
+        self.free = system.free_dofs
+        self._lu = spla.splu(system.reduced, permc_spec=_ORDERING)
 
     def solve(self, rhs: np.ndarray | None = None) -> np.ndarray:
         sysm = self.system
@@ -287,8 +355,7 @@ class FactorizedSystem:
 
     def _cg_fallback(self, rhs, u0, scale):
         sysm = self.system
-        reduced = sysm.matrix[self.free][:, self.free]
-        x, info = spla.cg(reduced, rhs[self.free], x0=u0[self.free],
+        x, info = spla.cg(sysm.reduced, rhs[self.free], x0=u0[self.free],
                           rtol=1e-12, maxiter=5000)
         u = np.zeros(sysm.num_dofs)
         u[self.free] = x

@@ -84,7 +84,3 @@ def element_to_nodes(mesh: Mesh, field_e: np.ndarray) -> np.ndarray:
     np.add.at(num, mesh.triangles.ravel(), np.repeat(field_e * w, 3))
     return num / lumped_node_areas(mesh)
 
-
-def edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
-    delta = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    return np.hypot(delta[:, 0], delta[:, 1])

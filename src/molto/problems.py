@@ -14,6 +14,7 @@ refinement loop can be exercised and tested without any FEM work.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,6 @@ class FEMProblem:
     """Shared plumbing for the concrete benchmark problems."""
 
     kind = "fem"
-    uses_filter = False
 
     def __init__(self, mesh: Mesh, mat: el.MaterialParams):
         self.mesh = mesh
@@ -50,6 +50,24 @@ class FEMProblem:
         self.design_mask = None  # bool per element; None = everything designable
         self.phi_fixed_nodes = np.empty(0, dtype=np.int64)
         self.phi_fixed_values = np.empty(0)
+        self._patterns = {}
+        self._patterns_lock = threading.Lock()
+
+    # -- elastic operator -------------------------------------------------
+    def _assemble(self, tau_eff, loads, supports) -> el.SparseSystem:
+        """Assemble through the stiffness pattern of (loads, supports).
+
+        Each pattern is built on first use rather than with the problem, and
+        under a lock, so concurrent candidates share a single build.
+        """
+        key = (loads, supports)
+        with self._patterns_lock:
+            pattern = self._patterns.get(key)
+            if pattern is None:
+                pattern = el.StiffnessPattern(self.mesh, self.mat, loads, supports)
+                self._patterns[key] = pattern
+        return el.assemble_state(self.mesh, tau_eff, self.mat, loads, supports,
+                                 pattern=pattern)
 
     # -- design field handling ------------------------------------------
     def theta_elements(self, phi: np.ndarray, width: float) -> np.ndarray:
@@ -119,8 +137,7 @@ class ComplianceProblem(FEMProblem):
         for case, tvec in zip(self.cases, self.traction_vectors):
             sig = case.supports
             if sig not in facts_by_sig:
-                sysm = el.assemble_state(self.mesh, tau_eff, self.mat,
-                                         el.LoadSpec(), case.supports)
+                sysm = self._assemble(tau_eff, el.LoadSpec(), sig)
                 facts_by_sig[sig] = el.FactorizedSystem(sysm)
             fact = facts_by_sig[sig]
             states.append(fact.solve(tvec))
@@ -243,8 +260,7 @@ class MechanismProblem(FEMProblem):
                                     multiplier=multiplier, penalty=penalty)]
 
     def solve_states(self, tau_eff) -> StateBundle:
-        sysm = el.assemble_state(self.mesh, tau_eff, self.mat, self.loads,
-                                 self.supports)
+        sysm = self._assemble(tau_eff, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
         u = fact.solve()
         # both objectives read the same physical state
@@ -306,7 +322,6 @@ class StressVolumeProblem(FEMProblem):
 
     kind = "stress_volume"
     num_objectives = 2
-    uses_filter = True
 
     def __init__(self, mesh, mat, *, traction, stress_exponent, yield_stress,
                  stress_limit):
@@ -335,8 +350,7 @@ class StressVolumeProblem(FEMProblem):
         return [spec, spec]
 
     def solve_states(self, tau_eff) -> StateBundle:
-        sysm = el.assemble_state(self.mesh, tau_eff, self.mat, self.loads,
-                                 self.supports)
+        sysm = self._assemble(tau_eff, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
         u = fact.solve()
         return StateBundle(states=[u, u], facts=[fact, fact])

@@ -116,7 +116,7 @@ def test_c4_fem_verification():
                              eps[1] * mesh.nodes[:, 1]]).ravel()
     assert np.abs(u - exact).max() <= 1e-10
 
-    compliance = float(system.traction_rhs @ u)
+    compliance = float(system.rhs @ u)
     energy = sens.strain_energy(mesh, mat, u, np.ones(mesh.num_triangles))
     assert compliance == pytest.approx(2.0 * energy, rel=1e-8)
 

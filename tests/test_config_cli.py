@@ -257,3 +257,21 @@ def test_cli_fem_run_smoke(tmp_path, monkeypatch):
     assert (out / "candidate_0_final.dat").exists()
     nodes, values, tris = cli.read_field(out / "candidate_0_final.dat")
     assert np.abs(values).max() <= 1.0
+
+
+def test_cli_register_independent_of_jobs(tmp_path, monkeypatch):
+    # two workers share the problem and its lazily built stiffness pattern
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    text = bundled_text("lbracket")
+    text = text.replace("nx = 40", "nx = 10")
+    text = text.replace("max_iterations = 800", "max_iterations = 25")
+    text = text.replace("max_levels = 3", "max_levels = 1")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(text)
+    registers = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["run", str(cfg), "--jobs", str(jobs), "--out", str(out)]) == 0
+        registers.append((out / "register.csv").read_bytes())
+    assert registers[0].count(b"\n") >= 3
+    assert registers[0] == registers[1]

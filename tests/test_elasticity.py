@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
 from molto.errors import InvalidArgument, SingularSystemError
@@ -121,6 +123,55 @@ def test_stiffness_linear_in_tau():
                        atol=1e-15)
 
 
+def _coo_reference(mesh, tau, mat, loads):
+    """From-scratch assembly: tau-scaled element blocks summed through COO,
+    plus the spring matrix."""
+    blocks = el.element_stiffness_blocks(mesh, mat) * tau[:, None, None]
+    dofs = np.empty((mesh.num_triangles, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    rows = np.repeat(dofs, 6, axis=1).ravel()
+    cols = np.tile(dofs, (1, 6)).ravel()
+    n = 2 * mesh.num_nodes
+    k = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return k + el.spring_matrix(mesh, loads.springs)
+
+
+def test_cached_assembly_matches_coo_reference():
+    mesh = build_rect_mesh(1.0, 0.5, 8, 4, crossed=True)
+    mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 0.5), "left")
+    mesh = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
+    mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "right")
+    mesh = tag_boundary(mesh, (0.4, 0.5), (0.6, 0.5), "top")
+    loads = el.LoadSpec(tractions=(el.Traction("top", (0.2, -1.0)),),
+                        springs=(el.Spring("right", 30.0, (0.6, 0.8)),))
+    corner = mesh.nearest_node(1.0, 0.5)
+    bcs = (el.FixedBoundary("left", "normal"), el.FixedBoundary("bottom", "normal"),
+           el.PointConstraint(corner, 1))
+    pattern = el.StiffnessPattern(mesh, MAT, loads, bcs)
+    rng = np.random.default_rng(21)
+    tau_a = rng.uniform(MAT.floor, 1.0, mesh.num_triangles)
+    tau_b = rng.uniform(MAT.floor, 1.0, mesh.num_triangles)
+    a = el.assemble_state(mesh, tau_a, MAT, loads, bcs, pattern=pattern)
+    b = el.assemble_state(mesh, tau_b, MAT, loads, bcs, pattern=pattern)
+
+    expected_fixed = (set(2 * mesh.nodes_with_tag("left"))
+                      | set(2 * mesh.nodes_with_tag("bottom") + 1) | {2 * corner + 1})
+    assert set(a.fixed_dofs.tolist()) == expected_fixed
+    free = np.setdiff1d(np.arange(a.num_dofs), a.fixed_dofs)
+    assert np.array_equal(a.free_dofs, free)
+    assert np.array_equal(a.rhs, el.boundary_vector(mesh, "top", (0.2, -1.0)))
+
+    for system, tau in ((a, tau_a), (b, tau_b)):
+        ref = _coo_reference(mesh, tau, MAT, loads)
+        assert spla.norm(system.matrix - ref) <= 1e-14 * spla.norm(ref)
+        assert (system.reduced != system.matrix[free][:, free]).nnz == 0
+    # each assembly owns its values: building b left a untouched
+    assert not np.shares_memory(a.matrix.data, b.matrix.data)
+    assert not np.shares_memory(a.reduced.data, b.reduced.data)
+    assert not np.shares_memory(a.matrix.data, a.reduced.data)
+
+
 def test_no_constraints_raises():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     with pytest.raises(SingularSystemError):
@@ -182,7 +233,7 @@ def test_cantilever_beam_oracle():
 def test_work_energy_identity():
     mesh, system = _patch_problem(6, 6)
     u = el.solve(system)
-    compliance = float(system.traction_rhs @ u)
+    compliance = float(system.rhs @ u)
     density = el.mutual_energy_density(mesh, MAT, u, u)
     energy = float(np.sum(density * mesh.element_areas))
     assert compliance == pytest.approx(energy, rel=1e-8)
@@ -199,7 +250,7 @@ def test_compliance_monotone_in_tau():
 
     def compliance(t):
         system = el.assemble_state(mesh, t, MAT, loads, bcs)
-        return float(system.traction_rhs @ el.solve(system))
+        return float(system.rhs @ el.solve(system))
 
     base = compliance(tau)
     for e in rng.choice(mesh.num_triangles, size=8, replace=False):
@@ -231,7 +282,7 @@ def test_gripper_adjoint_reciprocity():
     out_vec = el.boundary_vector(mesh, "output", (0.0, -1.0))
     j1 = -float(out_vec @ u)
     adjoint = fact.solve(-out_vec)
-    dj_dc = float(adjoint @ system.traction_rhs)
+    dj_dc = float(adjoint @ system.rhs)
     assert dj_dc == pytest.approx(j1, rel=1e-6)
 
 
