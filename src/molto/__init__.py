@@ -13,7 +13,7 @@ from .errors import (ConfigError, DegenerateSensitivityError, InvalidArgument,
                      MoltoError, SingularSystemError, SolverFailure,
                      TagMatchError)
 from .levelset import LevelSetState, WaveMatrices, assemble_wave, initialize
-from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, dump_mesh, tag_boundary
+from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from .optimizer import RunConfig, SolutionCandidate, run_candidate, stationarity
 from .problems import (ComplianceProblem, MechanismProblem, StressVolumeProblem,
                        SurrogateProblem, make_clamped_tri, make_girder,

@@ -81,13 +81,20 @@ def read_register(path) -> list:
         m = sum(1 for name in header if name.startswith("wstar_"))
         for row in reader:
             vals = row[1:]
-            w_star = tuple(float(v) for v in vals[0:m])
-            w_final = tuple(float(v) for v in vals[m:2 * m])
-            objectives = tuple(float(v) for v in vals[2 * m:3 * m])
-            normalized = tuple(float(v) for v in vals[3 * m:4 * m])
-            feasible = tuple(bool(int(v)) for v in vals[4 * m:5 * m])
-            converged = bool(int(vals[5 * m]))
-            iterations = int(vals[5 * m + 1])
+            try:
+                w_star = tuple(float(v) for v in vals[0:m])
+                w_final = tuple(float(v) for v in vals[m:2 * m])
+                objectives = tuple(float(v) for v in vals[2 * m:3 * m])
+                normalized = tuple(float(v) for v in vals[3 * m:4 * m])
+                feasible = tuple(bool(int(v)) for v in vals[4 * m:5 * m])
+                converged = bool(int(vals[5 * m]))
+                iterations = int(vals[5 * m + 1])
+            except (ValueError, IndexError) as exc:
+                raise ConfigError(f"{path}: line {reader.line_num}: "
+                                  f"malformed row ({exc})") from exc
+            if not np.all(np.isfinite(objectives)):
+                raise ConfigError(f"{path}: line {reader.line_num}: "
+                                  "non-finite objective")
             candidates.append(SolutionCandidate(
                 w_star=w_star, w_final=w_final, objectives=objectives,
                 normalized=normalized, feasible=feasible, converged=converged,
@@ -167,6 +174,8 @@ def _run_common(args, require_kind=None) -> int:
 
 def _cmd_pareto(args) -> int:
     candidates = read_register(args.register)
+    if not candidates:
+        raise ConfigError(f"{args.register}: register has no candidate rows")
     kept = pareto_filter(dedup(candidates, args.tol))
     out = Path(args.out) if args.out else None
     if out:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import problems
 from .asd import ASDConfig
 from .elasticity import MaterialParams
 from .errors import ConfigError
 from .optimizer import RunConfig
-
-KINDS = ("girder", "gripper", "lbracket", "clamped_tri", "surrogate")
-
 
 def _positive(v):
     return v > 0
@@ -72,45 +70,35 @@ _FEM_COMMON = {
     "traction": ("float", 1.0, _positive),
 }
 
-_SCHEMAS = {
-    "girder": {
-        **_FEM_COMMON,
-        "length": ("float", 1.0, _positive),
-        "nx": ("int", 60, _positive),
-        "ny": ("int", 30, _positive),
-        "volume_fraction": ("float", 0.45, _fraction),
-    },
-    "clamped_tri": {
-        **_FEM_COMMON,
-        "length": ("float", 1.0, _positive),
-        "nx": ("int", 60, _positive),
-        "ny": ("int", 30, _positive),
-        "volume_fraction": ("float", 0.45, _fraction),
-    },
-    "gripper": {
-        **_FEM_COMMON,
-        "nx": ("int", 40, _positive),
-        "ny": ("int", 20, _positive),
-        "volume_fraction": ("float", 0.30, _fraction),
-        "spring_in": ("float", 1e5, _nonneg),
-        "spring_out": ("float", 1e3, _nonneg),
-        "dir_in": ("vector", (1.0, 0.0), None),
-        "dir_out": ("vector", (0.0, -1.0), None),
-    },
-    "lbracket": {
-        **_FEM_COMMON,
-        "nx": ("int", 40, _positive),
-        "outer": ("float", 1.0, _positive),
-        "cut": ("float", 0.6, _positive),
-        "stress_exponent": ("float", 5.0, lambda v: v >= 1.0),
-        "yield_stress": ("float", 42.0, _positive),
-        "stress_limit": ("float", 0.05, _positive),
-        "filter_eta": ("float", 1e-4, _nonneg),
-        "filter_gamma": ("float", 2.0, _positive),
-    },
-    "surrogate": {
-        **_ASD_KEYS,
-    },
+_BEAM_KEYS = {
+    **_FEM_COMMON,
+    "length": ("float", 1.0, _positive),
+    "nx": ("int", 60, _positive),
+    "ny": ("int", 30, _positive),
+    "volume_fraction": ("float", 0.45, _fraction),
+}
+
+_GRIPPER_KEYS = {
+    **_FEM_COMMON,
+    "nx": ("int", 40, _positive),
+    "ny": ("int", 20, _positive),
+    "volume_fraction": ("float", 0.30, _fraction),
+    "spring_in": ("float", 1e5, _nonneg),
+    "spring_out": ("float", 1e3, _nonneg),
+    "dir_in": ("vector", (1.0, 0.0), None),
+    "dir_out": ("vector", (0.0, -1.0), None),
+}
+
+_LBRACKET_KEYS = {
+    **_FEM_COMMON,
+    "nx": ("int", 40, _positive),
+    "outer": ("float", 1.0, _positive),
+    "cut": ("float", 0.6, _positive),
+    "stress_exponent": ("float", 5.0, lambda v: v >= 1.0),
+    "yield_stress": ("float", 42.0, _positive),
+    "stress_limit": ("float", 0.05, _positive),
+    "filter_eta": ("float", 1e-4, _nonneg),
+    "filter_gamma": ("float", 2.0, _positive),
 }
 
 
@@ -124,21 +112,7 @@ class ProblemConfig:
         return self.values[key]
 
     def run_config(self) -> RunConfig:
-        v = self.values
-        if self.kind == "surrogate":
-            return RunConfig()
-        return RunConfig(
-            max_iterations=v["max_iterations"], window=v["window"],
-            tol_objective=v["tol_objective"], tol_constraint=v["tol_constraint"],
-            wave_speed=v["wave_speed"], wave_damping=v["wave_damping"],
-            interface_width=v["interface_width"], step_size=v["step_size"],
-            weight_inertia=v["weight_inertia"], weight_damping=v["weight_damping"],
-            weight_stiffness=v["weight_stiffness"], weight_clamp=v["weight_clamp"],
-            weight_ratio=v["weight_ratio"], penalty=v["penalty"],
-            multiplier_init=v["multiplier_init"],
-            use_filter=self.kind == "lbracket",
-            filter_eta=v.get("filter_eta", 1e-4),
-            filter_gamma=v.get("filter_gamma", 2.0))
+        return RunConfig(**{k: self.values[k] for k in _RUN_KEYS if k in self.values})
 
     def asd_config(self) -> ASDConfig:
         v = self.values
@@ -157,30 +131,54 @@ class ProblemConfig:
                               floor=v["ersatz_floor"])
 
     def build_problem(self):
-        v = self.values
-        m = len(self.initial_weights()[0])
-        if self.kind == "surrogate":
-            return problems.SurrogateProblem(m)
-        if self.kind == "girder":
-            return problems.make_girder(nx=v["nx"], ny=v["ny"],
-                                        traction=v["traction"],
-                                        length=v["length"], mat=self.material())
-        if self.kind == "clamped_tri":
-            return problems.make_clamped_tri(nx=v["nx"], ny=v["ny"],
-                                             traction=v["traction"],
-                                             length=v["length"],
-                                             mat=self.material())
-        if self.kind == "gripper":
-            return problems.make_gripper(
-                nx=v["nx"], ny=v["ny"], traction_mag=v["traction"],
-                spring_in=v["spring_in"], spring_out=v["spring_out"],
-                dir_in=v["dir_in"], dir_out=v["dir_out"],
-                volume_fraction=v["volume_fraction"], mat=self.material())
-        return problems.make_lbracket(
-            nx=v["nx"], outer=v["outer"], cut=v["cut"],
-            traction_mag=v["traction"], stress_exponent=v["stress_exponent"],
-            yield_stress=v["yield_stress"], stress_limit=v["stress_limit"],
-            mat=self.material())
+        return KINDS[self.kind].build(self)
+
+
+def _beam(make):
+    def build(c: ProblemConfig):
+        return make(nx=c["nx"], ny=c["ny"], traction=c["traction"],
+                    length=c["length"], volume_fraction=c["volume_fraction"],
+                    mat=c.material())
+    return build
+
+
+def _gripper(c: ProblemConfig):
+    return problems.make_gripper(
+        nx=c["nx"], ny=c["ny"], traction_mag=c["traction"],
+        spring_in=c["spring_in"], spring_out=c["spring_out"],
+        dir_in=c["dir_in"], dir_out=c["dir_out"],
+        volume_fraction=c["volume_fraction"], mat=c.material())
+
+
+def _lbracket(c: ProblemConfig):
+    return problems.make_lbracket(
+        nx=c["nx"], outer=c["outer"], cut=c["cut"],
+        traction_mag=c["traction"], stress_exponent=c["stress_exponent"],
+        yield_stress=c["yield_stress"], stress_limit=c["stress_limit"],
+        filter_eta=c["filter_eta"], filter_gamma=c["filter_gamma"],
+        mat=c.material())
+
+
+def _surrogate(c: ProblemConfig):
+    return problems.SurrogateProblem(len(c.initial_weights()[0]))
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What a problem kind is: its keys, objective count and factory."""
+
+    schema: dict
+    num_objectives: int | None  # None: as many as weights_init gives
+    build: Callable[[ProblemConfig], object]
+
+
+KINDS = {
+    "girder": Kind(_BEAM_KEYS, 2, _beam(problems.make_girder)),
+    "gripper": Kind(_GRIPPER_KEYS, 2, _gripper),
+    "lbracket": Kind(_LBRACKET_KEYS, 2, _lbracket),
+    "clamped_tri": Kind(_BEAM_KEYS, 3, _beam(problems.make_clamped_tri)),
+    "surrogate": Kind(_ASD_KEYS, None, _surrogate),
+}
 
 
 def _parse_value(kind_tag, raw, key, lineno):
@@ -221,9 +219,9 @@ def _validate(config: ProblemConfig):
     for w in weights:
         if abs(sum(w) - 1.0) > 1e-9 or any(c <= 0.0 or c >= 1.0 for c in w):
             raise ConfigError(f"weights_init vector {w} is not in the open simplex")
-    expected_m = {"girder": 2, "gripper": 2, "lbracket": 2, "clamped_tri": 3}
-    if config.kind in expected_m and m != expected_m[config.kind]:
-        raise ConfigError(f"{config.kind} requires {expected_m[config.kind]} "
+    expected = KINDS[config.kind].num_objectives
+    if expected is not None and m != expected:
+        raise ConfigError(f"{config.kind} requires {expected} "
                           f"objectives, weights_init has {m}")
     if config.kind == "lbracket" and not v["cut"] < v["outer"]:
         raise ConfigError("cut must be smaller than outer")
@@ -248,7 +246,7 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
     if kind not in KINDS:
         raise ConfigError(f"{source}: line {lines['problem']}: unknown problem "
                           f"kind '{kind}' (choose from {', '.join(KINDS)})")
-    schema = _SCHEMAS[kind]
+    schema = KINDS[kind].schema
 
     values, applied_defaults = {}, []
     for key, raw in entries.items():
@@ -286,7 +284,7 @@ def load_config(path) -> ProblemConfig:
 
 def serialize_config(config: ProblemConfig) -> str:
     out = [f"problem = {config.kind}"]
-    for key in _SCHEMAS[config.kind]:
+    for key in KINDS[config.kind].schema:
         value = config.values[key]
         if key == "weights_init":
             rendered = " ; ".join(" ".join(repr(c) for c in w) for w in value)

@@ -14,7 +14,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidArgument, SingularSystemError, SolverFailure
-from .fem import p1_data
 from .mesh import Mesh
 
 
@@ -220,17 +219,23 @@ def _fixed_dofs(mesh: Mesh, bcs) -> np.ndarray:
     return np.array(sorted(fixed), dtype=np.int64)
 
 
+def strain_displacement(mesh: Mesh) -> np.ndarray:
+    """Element B matrices mapping the six element DOFs to engineering
+    strains (eps_xx, eps_yy, gamma_xy), (T, 3, 6)."""
+    grads = mesh.grads
+    b = np.zeros((mesh.num_triangles, 3, 6))
+    b[:, 0, 0::2] = grads[:, :, 0]
+    b[:, 1, 1::2] = grads[:, :, 1]
+    b[:, 2, 0::2] = grads[:, :, 1]
+    b[:, 2, 1::2] = grads[:, :, 0]
+    return b
+
+
 def element_stiffness_blocks(mesh: Mesh, mat: MaterialParams) -> np.ndarray:
     """Solid (tau = 1) 6x6 element stiffness matrices, (T, 6, 6)."""
-    d = p1_data(mesh)
-    t = mesh.num_triangles
-    b = np.zeros((t, 3, 6))
-    b[:, 0, 0::2] = d.grads[:, :, 0]
-    b[:, 1, 1::2] = d.grads[:, :, 1]
-    b[:, 2, 0::2] = d.grads[:, :, 1]
-    b[:, 2, 1::2] = d.grads[:, :, 0]
+    b = strain_displacement(mesh)
     dm = plane_strain_matrix(mat)
-    return np.einsum("tki,kl,tlj->tij", b, dm, b) * d.areas[:, None, None]
+    return np.einsum("tki,kl,tlj->tij", b, dm, b) * mesh.element_areas[:, None, None]
 
 
 def _element_dofs(mesh: Mesh) -> np.ndarray:
@@ -374,12 +379,12 @@ def solve(system: SparseSystem) -> np.ndarray:
 
 def element_strains(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Engineering strains (eps_xx, eps_yy, gamma_xy) per element."""
-    d = p1_data(mesh)
+    grads = mesh.grads
     ux = u[0::2][mesh.triangles]
     uy = u[1::2][mesh.triangles]
-    exx = np.einsum("ta,ta->t", d.grads[:, :, 0], ux)
-    eyy = np.einsum("ta,ta->t", d.grads[:, :, 1], uy)
-    gxy = np.einsum("ta,ta->t", d.grads[:, :, 1], ux) + np.einsum("ta,ta->t", d.grads[:, :, 0], uy)
+    exx = np.einsum("ta,ta->t", grads[:, :, 0], ux)
+    eyy = np.einsum("ta,ta->t", grads[:, :, 1], uy)
+    gxy = np.einsum("ta,ta->t", grads[:, :, 1], ux) + np.einsum("ta,ta->t", grads[:, :, 0], uy)
     return np.column_stack([exx, eyy, gxy])
 
 
@@ -458,13 +463,8 @@ def deviator_adjoint_load(mesh: Mesh, mat: MaterialParams, u: np.ndarray,
                          dev[:, 1] + nu * dev[:, 3],
                          2.0 * dev[:, 2]])
     dm = plane_strain_matrix(mat)
-    d = p1_data(mesh)
-    b = np.zeros((mesh.num_triangles, 3, 6))
-    b[:, 0, 0::2] = d.grads[:, :, 0]
-    b[:, 1, 1::2] = d.grads[:, :, 1]
-    b[:, 2, 0::2] = d.grads[:, :, 1]
-    b[:, 2, 1::2] = d.grads[:, :, 0]
-    ge = np.einsum("t,ti,ij,tjk->tk", coef * d.areas, c, dm, b)
+    ge = np.einsum("t,ti,ij,tjk->tk", coef * mesh.element_areas, c, dm,
+                   strain_displacement(mesh))
     load = np.zeros(2 * mesh.num_nodes)
     np.add.at(load, _element_dofs(mesh).ravel(), ge.ravel())
     return load

@@ -1,13 +1,16 @@
 """Fixed structured triangle meshes for rectangular and L-shaped design domains.
 
 Meshes are immutable after construction and safe to share between concurrent
-candidate runs. Boundary edges carry a single tag each; tagging is done by
-axis-aligned regions with a snapping tolerance of a quarter edge length.
+candidate runs; the P1 geometry (shape function gradients, lumped node areas)
+is computed on first use and read-only. Boundary edges carry a single tag
+each; tagging is done by axis-aligned regions with a snapping tolerance of a
+quarter edge length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +56,28 @@ class Mesh:
     @property
     def total_area(self) -> float:
         return float(self.element_areas.sum())
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """Gradients of the three barycentric shape functions, (T, 3, 2)."""
+        p = self.nodes[self.triangles]
+        x, y = p[..., 0], p[..., 1]
+        area2 = 2.0 * self.element_areas
+        # grad N_a = (y_b - y_c, x_c - x_b) / 2A, cyclic in (a, b, c)
+        gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        grads = np.stack([gx, gy], axis=2) / area2[:, None, None]
+        grads.setflags(write=False)
+        return grads
+
+    @cached_property
+    def node_areas(self) -> np.ndarray:
+        """Lumped (row-sum) mass per node, (N,)."""
+        areas = np.zeros(self.num_nodes)
+        np.add.at(areas, self.triangles.ravel(),
+                  np.repeat(self.element_areas / 3.0, 3))
+        areas.setflags(write=False)
+        return areas
 
     def edges_with_tag(self, tag: str) -> np.ndarray:
         return self.boundary_edges[self.edge_tags == tag]
@@ -222,12 +247,3 @@ def tag_boundary(mesh: Mesh, start, end, tag: str) -> Mesh:
     tags[match] = tag
     return Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, tags, mesh.spacing)
 
-
-def dump_mesh(mesh: Mesh, path) -> None:
-    """Plain-text listing: header, one node per line, one triangle per line."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.num_nodes} triangles {mesh.num_triangles}\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.9f} {y:.9f}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")

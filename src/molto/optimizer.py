@@ -39,10 +39,6 @@ class RunConfig:
     multiplier_init: float = 0.0
     penalty: float = 10.0
 
-    use_filter: bool = False
-    filter_eta: float = 1e-4
-    filter_gamma: float = 2.0
-
     def __post_init__(self):
         if self.window < 2 or self.max_iterations < self.window:
             raise ValueError("need max_iterations >= window >= 2")
@@ -96,18 +92,6 @@ def _surrogate_candidate(problem, w_star) -> SolutionCandidate:
         feasible=(True,) * m, converged=True, iterations=0)
 
 
-def _wave_matrices(problem, cfg: RunConfig):
-    mesh = problem.mesh
-    cache = getattr(mesh, "_wave_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(mesh, "_wave_cache", cache)
-    key = float(cfg.wave_speed)
-    if key not in cache:
-        cache[key] = levelset.assemble_wave(mesh, cfg.wave_speed)
-    return cache[key]
-
-
 def run_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
     """Run the coupled evolution for one reference weight; numerical failures
     are captured in the candidate instead of aborting a sweep."""
@@ -132,7 +116,7 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
         start_ratio=cfg.weight_ratio, ds=cfg.step_size)
     phi0 = problem.initial_phi()
     lstate = levelset.initialize(
-        mesh, phi0, phi0.copy(), _wave_matrices(problem, cfg),
+        mesh, phi0, phi0.copy(), problem.wave_matrices(cfg.wave_speed),
         damping=cfg.wave_damping, width=cfg.interface_width, ds=cfg.step_size,
         dirichlet=problem.phi_dirichlet())
     constraints = problem.constraint_specs(cfg.multiplier_init, cfg.penalty)
@@ -170,11 +154,7 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
                                           theta_e, tau_eff)
         pert = problem.perturbation(bundle, adjoints, theta_e, tau_eff, w_now,
                                     j_star, constraints)
-        forcing_nodal = pert.total
-        if cfg.use_filter:
-            forcing_nodal = sensitivity.helmholtz_filter(
-                forcing_nodal, cfg.filter_eta, cfg.filter_gamma, mesh)
-        levelset.step(lstate, forcing_nodal)
+        levelset.step(lstate, problem.filter_forcing(pert.total))
 
         j_history.append(j_now)
         g_latest = g_now

@@ -5,7 +5,10 @@ between elasticity solves, adjoint solves, and the perturbation builders.
 All of them expose the same small interface consumed by the optimizer:
 
     solve_states / objectives / constraint_values / solve_adjoints /
-    perturbation / tau_effective
+    perturbation / tau_effective / wave_matrices / filter_forcing
+
+Operators that depend only on the problem (stiffness patterns, wave matrices,
+Helmholtz factors) are built on first use and shared by concurrent candidates.
 
 The surrogate problem replaces the whole inner loop by an analytic mapping
 from reference weights to objective values; it exists so the outer
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elasticity as el
+from . import levelset
 from . import sensitivity as sens
 from .errors import InvalidArgument
 from .fem import element_means
@@ -50,24 +54,36 @@ class FEMProblem:
         self.design_mask = None  # bool per element; None = everything designable
         self.phi_fixed_nodes = np.empty(0, dtype=np.int64)
         self.phi_fixed_values = np.empty(0)
-        self._patterns = {}
-        self._patterns_lock = threading.Lock()
+        self._operators = {}
+        self._operators_lock = threading.Lock()
 
-    # -- elastic operator -------------------------------------------------
+    # -- precomputed operators ------------------------------------------
+    def _operator(self, key, build):
+        """The operator stored under ``key``, built by ``build()`` on first
+        use rather than with the problem, and under a lock, so concurrent
+        candidates share a single build."""
+        with self._operators_lock:
+            op = self._operators.get(key)
+            if op is None:
+                op = self._operators[key] = build()
+        return op
+
     def _assemble(self, tau_eff, loads, supports) -> el.SparseSystem:
-        """Assemble through the stiffness pattern of (loads, supports).
-
-        Each pattern is built on first use rather than with the problem, and
-        under a lock, so concurrent candidates share a single build.
-        """
-        key = (loads, supports)
-        with self._patterns_lock:
-            pattern = self._patterns.get(key)
-            if pattern is None:
-                pattern = el.StiffnessPattern(self.mesh, self.mat, loads, supports)
-                self._patterns[key] = pattern
+        """Assemble through the stiffness pattern of (loads, supports)."""
+        pattern = self._operator(
+            ("stiffness", loads, supports),
+            lambda: el.StiffnessPattern(self.mesh, self.mat, loads, supports))
         return el.assemble_state(self.mesh, tau_eff, self.mat, loads, supports,
                                  pattern=pattern)
+
+    def wave_matrices(self, wave_speed) -> levelset.WaveMatrices:
+        return self._operator(
+            ("wave", float(wave_speed)),
+            lambda: levelset.assemble_wave(self.mesh, wave_speed))
+
+    def filter_forcing(self, forcing: np.ndarray) -> np.ndarray:
+        """The nodal forcing the level set step sees; unfiltered here."""
+        return forcing
 
     # -- design field handling ------------------------------------------
     def theta_elements(self, phi: np.ndarray, width: float) -> np.ndarray:
@@ -168,6 +184,7 @@ class ComplianceProblem(FEMProblem):
 
 
 def make_girder(nx=60, ny=30, traction=1.0, length=1.0, num_cases=2,
+                volume_fraction=0.45,
                 mat: el.MaterialParams | None = None) -> ComplianceProblem:
     """Simply supported girder: rollers on bottom corner patches, downward
     load patches on the top edge (two mirrored cases by default)."""
@@ -190,10 +207,11 @@ def make_girder(nx=60, ny=30, traction=1.0, length=1.0, num_cases=2,
         tag = f"traction_{i}"
         mesh = tag_boundary(mesh, (x0, h), (x1, h), tag)
         cases.append(LoadCase(tag, (0.0, -traction), supports))
-    return ComplianceProblem(mesh, mat, cases, volume_fraction=0.45)
+    return ComplianceProblem(mesh, mat, cases, volume_fraction)
 
 
 def make_clamped_tri(nx=60, ny=30, traction=1.0, length=1.0,
+                     volume_fraction=0.45,
                      mat: el.MaterialParams | None = None) -> ComplianceProblem:
     """Clamped girder with three load cases under different loading and
     supporting conditions (tip bending, propped mid-span bending, axial pull)."""
@@ -212,7 +230,7 @@ def make_clamped_tri(nx=60, ny=30, traction=1.0, length=1.0,
                  (clamp, el.FixedBoundary("prop", "y"))),
         LoadCase("traction_3", (traction, 0.0), (clamp,)),
     ]
-    return ComplianceProblem(mesh, mat, cases, volume_fraction=0.45)
+    return ComplianceProblem(mesh, mat, cases, volume_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -318,17 +336,20 @@ def make_gripper(nx=40, ny=20, traction_mag=1.0, spring_in=1e5, spring_out=1e3,
 # stress-constrained volume / strain-energy family (L-bracket)
 
 class StressVolumeProblem(FEMProblem):
-    """Material volume vs. strain energy under aggregated stress limits."""
+    """Material volume vs. strain energy under aggregated stress limits,
+    with the level set forcing Helmholtz-filtered."""
 
     kind = "stress_volume"
     num_objectives = 2
 
     def __init__(self, mesh, mat, *, traction, stress_exponent, yield_stress,
-                 stress_limit):
+                 stress_limit, filter_eta=1e-4, filter_gamma=2.0):
         super().__init__(mesh, mat)
         self.stress_exponent = float(stress_exponent)
         self.yield_stress = float(yield_stress)
         self.stress_limit = float(stress_limit)
+        self.filter_eta = float(filter_eta)
+        self.filter_gamma = float(filter_gamma)
         self.volume_ref = mesh.total_area
         self.loads = el.LoadSpec(tractions=(el.Traction("traction", traction),))
         self.supports = (el.FixedBoundary("clamp", "both"),)
@@ -389,9 +410,19 @@ class StressVolumeProblem(FEMProblem):
             self.stress_exponent, self.yield_stress, mask=self.design_mask,
             c_override=c_override)
 
+    def filter_forcing(self, forcing):
+        eta = self.filter_eta
+        operator = None
+        if eta > 0.0:
+            operator = self._operator(
+                "helmholtz", lambda: sens.helmholtz_operator(self.mesh, eta))
+        return sens.helmholtz_filter(forcing, eta, self.filter_gamma, self.mesh,
+                                     operator)
+
 
 def make_lbracket(nx=40, outer=1.0, cut=0.6, traction_mag=1.0,
                   stress_exponent=5.0, yield_stress=42.0, stress_limit=0.05,
+                  filter_eta=1e-4, filter_gamma=2.0,
                   mat: el.MaterialParams | None = None) -> StressVolumeProblem:
     """L-bracket: clamped along the top edge, downward load near the top of
     the right edge, level set held at -1 along the re-entrant void walls."""
@@ -405,7 +436,8 @@ def make_lbracket(nx=40, outer=1.0, cut=0.6, traction_mag=1.0,
     return StressVolumeProblem(mesh, mat, traction=(0.0, -traction_mag),
                                stress_exponent=stress_exponent,
                                yield_stress=yield_stress,
-                               stress_limit=stress_limit)
+                               stress_limit=stress_limit,
+                               filter_eta=filter_eta, filter_gamma=filter_gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from . import elasticity as el
 from .errors import DegenerateSensitivityError, InvalidArgument
-from .fem import element_to_nodes, lumped_node_areas, scalar_stiffness
+from .fem import element_to_nodes, scalar_stiffness
 from .mesh import Mesh
 
 NORMALIZATION_FLOOR = 1e-12
@@ -246,26 +246,22 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, theta_e,
 # ---------------------------------------------------------------------------
 # Helmholtz regularization with arsinh amplitude compression
 
-def _filter_solver(mesh: Mesh, eta: float):
-    cache = getattr(mesh, "_helmholtz_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(mesh, "_helmholtz_cache", cache)
-    if eta not in cache:
-        lumped = lumped_node_areas(mesh)
-        a = scalar_stiffness(mesh, eta * np.eye(2)).tolil()
-        a.setdiag(a.diagonal() + lumped)
-        cache[eta] = (spla.splu(a.tocsc()), lumped)
-    return cache[eta]
+def helmholtz_operator(mesh: Mesh, eta: float):
+    """LU factors of eta * K + M_L, the filter's left-hand side."""
+    a = scalar_stiffness(mesh, eta * np.eye(2)).tolil()
+    a.setdiag(a.diagonal() + mesh.node_areas)
+    return spla.splu(a.tocsc())
 
 
 def helmholtz_filter(forcing: np.ndarray, eta: float, gamma: float,
-                     mesh: Mesh) -> np.ndarray:
+                     mesh: Mesh, operator=None) -> np.ndarray:
     """Solve (eta * K + M_L) F_bar = M_L * arsinh(gamma F) / gamma.
 
     The lumped mass matrix keeps the discrete maximum principle, so the
     output max-norm never exceeds arsinh(gamma |F|_max) / gamma. With
-    eta = 0 this reduces to the pointwise scaled field.
+    eta = 0 this reduces to the pointwise scaled field. ``operator`` must
+    come from ``helmholtz_operator(mesh, eta)``; without one, it is built
+    for this call.
     """
     if eta < 0.0:
         raise InvalidArgument("filter length parameter must be non-negative")
@@ -274,5 +270,6 @@ def helmholtz_filter(forcing: np.ndarray, eta: float, gamma: float,
     scaled = np.arcsinh(gamma * np.asarray(forcing, dtype=float)) / gamma
     if eta == 0.0:
         return scaled
-    lu, lumped = _filter_solver(mesh, eta)
-    return lu.solve(lumped * scaled)
+    if operator is None:
+        operator = helmholtz_operator(mesh, eta)
+    return operator.solve(mesh.node_areas * scaled)

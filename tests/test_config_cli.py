@@ -58,7 +58,8 @@ def test_lbracket_config_reference_values():
     assert v["filter_eta"] == 1e-4
     assert v["filter_gamma"] == 2.0
     assert config.initial_weights() == [(0.05, 0.95), (0.95, 0.05)]
-    assert config.run_config().use_filter
+    problem = config.build_problem()
+    assert (problem.filter_eta, problem.filter_gamma) == (1e-4, 2.0)
 
 
 def test_gripper_config_reference_values():
@@ -95,6 +96,15 @@ def test_volume_fraction_range_check():
                                           "volume_fraction = 1.5")
     with pytest.raises(ConfigError, match="volume_fraction"):
         parse_config(text)
+
+
+def test_volume_fraction_reaches_beam_problems():
+    for name in ("girder", "clamped_tri"):
+        text = bundled_text(name).replace("volume_fraction = 0.45",
+                                          "volume_fraction = 0.2")
+        text = text.replace("nx = 60", "nx = 6").replace("ny = 30", "ny = 3")
+        problem = parse_config(text, source=name).build_problem()
+        assert problem.volume_fraction == 0.2, name
 
 
 def test_unknown_key_rejected_with_location():
@@ -228,6 +238,42 @@ def test_cli_pareto_offline(tmp_path, monkeypatch, capsys):
                      "--out", str(filtered)]) == 0
     kept = cli.read_register(filtered)
     assert len(kept) >= 8
+
+
+def test_cli_pareto_rejects_empty_register(tmp_path, capsys):
+    register = tmp_path / "register.csv"
+    cli.write_register([_candidate((1.0, 2.0))], register)
+    header = register.read_text().splitlines()[0]
+    register.write_text(header + "\n")
+    out = tmp_path / "filtered.csv"
+    assert cli.main(["pareto", str(register), "--out", str(out)]) == 2
+    assert "no candidate rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,0.5,0.5,0.5,0.5,nan,1.5,1,1,1,1,1,3", "non-finite"),
+    ("1,0.5,0.5,0.5,0.5,inf,1.5,1,1,1,1,1,3", "non-finite"),
+    ("1,0.5,0.5,0.5,0.5,abc,1.5,1,1,1,1,1,3", "malformed"),
+    ("1,0.5,0.5", "malformed"),
+])
+def test_cli_pareto_rejects_bad_rows(tmp_path, capsys, row, message):
+    register = tmp_path / "register.csv"
+    cli.write_register([_candidate((1.0, 2.0))], register)
+    lines = register.read_text().splitlines()
+    finite = "2,0.5,0.5,0.5,0.5,2.0,1.0,1,1,1,1,1,3"
+    register.write_text("\n".join([*lines, row, finite]) + "\n")
+    assert cli.main(["pareto", str(register)]) == 2
+    captured = capsys.readouterr()
+    assert "line 3" in captured.err and message in captured.err
+    assert captured.out == ""
+
+
+def _candidate(objectives):
+    from molto.optimizer import SolutionCandidate
+    return SolutionCandidate(w_star=(0.5, 0.5), w_final=(0.5, 0.5),
+                             objectives=objectives, normalized=objectives,
+                             feasible=(True, True), converged=True, iterations=3)
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import molto.levelset as ls
 from molto.errors import InvalidArgument
-from molto.fem import lumped_node_areas
 from molto.mesh import build_rect_mesh, tag_boundary
 
 
@@ -33,7 +32,7 @@ def test_wave_matrices_basics():
     const = np.ones(mesh.num_nodes)
     assert np.abs(wm.stiffness @ const).max() < 1e-12
     row_sums = np.asarray(wm.mass.sum(axis=1)).ravel()
-    assert np.allclose(row_sums, lumped_node_areas(mesh), atol=1e-14)
+    assert np.allclose(row_sums, mesh.node_areas, atol=1e-14)
     assert row_sums.sum() == pytest.approx(1.0, abs=1e-12)
 
 

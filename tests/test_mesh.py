@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from molto.errors import InvalidArgument, TagMatchError
-from molto.mesh import (FREE_TAG, build_lshape_mesh, build_rect_mesh, dump_mesh,
+from molto.mesh import (FREE_TAG, build_lshape_mesh, build_rect_mesh,
                         signed_areas, tag_boundary)
 
 
@@ -122,15 +122,15 @@ def test_mesh_immutable():
         mesh.nodes[0, 0] = 5.0
 
 
-def test_dump_mesh_roundtrip(tmp_path):
-    mesh = build_rect_mesh(1.0, 1.0, 2, 1)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(mesh, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"nodes {mesh.num_nodes} triangles {mesh.num_triangles}"
-    nodes = np.array([[float(v) for v in line.split()]
-                      for line in lines[1:1 + mesh.num_nodes]])
-    tris = np.array([[int(v) for v in line.split()]
-                     for line in lines[1 + mesh.num_nodes:]])
-    assert np.allclose(nodes, mesh.nodes, atol=5e-10)
-    assert np.array_equal(tris, mesh.triangles)
+def test_mesh_geometry_is_cached_and_read_only():
+    mesh = build_rect_mesh(1.0, 0.5, 3, 2, crossed=True)
+    assert mesh.grads is mesh.grads
+    assert mesh.node_areas is mesh.node_areas
+    assert mesh.grads.shape == (mesh.num_triangles, 3, 2)
+    assert mesh.node_areas.sum() == pytest.approx(mesh.total_area, rel=1e-14)
+    # shape function gradients sum to zero on every element
+    assert np.abs(mesh.grads.sum(axis=1)).max() < 1e-12
+    with pytest.raises(ValueError):
+        mesh.grads[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mesh.node_areas[0] = 1.0

@@ -1,10 +1,14 @@
 import sys
 import threading
+import time
 
 import numpy as np
 
 import molto.elasticity as el
-from molto.problems import make_girder
+import molto.levelset as ls
+import molto.sensitivity as sens
+from molto.optimizer import RunConfig, run_candidate
+from molto.problems import make_girder, make_lbracket
 
 
 def test_concurrent_solves_build_one_pattern(monkeypatch):
@@ -46,3 +50,59 @@ def test_concurrent_solves_build_one_pattern(monkeypatch):
     assert len(builds) == 1
     for u in states[1:]:
         assert np.array_equal(u, states[0])
+
+
+def test_concurrent_candidates_build_each_operator_once(monkeypatch):
+    builds = {"wave": 0, "helmholtz": 0}
+    filtered = []
+    real_wave, real_helmholtz = ls.assemble_wave, sens.helmholtz_operator
+    real_filter = sens.helmholtz_filter
+
+    # a slow build keeps the other threads arriving while it runs
+    def counting_wave(*args):
+        builds["wave"] += 1
+        time.sleep(0.05)
+        return real_wave(*args)
+
+    def counting_helmholtz(*args):
+        builds["helmholtz"] += 1
+        time.sleep(0.05)
+        return real_helmholtz(*args)
+
+    def recording_filter(*args):
+        filtered.append(args[-1])
+        return real_filter(*args)
+
+    # patched on their modules, as the benchmark's tracing wrappers are
+    monkeypatch.setattr(ls, "assemble_wave", counting_wave)
+    monkeypatch.setattr(sens, "helmholtz_operator", counting_helmholtz)
+    monkeypatch.setattr(sens, "helmholtz_filter", recording_filter)
+    problem = make_lbracket(nx=10)
+    cfg = RunConfig(max_iterations=2, window=2, wave_speed=0.2,
+                    wave_damping=0.1, interface_width=0.3, penalty=0.05)
+    workers = 4
+    results = [None] * workers
+    start = threading.Barrier(workers, timeout=60)
+
+    def work(i):
+        start.wait()
+        results[i] = run_candidate(problem, (0.5, 0.5), cfg)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None and not r.failed for r in results), results
+    assert builds == {"wave": 1, "helmholtz": 1}
+    # every candidate filtered every iteration through the shared factors
+    assert len(filtered) == sum(r.iterations + 1 for r in results)
+    assert all(op is filtered[0] and op is not None for op in filtered)
+    for r in results[1:]:
+        assert r.objectives == results[0].objectives
