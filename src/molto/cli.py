@@ -112,6 +112,13 @@ def _write_outputs(result, out_dir: Path, problem) -> None:
         writer.writerow(["level", "candidates", "mean_edge", "std_edge"])
         writer.writerows(result.history)
 
+    with open(out_dir / "failures.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"wstar_{a + 1}" for a in range(problem.num_objectives)]
+                        + ["error"])
+        for cand in result.failures:
+            writer.writerow([*cand.w_star, cand.error])
+
     for k, cand in enumerate(candidates):
         if cand.history:
             m = len(cand.objectives)

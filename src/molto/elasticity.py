@@ -402,8 +402,8 @@ def mutual_energy_density(mesh: Mesh, mat: MaterialParams,
     """Solid-material energy density eps(u) : C : eps(v) per element."""
     dm = plane_strain_matrix(mat)
     eu = element_strains(mesh, u)
-    ev = element_strains(mesh, v)
-    return np.einsum("ti,ij,tj->t", eu, dm, ev)
+    ev = eu if v is u else element_strains(mesh, v)
+    return np.einsum("ti,ti->t", eu @ dm, ev)
 
 
 def von_mises(mesh: Mesh, u: np.ndarray, mat: MaterialParams) -> np.ndarray:
@@ -462,9 +462,7 @@ def deviator_adjoint_load(mesh: Mesh, mat: MaterialParams, u: np.ndarray,
     c = np.column_stack([dev[:, 0] + nu * dev[:, 3],
                          dev[:, 1] + nu * dev[:, 3],
                          2.0 * dev[:, 2]])
-    dm = plane_strain_matrix(mat)
-    ge = np.einsum("t,ti,ij,tjk->tk", coef * mesh.element_areas, c, dm,
-                   strain_displacement(mesh))
-    load = np.zeros(2 * mesh.num_nodes)
-    np.add.at(load, _element_dofs(mesh).ravel(), ge.ravel())
-    return load
+    weighted = (coef * mesh.element_areas)[:, None] * (c @ plane_strain_matrix(mat))
+    ge = np.einsum("ti,tik->tk", weighted, strain_displacement(mesh))
+    return np.bincount(_element_dofs(mesh).ravel(), weights=ge.ravel(),
+                       minlength=2 * mesh.num_nodes)

@@ -3,7 +3,9 @@
 One implicit step solves
     ((1 + B*ds) M + ds^2 K) phi_next = M (-F*b*ds^2 + (2 + B*ds) phi - phi_prev)
 with prescribed values stamped on constrained nodes and the result clamped
-to [-1, 1]. The constrained operator is factorized once per run.
+to [-1, 1]. The constrained operator depends only on the wave matrices, the
+damping, the step size and the constrained nodes; ``factorize`` builds its
+factors, which every run with those inputs can share.
 """
 
 from __future__ import annotations
@@ -46,6 +48,26 @@ def assemble_wave(mesh: Mesh, wave_speed) -> WaveMatrices:
                         stiffness=scalar_stiffness(mesh, squared))
 
 
+@dataclass(frozen=True)
+class WaveFactors:
+    """LU factors of the free-node block of (1 + B*ds) M + ds^2 K, and its
+    coupling to the constrained nodes."""
+
+    free: np.ndarray
+    coupling: sp.csr_matrix
+    lu: object
+
+
+def factorize(matrices: WaveMatrices, damping: float, ds: float,
+              dirichlet_nodes: np.ndarray) -> WaveFactors:
+    """Factorize the step operator with ``dirichlet_nodes`` held fixed."""
+    a = (1.0 + damping * ds) * matrices.mass + ds ** 2 * matrices.stiffness
+    free = np.setdiff1d(np.arange(a.shape[0]), dirichlet_nodes)
+    return WaveFactors(free=free,
+                       coupling=a[free][:, dirichlet_nodes].tocsr(),
+                       lu=spla.splu(a[free][:, free].tocsc()))
+
+
 @dataclass
 class LevelSetState:
     phi: np.ndarray
@@ -56,10 +78,8 @@ class LevelSetState:
     ds: float
     dirichlet_nodes: np.ndarray
     dirichlet_values: np.ndarray
+    factors: WaveFactors = field(repr=False)
     clamp_events: int = 0
-    _free: np.ndarray = field(default=None, repr=False)
-    _lu: object = field(default=None, repr=False)
-    _coupling: sp.csr_matrix = field(default=None, repr=False)
 
     def velocity(self) -> np.ndarray:
         return (self.phi - self.phi_prev) / self.ds
@@ -73,8 +93,13 @@ class LevelSetState:
 
 def initialize(mesh: Mesh, phi0: np.ndarray, phi_prev: np.ndarray,
                matrices: WaveMatrices, damping: float, width: float,
-               ds: float = 1.0, dirichlet=None) -> LevelSetState:
-    """Set up the evolution state; out-of-range initial data is rejected."""
+               ds: float = 1.0, dirichlet=None,
+               factors: WaveFactors | None = None) -> LevelSetState:
+    """Set up the evolution state; out-of-range initial data is rejected.
+
+    ``factors`` must come from ``factorize`` with the same matrices, damping,
+    step size and constrained nodes; without them, they are built here.
+    """
     phi0 = np.asarray(phi0, dtype=float).copy()
     phi_prev = np.asarray(phi_prev, dtype=float).copy()
     for name, arr in (("phi0", phi0), ("phi_prev", phi_prev)):
@@ -96,20 +121,12 @@ def initialize(mesh: Mesh, phi0: np.ndarray, phi_prev: np.ndarray,
     phi0[nodes] = values
     phi_prev[nodes] = values
 
-    state = LevelSetState(phi=phi0, phi_prev=phi_prev, matrices=matrices,
-                          damping=float(damping), width=float(width), ds=float(ds),
-                          dirichlet_nodes=nodes, dirichlet_values=values)
-    _factorize(state, mesh.num_nodes)
-    return state
-
-
-def _factorize(state: LevelSetState, num_nodes: int) -> None:
-    a = ((1.0 + state.damping * state.ds) * state.matrices.mass
-         + state.ds ** 2 * state.matrices.stiffness)
-    free = np.setdiff1d(np.arange(num_nodes), state.dirichlet_nodes)
-    state._free = free
-    state._coupling = a[free][:, state.dirichlet_nodes].tocsr()
-    state._lu = spla.splu(a[free][:, free].tocsc())
+    if factors is None:
+        factors = factorize(matrices, damping, ds, nodes)
+    return LevelSetState(phi=phi0, phi_prev=phi_prev, matrices=matrices,
+                         damping=float(damping), width=float(width), ds=float(ds),
+                         dirichlet_nodes=nodes, dirichlet_values=values,
+                         factors=factors)
 
 
 def step(state: LevelSetState, forcing: np.ndarray) -> np.ndarray:
@@ -118,12 +135,13 @@ def step(state: LevelSetState, forcing: np.ndarray) -> np.ndarray:
     rhs_field = (-forcing * state.width * state.ds ** 2
                  + (2.0 + b_ds) * state.phi - state.phi_prev)
     rhs = state.matrices.mass @ rhs_field
-    rhs_free = rhs[state._free]
+    factors = state.factors
+    rhs_free = rhs[factors.free]
     if state.dirichlet_nodes.size:
-        rhs_free = rhs_free - state._coupling @ state.dirichlet_values
+        rhs_free = rhs_free - factors.coupling @ state.dirichlet_values
 
     phi_new = np.empty_like(state.phi)
-    phi_new[state._free] = state._lu.solve(rhs_free)
+    phi_new[factors.free] = factors.lu.solve(rhs_free)
     phi_new[state.dirichlet_nodes] = state.dirichlet_values
     if not np.all(np.isfinite(phi_new)):
         raise SolverFailure("level set update produced non-finite values")

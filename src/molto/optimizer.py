@@ -118,7 +118,8 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
     lstate = levelset.initialize(
         mesh, phi0, phi0.copy(), problem.wave_matrices(cfg.wave_speed),
         damping=cfg.wave_damping, width=cfg.interface_width, ds=cfg.step_size,
-        dirichlet=problem.phi_dirichlet())
+        dirichlet=problem.phi_dirichlet(),
+        factors=problem.wave_factors(cfg.wave_speed, cfg.wave_damping, cfg.step_size))
     constraints = problem.constraint_specs(cfg.multiplier_init, cfg.penalty)
     specs = problem.objective_specs()
 

@@ -5,10 +5,12 @@ between elasticity solves, adjoint solves, and the perturbation builders.
 All of them expose the same small interface consumed by the optimizer:
 
     solve_states / objectives / constraint_values / solve_adjoints /
-    perturbation / tau_effective / wave_matrices / filter_forcing
+    perturbation / tau_effective / wave_matrices / wave_factors /
+    filter_forcing
 
-Operators that depend only on the problem (stiffness patterns, wave matrices,
-Helmholtz factors) are built on first use and shared by concurrent candidates.
+Operators that depend only on the problem (stiffness patterns, wave matrices
+and their step factors, Helmholtz factors) are built on first use and shared
+by concurrent candidates.
 
 The surrogate problem replaces the whole inner loop by an analytic mapping
 from reference weights to objective values; it exists so the outer
@@ -80,6 +82,14 @@ class FEMProblem:
         return self._operator(
             ("wave", float(wave_speed)),
             lambda: levelset.assemble_wave(self.mesh, wave_speed))
+
+    def wave_factors(self, wave_speed, damping, ds) -> levelset.WaveFactors:
+        """Factors of the level set step operator, constrained on the
+        problem's prescribed level set nodes."""
+        matrices = self.wave_matrices(wave_speed)
+        return self._operator(
+            ("wave_factors", float(wave_speed), float(damping), float(ds)),
+            lambda: levelset.factorize(matrices, damping, ds, self.phi_fixed_nodes))
 
     def filter_forcing(self, forcing: np.ndarray) -> np.ndarray:
         """The nodal forcing the level set step sees; unfiltered here."""
@@ -382,24 +392,28 @@ class StressVolumeProblem(FEMProblem):
         return np.array([j1, j2])
 
     def constraint_values(self, bundle, theta_e, tau_eff, constraints) -> np.ndarray:
-        values = []
-        for c, u in zip(constraints, bundle.states):
-            agg = el.stress_pnorm(self.mesh, self.mat, u, tau_eff, c.p,
-                                  c.yield_stress)
-            values.append(sens.eval_constraint(c, stress_agg=agg,
-                                               volume_ref=self.volume_ref))
-        return np.array(values)
+        # both constraints limit the same aggregate of the one state
+        agg = el.stress_pnorm(self.mesh, self.mat, bundle.states[0], tau_eff,
+                              self.stress_exponent, self.yield_stress)
+        return np.array([sens.eval_constraint(c, stress_agg=agg,
+                                              volume_ref=self.volume_ref)
+                         for c in constraints])
 
     def solve_adjoints(self, bundle, w, j_star, constraints, theta_e, tau_eff):
-        fact = bundle.facts[0]
-        adjoints = []
-        for alpha, (u, c) in enumerate(zip(bundle.states, constraints)):
-            load = c.multiplier * el.deviator_adjoint_load(
-                self.mesh, self.mat, u, tau_eff, c.p, c.yield_stress) / self.volume_ref
-            v = fact.solve(load)
-            if alpha == 1:  # strain-energy objective is self-adjoint
-                v = v + (w[1] / j_star[1]) * u
-            adjoints.append(v)
+        """Both constraints differentiate the same aggregate of the one state,
+        so by linearity each stress adjoint is lambda_a / V0 times one
+        solution z of K z = dS/du; z is not solved for while every
+        lambda_a is zero."""
+        u, fact = bundle.states[0], bundle.facts[0]
+        scales = [c.multiplier / self.volume_ref for c in constraints]
+        z = np.zeros_like(u)
+        if any(scales):
+            z = fact.solve(el.deviator_adjoint_load(
+                self.mesh, self.mat, u, tau_eff, self.stress_exponent,
+                self.yield_stress))
+        adjoints = [scale * z for scale in scales]
+        # the strain-energy objective is self-adjoint
+        adjoints[1] = adjoints[1] + (w[1] / j_star[1]) * u
         return adjoints
 
     def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,

@@ -220,15 +220,18 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, theta_e,
     """
     dtau = _masked_dtau(theta_e, mat, mask)
     areas = mesh.element_areas
+    stress = {}  # (vm/f_y)^p and its tau-weighted integral, per distinct state
     contributions, c_norm = [], []
     for alpha, (u, v) in enumerate(zip(states, adjoints)):
-        ratio = el.von_mises(mesh, u, mat) / yield_stress
-        agg_int = float(np.sum(ratio ** p * tau_e * areas))
-        if agg_int > 0.0:
-            stress_term = (multipliers[alpha] / (p * volume_ref)
-                           * agg_int ** (1.0 / p - 1.0) * ratio ** p * dtau)
-        else:
-            stress_term = np.zeros(mesh.num_triangles)
+        stress_term = np.zeros(mesh.num_triangles)
+        if multipliers[alpha] != 0.0:
+            if id(u) not in stress:
+                ratio_p = (el.von_mises(mesh, u, mat) / yield_stress) ** p
+                stress[id(u)] = ratio_p, float(np.sum(ratio_p * tau_e * areas))
+            ratio_p, agg_int = stress[id(u)]
+            if agg_int > 0.0:
+                stress_term = (multipliers[alpha] / (p * volume_ref)
+                               * agg_int ** (1.0 / p - 1.0) * ratio_p * dtau)
         if alpha == 0:
             obj_term = np.full(mesh.num_triangles, w[0] / j_star[0])
             if mask is not None:

@@ -321,3 +321,32 @@ def test_cli_register_independent_of_jobs(tmp_path, monkeypatch):
         registers.append((out / "register.csv").read_bytes())
     assert registers[0].count(b"\n") >= 3
     assert registers[0] == registers[1]
+
+
+def test_cli_writes_failures(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    from molto.errors import SolverFailure
+    from molto.problems import SurrogateProblem
+
+    real = SurrogateProblem.evaluate
+
+    def evaluate(self, w_star):
+        if np.allclose(w_star, (0.5, 0.5)):
+            raise SolverFailure("synthetic breakdown at the middle weight")
+        return real(self, w_star)
+
+    monkeypatch.setattr(SurrogateProblem, "evaluate", evaluate)
+    text = bundled_text("surrogate2")
+    text = text.replace("weights_init = 0.9 0.1 ; 0.1 0.9",
+                        "weights_init = 0.9 0.1 ; 0.5 0.5 ; 0.1 0.9")
+    text = text.replace("max_levels = 6", "max_levels = 0")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "results"
+    assert cli.main(["surrogate", str(cfg), "--out", str(out)]) == 0
+    with open(out / "failures.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["wstar_1", "wstar_2", "error"],
+                    ["0.5", "0.5",
+                     "SolverFailure: synthetic breakdown at the middle weight"]]
+    assert len(cli.read_register(out / "register.csv")) == 2

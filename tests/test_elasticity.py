@@ -371,3 +371,44 @@ def test_solve_residual_contract():
     residual[system.fixed_dofs] = 0.0  # constrained rows carry reactions
     free = np.setdiff1d(np.arange(system.num_dofs), system.fixed_dofs)
     assert np.linalg.norm(residual) / np.linalg.norm(system.rhs[free]) <= 1e-9
+
+
+def _deviator_adjoint_load_reference(mesh, mat, u, tau_e, p, yield_stress):
+    """The stress-derivative load written out with one four-operand einsum
+    and an unbuffered scatter, as a reference for the production contraction."""
+    s = el.element_stresses(mesh, u, mat)
+    mean = (s[:, 0] + s[:, 1] + s[:, 3]) / 3.0
+    dev = np.column_stack([s[:, 0] - mean, s[:, 1] - mean, s[:, 2], s[:, 3] - mean])
+    vm = np.sqrt(1.5 * (dev[:, 0] ** 2 + dev[:, 1] ** 2 + dev[:, 3] ** 2
+                        + 2.0 * dev[:, 2] ** 2))
+    ratio = vm / yield_stress
+    agg_int = np.sum(ratio ** p * tau_e * mesh.element_areas)
+    coef = np.zeros(mesh.num_triangles)
+    pos = vm > 0.0
+    coef[pos] = (agg_int ** (1.0 / p - 1.0) * ratio[pos] ** (p - 1.0)
+                 * 1.5 * tau_e[pos] / (yield_stress * vm[pos]))
+    nu = mat.poisson
+    c = np.column_stack([dev[:, 0] + nu * dev[:, 3], dev[:, 1] + nu * dev[:, 3],
+                         2.0 * dev[:, 2]])
+    ge = np.einsum("t,ti,ij,tjk->tk", coef * mesh.element_areas, c,
+                   el.plane_strain_matrix(mat), el.strain_displacement(mesh))
+    dofs = np.empty((mesh.num_triangles, 6), dtype=np.int64)
+    dofs[:, 0::2] = 2 * mesh.triangles
+    dofs[:, 1::2] = 2 * mesh.triangles + 1
+    load = np.zeros(2 * mesh.num_nodes)
+    np.add.at(load, dofs.ravel(), ge.ravel())
+    return load
+
+
+def test_deviator_adjoint_load_matches_reference():
+    mesh = build_rect_mesh(1.0, 0.5, 8, 4, crossed=True)
+    rng = np.random.default_rng(7)
+    u = rng.normal(0.0, 0.1, 2 * mesh.num_nodes)
+    # a stress-free corner exercises the zero limit of vanishing elements
+    u[np.repeat(mesh.nodes[:, 0] > 0.7, 2)] = 0.0
+    tau = rng.uniform(1e-3, 1.0, mesh.num_triangles)
+    for p, f_y in ((5.0, 42.0), (8.0, 0.1), (1.0, 1.0)):
+        got = el.deviator_adjoint_load(mesh, MAT, u, tau, p, f_y)
+        ref = _deviator_adjoint_load_reference(mesh, MAT, u, tau, p, f_y)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.any(el.von_mises(mesh, u, MAT) == 0.0)

@@ -1,8 +1,10 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import molto.elasticity as el
 import molto.levelset as ls
@@ -53,9 +55,10 @@ def test_concurrent_solves_build_one_pattern(monkeypatch):
 
 
 def test_concurrent_candidates_build_each_operator_once(monkeypatch):
-    builds = {"wave": 0, "helmholtz": 0}
+    builds = {"wave": 0, "wave_factors": 0, "helmholtz": 0}
     filtered = []
     real_wave, real_helmholtz = ls.assemble_wave, sens.helmholtz_operator
+    real_factorize = ls.factorize
     real_filter = sens.helmholtz_filter
 
     # a slow build keeps the other threads arriving while it runs
@@ -63,6 +66,11 @@ def test_concurrent_candidates_build_each_operator_once(monkeypatch):
         builds["wave"] += 1
         time.sleep(0.05)
         return real_wave(*args)
+
+    def counting_factorize(*args):
+        builds["wave_factors"] += 1
+        time.sleep(0.05)
+        return real_factorize(*args)
 
     def counting_helmholtz(*args):
         builds["helmholtz"] += 1
@@ -75,6 +83,7 @@ def test_concurrent_candidates_build_each_operator_once(monkeypatch):
 
     # patched on their modules, as the benchmark's tracing wrappers are
     monkeypatch.setattr(ls, "assemble_wave", counting_wave)
+    monkeypatch.setattr(ls, "factorize", counting_factorize)
     monkeypatch.setattr(sens, "helmholtz_operator", counting_helmholtz)
     monkeypatch.setattr(sens, "helmholtz_filter", recording_filter)
     problem = make_lbracket(nx=10)
@@ -100,9 +109,63 @@ def test_concurrent_candidates_build_each_operator_once(monkeypatch):
         sys.setswitchinterval(previous)
     assert not any(t.is_alive() for t in threads)
     assert all(r is not None and not r.failed for r in results), results
-    assert builds == {"wave": 1, "helmholtz": 1}
+    assert builds == {"wave": 1, "wave_factors": 1, "helmholtz": 1}
     # every candidate filtered every iteration through the shared factors
     assert len(filtered) == sum(r.iterations + 1 for r in results)
     assert all(op is filtered[0] and op is not None for op in filtered)
     for r in results[1:]:
         assert r.objectives == results[0].objectives
+
+
+def _stressed_lbracket():
+    problem = make_lbracket(nx=10)
+    theta = np.random.default_rng(2).uniform(0.4, 0.95, problem.mesh.num_triangles)
+    tau = problem.tau_effective(theta)
+    bundle = problem.solve_states(tau)
+    j_star = problem.objectives(bundle, theta, tau)
+    return problem, theta, tau, bundle, j_star
+
+
+def _with_multipliers(problem, multipliers):
+    return [replace(c, multiplier=lam)
+            for c, lam in zip(problem.constraint_specs(), multipliers)]
+
+
+def test_stress_adjoints_match_per_constraint_solves():
+    problem, theta, tau, bundle, j_star = _stressed_lbracket()
+    w = np.array([0.3, 0.7])
+    cons = _with_multipliers(problem, (0.8, 0.5))
+    got = problem.solve_adjoints(bundle, w, j_star, cons, theta, tau)
+    # one load and one solve per constraint, as the adjoint is defined
+    fact = bundle.facts[0]
+    for alpha, (u, c) in enumerate(zip(bundle.states, cons)):
+        load = c.multiplier * el.deviator_adjoint_load(
+            problem.mesh, problem.mat, u, tau, c.p, c.yield_stress) / problem.volume_ref
+        ref = fact.solve(load)
+        if alpha == 1:
+            ref = ref + (w[1] / j_star[1]) * u
+        assert np.abs(got[alpha] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert not np.allclose(got[0], 0.0)
+
+
+@pytest.mark.parametrize("multipliers, solves", [((0.8, 0.5), 1), ((0.0, 0.0), 0)])
+def test_stress_adjoints_solve_once_and_not_while_inactive(monkeypatch, multipliers,
+                                                           solves):
+    problem, theta, tau, bundle, j_star = _stressed_lbracket()
+    calls = []
+    real = el.FactorizedSystem.solve
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(el.FactorizedSystem, "solve", counting)
+    w = np.array([0.3, 0.7])
+    adjoints = problem.solve_adjoints(bundle, w, j_star,
+                                      _with_multipliers(problem, multipliers),
+                                      theta, tau)
+    assert len(calls) == solves
+    if solves == 0:
+        u = bundle.states[0]
+        assert np.array_equal(adjoints[0], np.zeros_like(u))
+        assert np.array_equal(adjoints[1], (w[1] / j_star[1]) * u)

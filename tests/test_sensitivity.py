@@ -228,3 +228,29 @@ def test_helmholtz_validation():
         sens.helmholtz_filter(f, -1.0, 1.0, mesh)
     with pytest.raises(InvalidArgument):
         sens.helmholtz_filter(f, 1.0, 0.0, mesh)
+
+
+@pytest.mark.parametrize("multipliers", [(0.8, 0.5), (0.0, 0.7), (0.6, 0.0)])
+def test_stress_terms_follow_each_multiplier(multipliers):
+    # each case's stress term is its own multiplier times the one aggregate
+    # derivative of the shared state; a zero multiplier leaves no stress term
+    mesh = build_rect_mesh(1.0, 0.5, 6, 3, crossed=True)
+    rng = np.random.default_rng(4)
+    u = rng.normal(0.0, 0.2, 2 * mesh.num_nodes)
+    adjoints = [rng.normal(0.0, 0.2, u.size) for _ in range(2)]
+    theta = rng.uniform(0.3, 1.0, mesh.num_triangles)
+    tau = el.ersatz_tau(theta, MAT)
+    p, f_y, v0 = 5.0, 0.5, 0.5
+
+    def contributions(lams):
+        return sens.perturbation_stress_volume(
+            mesh, MAT, theta, tau, [u, u], adjoints, lams, v0, [0.4, 0.6],
+            [1.0, 2.0], p, f_y, c_override=(1.0, 1.0)).f_alpha_elem
+
+    ratio_p = (el.von_mises(mesh, u, MAT) / f_y) ** p
+    agg_int = np.sum(ratio_p * tau * mesh.element_areas)
+    unit = (agg_int ** (1.0 / p - 1.0) * ratio_p * el.ersatz_dtau(theta, MAT)
+            / (p * v0))
+    with_stress, without = contributions(multipliers), contributions((0.0, 0.0))
+    for lam, f, f0 in zip(multipliers, with_stress, without):
+        assert np.allclose(f - f0, lam * unit, rtol=1e-12, atol=1e-15)
