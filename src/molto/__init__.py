@@ -7,8 +7,8 @@ from .asd import (ASDConfig, ASDResult, SimplexComplex, SolutionRegister,
 from .elasticity import (FixedBoundary, LoadSpec, MaterialParams,
                          PointConstraint, SparseSystem, Spring,
                          StiffnessPattern, Traction, assemble_state,
-                         dirac_const, ersatz_dtau, ersatz_tau, heaviside,
-                         solve, stress_pnorm, von_mises)
+                         ersatz_dtau, ersatz_tau, heaviside, solve,
+                         stress_pnorm, von_mises)
 from .errors import (ConfigError, DegenerateSensitivityError, InvalidArgument,
                      MoltoError, SingularSystemError, SolverFailure,
                      TagMatchError)
@@ -18,11 +18,10 @@ from .optimizer import RunConfig, SolutionCandidate, run_candidate, stationarity
 from .problems import (ComplianceProblem, MechanismProblem, StressVolumeProblem,
                        SurrogateProblem, make_clamped_tri, make_girder,
                        make_gripper, make_lbracket)
-from .sensitivity import (ConstraintSpec, ObjectiveSpec, PerturbationResult,
-                          eval_constraint, eval_objective, helmholtz_filter,
-                          normalize, perturbation_compliance,
-                          perturbation_mechanism, perturbation_stress_volume,
-                          update_multiplier)
+from .sensitivity import (PerturbationResult, helmholtz_filter, normalize,
+                          perturbation_compliance, perturbation_mechanism,
+                          perturbation_stress_volume, reference_values,
+                          update_multipliers)
 from .weights import (WeightState, forcing, stick_jacobian, stick_to_weights,
                       weights_to_stick)
 

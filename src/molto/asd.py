@@ -62,7 +62,6 @@ class SimplexComplex:
     simplices: list            # tuples of candidate indices, m vertices each
     edges: np.ndarray          # (E, 2) unique index pairs, sorted
     edge_lengths: np.ndarray   # normalized objective-space lengths
-    poor: np.ndarray = None    # filled by mark_and_refine
 
     def edge_length_of(self, i: int, j: int) -> float:
         key = (min(i, j), max(i, j))
@@ -127,7 +126,6 @@ def mark_and_refine(complex_: SimplexComplex, register: SolutionRegister,
         longest = max(complex_.edge_length_of(i, j)
                       for k, i in enumerate(simplex) for j in simplex[k + 1:])
         poor.append(longest > edge_tolerance)
-    complex_.poor = np.array(poor)
 
     existing = [np.asarray(c.w_star) for c in register.candidates]
     emitted: list[np.ndarray] = []

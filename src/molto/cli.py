@@ -75,9 +75,13 @@ def write_register(candidates, path) -> None:
 
 def read_register(path) -> list:
     candidates = []
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read register {path}: {exc}") from exc
+    with fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         m = sum(1 for name in header if name.startswith("wstar_"))
         for row in reader:
             vals = row[1:]
@@ -194,6 +198,23 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
+def _checked(convert, ok, requirement):
+    """An argparse type: ``convert`` the text, then require ``ok`` of it."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_JOBS = _checked(int, lambda v: v > 0, "a positive integer")
+_TOL = _checked(float, lambda v: v >= 0.0, "a non-negative number")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="molto",
@@ -203,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the full refinement loop")
     run.add_argument("config")
-    run.add_argument("--jobs", type=int, default=None)
+    run.add_argument("--jobs", type=_JOBS, default=None)
     run.add_argument("--out", default=None)
 
     val = sub.add_parser("validate", help="check a configuration file")
@@ -211,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     par = sub.add_parser("pareto", help="re-filter a register CSV offline")
     par.add_argument("register")
-    par.add_argument("--tol", type=float, default=1e-3)
+    par.add_argument("--tol", type=_TOL, default=1e-3)
     par.add_argument("--out", default=None)
 
     sur = sub.add_parser("surrogate",
                          help="run the refinement loop on an analytic mapping")
     sur.add_argument("config")
-    sur.add_argument("--jobs", type=int, default=None)
+    sur.add_argument("--jobs", type=_JOBS, default=None)
     sur.add_argument("--out", default=None)
     return parser
 

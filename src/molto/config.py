@@ -225,6 +225,9 @@ def _validate(config: ProblemConfig):
                           f"objectives, weights_init has {m}")
     if config.kind == "lbracket" and not v["cut"] < v["outer"]:
         raise ConfigError("cut must be smaller than outer")
+    if "window" in v and v["max_iterations"] < v["window"]:
+        raise ConfigError(f"max_iterations ({v['max_iterations']}) must be at "
+                          f"least window ({v['window']})")
 
 
 def parse_config(text: str, source: str = "<string>") -> ProblemConfig:

@@ -50,13 +50,6 @@ def heaviside(phi: np.ndarray, width: float) -> np.ndarray:
     return 0.5 * (np.tanh(2.0 * width * phi) + 1.0)
 
 
-def dirac_const(width: float) -> float:
-    """Zeroth-order interface measure used on the evolution right-hand side."""
-    if width <= 0.0:
-        raise InvalidArgument("interface width must be positive")
-    return float(width)
-
-
 def ersatz_tau(theta: np.ndarray, mat: MaterialParams) -> np.ndarray:
     """Relative stiffness (1 - d) * theta^a + d, in [d, 1]."""
     return (1.0 - mat.floor) * np.asarray(theta, dtype=float) ** mat.exponent + mat.floor
@@ -427,11 +420,6 @@ def stress_pnorm(mesh: Mesh, mat: MaterialParams, u: np.ndarray,
     # factor out the peak so ratio**p stays in range for large p
     agg = np.sum((ratio / peak) ** p * tau_e * mesh.element_areas)
     return float(peak * agg ** (1.0 / p))
-
-
-def adjoint_compliance(u: np.ndarray, weight: float, j_star: float) -> np.ndarray:
-    """Self-adjoint shortcut: adjoint equals (w / J*) times the state."""
-    return (weight / j_star) * u
 
 
 def deviator_adjoint_load(mesh: Mesh, mat: MaterialParams, u: np.ndarray,

@@ -44,6 +44,10 @@ class RunConfig:
             raise ValueError("need max_iterations >= window >= 2")
         if min(self.tol_objective, self.tol_constraint) <= 0.0:
             raise ValueError("tolerances must be positive")
+        if self.multiplier_init < 0.0:
+            raise ValueError("multiplier_init must be non-negative")
+        if self.penalty <= 0.0:
+            raise ValueError("penalty must be positive")
 
 
 @dataclass
@@ -63,10 +67,6 @@ class SolutionCandidate:
     levelset_clamps: int = 0
     failed: bool = False
     error: str = ""
-
-    @property
-    def all_feasible(self) -> bool:
-        return all(self.feasible)
 
 
 def stationarity(j_history, g_latest, window: int, tol_objective: float,
@@ -120,12 +120,10 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
         damping=cfg.wave_damping, width=cfg.interface_width, ds=cfg.step_size,
         dirichlet=problem.phi_dirichlet(),
         factors=problem.wave_factors(cfg.wave_speed, cfg.wave_damping, cfg.step_size))
-    constraints = problem.constraint_specs(cfg.multiplier_init, cfg.penalty)
-    specs = problem.objective_specs()
 
     j_history: list[np.ndarray] = []
     g_latest = None
-    j_star = None
+    j_star = lam = None
     w_now = wstate.weights
     history_rows = []
     converged = False
@@ -143,18 +141,16 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
         tau_eff = problem.tau_effective(theta_e)
         bundle = problem.solve_states(tau_eff)
         j_now = problem.objectives(bundle, theta_e, tau_eff)
+        g_now = problem.constraint_values(bundle, theta_e, tau_eff)
         if j_star is None:
-            for spec, value in zip(specs, j_now):
-                spec.capture_reference(value)
-            j_star = np.array([spec.j_star for spec in specs])
-        g_now = problem.constraint_values(bundle, theta_e, tau_eff, constraints)
-        constraints = [sensitivity.update_multiplier(c, g)
-                       for c, g in zip(constraints, g_now)]
+            j_star = sensitivity.reference_values(j_now)
+            lam = np.full(len(g_now), cfg.multiplier_init)
+        lam = sensitivity.update_multipliers(lam, g_now, cfg.penalty)
 
-        adjoints = problem.solve_adjoints(bundle, w_now, j_star, constraints,
+        adjoints = problem.solve_adjoints(bundle, w_now, j_star, lam,
                                           theta_e, tau_eff)
         pert = problem.perturbation(bundle, adjoints, theta_e, tau_eff, w_now,
-                                    j_star, constraints)
+                                    j_star, lam)
         levelset.step(lstate, problem.filter_forcing(pert.total))
 
         j_history.append(j_now)

@@ -2,11 +2,18 @@
 
 Each FEM problem owns its mesh, boundary tagging, load data, and the wiring
 between elasticity solves, adjoint solves, and the perturbation builders.
-All of them expose the same small interface consumed by the optimizer:
+All of them expose the same small interface consumed by the optimizer,
+with objectives, constraint values and multipliers as plain arrays:
 
-    solve_states / objectives / constraint_values / solve_adjoints /
-    perturbation / tau_effective / wave_matrices / wave_factors /
-    filter_forcing
+    solve_states(tau_eff) -> StateBundle
+    objectives(bundle, theta_e, tau_eff) -> J
+    constraint_values(bundle, theta_e, tau_eff) -> G  (feasible iff G <= 0)
+    solve_adjoints(bundle, w, j_star, multipliers, theta_e, tau_eff)
+    perturbation(bundle, adjoints, theta_e, tau_eff, w, j_star, multipliers,
+                 c_override=None) -> sensitivity.PerturbationResult
+
+plus tau_effective / wave_matrices / wave_factors / filter_forcing. The
+multipliers are one per entry of G; the optimizer owns them and J*.
 
 Operators that depend only on the problem (stiffness patterns, wave matrices
 and their step factors, Helmholtz factors) are built on first use and shared
@@ -150,14 +157,6 @@ class ComplianceProblem(FEMProblem):
     def num_objectives(self) -> int:
         return len(self.cases)
 
-    def objective_specs(self):
-        return [sens.ObjectiveSpec("mean_compliance", tag=c.traction_tag)
-                for c in self.cases]
-
-    def constraint_specs(self, multiplier=0.0, penalty=10.0):
-        return [sens.ConstraintSpec("volume_fraction", self.volume_fraction,
-                                    multiplier=multiplier, penalty=penalty)]
-
     def solve_states(self, tau_eff) -> StateBundle:
         facts_by_sig, facts, states = {}, [], []
         for case, tvec in zip(self.cases, self.traction_vectors):
@@ -171,25 +170,22 @@ class ComplianceProblem(FEMProblem):
         return StateBundle(states=states, facts=facts)
 
     def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
-        return np.array([
-            sens.eval_objective(spec, u=u, load_vector=tvec)
-            for spec, u, tvec in zip(self.objective_specs(), bundle.states,
-                                     self.traction_vectors)])
+        return np.array([tvec @ u for u, tvec in zip(bundle.states,
+                                                     self.traction_vectors)])
 
-    def constraint_values(self, bundle, theta_e, tau_eff, constraints) -> np.ndarray:
+    def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
         vol = sens.volume_integral(self.mesh, theta_e, self.design_mask)
-        return np.array([sens.eval_constraint(c, volume=vol, volume_ref=self.volume_ref)
-                         for c in constraints])
+        return np.array([vol / self.volume_ref - self.volume_fraction])
 
-    def solve_adjoints(self, bundle, w, j_star, constraints, theta_e, tau_eff):
-        return [el.adjoint_compliance(u, w[a], j_star[a])
-                for a, u in enumerate(bundle.states)]
+    def solve_adjoints(self, bundle, w, j_star, multipliers, theta_e, tau_eff):
+        # mean compliance is self-adjoint
+        return [(w[a] / j_star[a]) * u for a, u in enumerate(bundle.states)]
 
     def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
-                     constraints, c_override=None):
+                     multipliers, c_override=None):
         return sens.perturbation_compliance(
             self.mesh, self.mat, theta_e, bundle.states, adjoints,
-            constraints[0].multiplier, self.volume_ref, w,
+            multipliers[0], self.volume_ref, w,
             mask=self.design_mask, c_override=c_override)
 
 
@@ -279,14 +275,6 @@ class MechanismProblem(FEMProblem):
             (solid_nodes, 1.0),
         ])
 
-    def objective_specs(self):
-        return [sens.ObjectiveSpec("output_displacement", tag="output"),
-                sens.ObjectiveSpec("strain_energy")]
-
-    def constraint_specs(self, multiplier=0.0, penalty=10.0):
-        return [sens.ConstraintSpec("volume_fraction", self.volume_fraction,
-                                    multiplier=multiplier, penalty=penalty)]
-
     def solve_states(self, tau_eff) -> StateBundle:
         sysm = self._assemble(tau_eff, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
@@ -296,17 +284,14 @@ class MechanismProblem(FEMProblem):
 
     def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
         u = bundle.states[0]
-        j1 = sens.eval_objective(self.objective_specs()[0], u=u,
-                                 load_vector=self.output_vector)
-        j2 = sens.strain_energy(self.mesh, self.mat, u, tau_eff)
-        return np.array([j1, j2])
+        return np.array([-(self.output_vector @ u),
+                         sens.strain_energy(self.mesh, self.mat, u, tau_eff)])
 
-    def constraint_values(self, bundle, theta_e, tau_eff, constraints) -> np.ndarray:
+    def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
         vol = sens.volume_integral(self.mesh, theta_e, self.design_mask)
-        return np.array([sens.eval_constraint(c, volume=vol, volume_ref=self.volume_ref)
-                         for c in constraints])
+        return np.array([vol / self.volume_ref - self.volume_fraction])
 
-    def solve_adjoints(self, bundle, w, j_star, constraints, theta_e, tau_eff):
+    def solve_adjoints(self, bundle, w, j_star, multipliers, theta_e, tau_eff):
         u, fact = bundle.states[0], bundle.facts[0]
         v_out = fact.solve(-(w[0] / j_star[0]) * self.output_vector)
         # strain-energy load is the elastic (spring-free) part of K times u
@@ -315,10 +300,10 @@ class MechanismProblem(FEMProblem):
         return [v_out, v_energy]
 
     def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
-                     constraints, c_override=None):
+                     multipliers, c_override=None):
         return sens.perturbation_mechanism(
             self.mesh, self.mat, theta_e, bundle.states[0], adjoints[0],
-            adjoints[1], constraints[0].multiplier, self.volume_ref, w,
+            adjoints[1], multipliers[0], self.volume_ref, w,
             j_star[1], mask=self.design_mask, c_override=c_override)
 
 
@@ -370,16 +355,6 @@ class StressVolumeProblem(FEMProblem):
             (mesh.nodes_with_tag("void_b"), -1.0),
         ])
 
-    def objective_specs(self):
-        return [sens.ObjectiveSpec("volume"), sens.ObjectiveSpec("strain_energy")]
-
-    def constraint_specs(self, multiplier=0.0, penalty=10.0):
-        spec = sens.ConstraintSpec("stress_pnorm", self.stress_limit,
-                                   multiplier=multiplier, penalty=penalty,
-                                   p=self.stress_exponent,
-                                   yield_stress=self.yield_stress)
-        return [spec, spec]
-
     def solve_states(self, tau_eff) -> StateBundle:
         sysm = self._assemble(tau_eff, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
@@ -391,21 +366,20 @@ class StressVolumeProblem(FEMProblem):
         j2 = sens.strain_energy(self.mesh, self.mat, bundle.states[1], tau_eff)
         return np.array([j1, j2])
 
-    def constraint_values(self, bundle, theta_e, tau_eff, constraints) -> np.ndarray:
+    def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
         # both constraints limit the same aggregate of the one state
         agg = el.stress_pnorm(self.mesh, self.mat, bundle.states[0], tau_eff,
                               self.stress_exponent, self.yield_stress)
-        return np.array([sens.eval_constraint(c, stress_agg=agg,
-                                              volume_ref=self.volume_ref)
-                         for c in constraints])
+        g = agg / self.volume_ref - self.stress_limit
+        return np.array([g, g])
 
-    def solve_adjoints(self, bundle, w, j_star, constraints, theta_e, tau_eff):
+    def solve_adjoints(self, bundle, w, j_star, multipliers, theta_e, tau_eff):
         """Both constraints differentiate the same aggregate of the one state,
         so by linearity each stress adjoint is lambda_a / V0 times one
         solution z of K z = dS/du; z is not solved for while every
         lambda_a is zero."""
         u, fact = bundle.states[0], bundle.facts[0]
-        scales = [c.multiplier / self.volume_ref for c in constraints]
+        scales = [lam / self.volume_ref for lam in multipliers]
         z = np.zeros_like(u)
         if any(scales):
             z = fact.solve(el.deviator_adjoint_load(
@@ -417,10 +391,10 @@ class StressVolumeProblem(FEMProblem):
         return adjoints
 
     def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
-                     constraints, c_override=None):
+                     multipliers, c_override=None):
         return sens.perturbation_stress_volume(
             self.mesh, self.mat, theta_e, tau_eff, bundle.states, adjoints,
-            [c.multiplier for c in constraints], self.volume_ref, w, j_star,
+            multipliers, self.volume_ref, w, j_star,
             self.stress_exponent, self.yield_stress, mask=self.design_mask,
             c_override=c_override)
 

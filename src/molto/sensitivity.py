@@ -1,7 +1,16 @@
 """Objective functionals, constraints, and the aggregated perturbation field
 that forces the level set evolution.
 
-Each problem family contributes one perturbation builder:
+The objectives enter as a weighted sum, so every objective a adds one term of
+the same form to the forcing:
+
+    f_a = k_a + (e_a - a_a) / c_a
+
+with k_a the constraint part (multiplier pressure or aggregated stress term,
+never normalized), e_a the explicit part of the objective's shape derivative,
+a_a the part carried by the adjoint, and c_a the constant that scales the
+objective part to mean magnitude w_a. Each problem family has one builder
+that only supplies these terms:
 
 * ``perturbation_compliance``     -- any number of mean-compliance load cases
                                      sharing a volume constraint
@@ -10,16 +19,12 @@ Each problem family contributes one perturbation builder:
                                      constraint
 * ``perturbation_stress_volume``  -- material volume vs. strain energy with
                                      aggregated stress constraints
-
-The objective-related part of every contribution is scaled by a per-objective
-normalization constant so that its mean magnitude equals the objective's
-weight; constraint pressure terms are not normalized.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -31,47 +36,16 @@ from .mesh import Mesh
 
 NORMALIZATION_FLOOR = 1e-12
 
-OBJECTIVE_KINDS = ("mean_compliance", "volume", "strain_energy", "output_displacement")
-CONSTRAINT_KINDS = ("volume_fraction", "stress_pnorm")
 
-
-@dataclass
-class ObjectiveSpec:
-    kind: str
-    tag: str = ""
-    j_star: float | None = None
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise InvalidArgument(f"unknown objective kind '{self.kind}'")
-
-    def capture_reference(self, value: float) -> None:
-        """Freeze J* from the initial design; tiny values fall back to 1."""
-        if abs(value) < 1e-12:
-            warnings.warn(f"initial {self.kind} value {value:.3e} is too small "
-                          "to normalize by; using 1")
-            self.j_star = 1.0
-        else:
-            self.j_star = float(value)
-
-
-@dataclass(frozen=True)
-class ConstraintSpec:
-    kind: str
-    limit: float
-    multiplier: float = 0.0
-    penalty: float = 10.0
-    p: float | None = None
-    yield_stress: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in CONSTRAINT_KINDS:
-            raise InvalidArgument(f"unknown constraint kind '{self.kind}'")
-        if self.multiplier < 0.0:
-            raise InvalidArgument("multiplier must be non-negative")
-        if self.penalty <= 0.0:
-            raise InvalidArgument("penalty must be positive")
+def reference_values(j) -> np.ndarray:
+    """J* frozen from the initial design's objectives; values too small to
+    normalize by fall back to 1."""
+    j_star = np.array(j, dtype=float)
+    for a in np.flatnonzero(np.abs(j_star) < 1e-12):
+        warnings.warn(f"initial value {j_star[a]:.3e} of objective {a + 1} is "
+                      "too small to normalize by; using 1")
+        j_star[a] = 1.0
+    return j_star
 
 
 def volume_integral(mesh: Mesh, theta_e: np.ndarray, mask=None) -> float:
@@ -87,34 +61,9 @@ def strain_energy(mesh: Mesh, mat: el.MaterialParams, u: np.ndarray,
     return float(0.5 * np.sum(tau_eff_e * density * mesh.element_areas))
 
 
-def eval_objective(spec: ObjectiveSpec, *, mesh=None, mat=None, u=None,
-                   theta_e=None, tau_eff_e=None, load_vector=None,
-                   mask=None) -> float:
-    """Evaluate one objective functional at the current state."""
-    if spec.kind == "volume":
-        return volume_integral(mesh, theta_e, mask)
-    if spec.kind == "mean_compliance":
-        if load_vector is None:
-            raise InvalidArgument("mean compliance needs the traction load vector")
-        return float(load_vector @ u)
-    if spec.kind == "output_displacement":
-        if load_vector is None:
-            raise InvalidArgument("output displacement needs the direction boundary vector")
-        return -float(load_vector @ u)
-    return strain_energy(mesh, mat, u, tau_eff_e)
-
-
-def eval_constraint(spec: ConstraintSpec, *, volume=None, stress_agg=None,
-                    volume_ref: float) -> float:
-    """Constraint value G; feasible iff G <= 0."""
-    if spec.kind == "volume_fraction":
-        return volume / volume_ref - spec.limit
-    return stress_agg / volume_ref - spec.limit
-
-
-def update_multiplier(spec: ConstraintSpec, g: float) -> ConstraintSpec:
+def update_multipliers(lam: np.ndarray, g: np.ndarray, penalty: float) -> np.ndarray:
     """Projected augmented-Lagrangian update, once per outer iteration."""
-    return replace(spec, multiplier=max(0.0, spec.multiplier + spec.penalty * g))
+    return np.maximum(0.0, lam + penalty * g)
 
 
 def normalize(field_e: np.ndarray, w_alpha: float, volume_ref: float,
@@ -128,22 +77,36 @@ def normalize(field_e: np.ndarray, w_alpha: float, volume_ref: float,
 
 @dataclass
 class PerturbationResult:
-    """Per-objective contributions and their aggregate, on elements and nodes."""
+    """Per-objective contributions on elements and their aggregate on
+    elements and nodes."""
 
     f_alpha_elem: list
     c_norm: tuple
-    f_alpha: list
     total_elem: np.ndarray
     total: np.ndarray
 
-    @classmethod
-    def from_elements(cls, mesh: Mesh, contributions, c_norm):
-        total_e = np.sum(contributions, axis=0)
-        if not np.all(np.isfinite(total_e)):
-            raise DegenerateSensitivityError("perturbation field is non-finite")
-        return cls(f_alpha_elem=list(contributions), c_norm=tuple(c_norm),
-                   f_alpha=[element_to_nodes(mesh, f) for f in contributions],
-                   total_elem=total_e, total=element_to_nodes(mesh, total_e))
+
+def _combine(mesh: Mesh, constraint, explicit, adjoint, w, volume_ref: float,
+             c_override) -> PerturbationResult:
+    """f_a = k_a + (e_a - a_a) / c_a for every objective a.
+
+    c_a scales the whole objective part e_a - a_a, not the adjoint part
+    alone: with stiff boundary springs the governing-equation part can be
+    orders of magnitude below an explicit energy term.
+    """
+    contributions, c_norm = [], []
+    for alpha, (k, e, a) in enumerate(zip(constraint, explicit, adjoint)):
+        objective = e - a
+        c = (normalize(objective, w[alpha], volume_ref, mesh.element_areas)
+             if c_override is None else c_override[alpha])
+        contributions.append(k + objective / c)
+        c_norm.append(c)
+    total_e = np.sum(contributions, axis=0)
+    if not np.all(np.isfinite(total_e)):
+        raise DegenerateSensitivityError("perturbation field is non-finite")
+    return PerturbationResult(f_alpha_elem=contributions, c_norm=tuple(c_norm),
+                              total_elem=total_e,
+                              total=element_to_nodes(mesh, total_e))
 
 
 def _masked_dtau(theta_e, mat, mask):
@@ -153,8 +116,8 @@ def _masked_dtau(theta_e, mat, mask):
     return dtau
 
 
-def _masked_pressure(value, mesh, mask):
-    """Constraint pressure field; zero on non-design elements."""
+def _masked_constant(value, mesh, mask):
+    """A constant field, zero on non-design elements."""
     if mask is None:
         return np.full(mesh.num_triangles, value)
     return np.where(mask, value, 0.0)
@@ -164,48 +127,34 @@ def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, theta_e,
                             states, adjoints, multiplier: float,
                             volume_ref: float, w, mask=None,
                             c_override=None) -> PerturbationResult:
-    """Contributions lambda/(m V0) - (1/C_a) dtau * C eps(u_a) : eps(v_a).
+    """k_a = lambda / (m V0), e_a = 0, a_a = dtau * C eps(u_a) : eps(v_a).
 
     The adjoints already carry their w_a / J*_a scaling. The shared volume
     multiplier is split evenly over the m load cases.
     """
     m = len(states)
     dtau = _masked_dtau(theta_e, mat, mask)
-    pressure = _masked_pressure(multiplier / (m * volume_ref), mesh, mask)
-    contributions, c_norm = [], []
-    for alpha, (u, v) in enumerate(zip(states, adjoints)):
-        sens = dtau * el.mutual_energy_density(mesh, mat, u, v)
-        c = (normalize(sens, w[alpha], volume_ref, mesh.element_areas)
-             if c_override is None else c_override[alpha])
-        contributions.append(pressure - sens / c)
-        c_norm.append(c)
-    return PerturbationResult.from_elements(mesh, contributions, c_norm)
+    pressure = _masked_constant(multiplier / (m * volume_ref), mesh, mask)
+    adjoint = [dtau * el.mutual_energy_density(mesh, mat, u, v)
+               for u, v in zip(states, adjoints)]
+    return _combine(mesh, [pressure] * m, [0.0] * m, adjoint, w, volume_ref,
+                    c_override)
 
 
 def perturbation_mechanism(mesh: Mesh, mat: el.MaterialParams, theta_e,
                            u, v_out, v_energy, multiplier: float,
                            volume_ref: float, w, j_energy_star: float,
                            mask=None, c_override=None) -> PerturbationResult:
-    """Output-displacement and strain-energy contributions of the mechanism
-    problem; the energy objective adds its explicit self-term
-    (w2 / 2 J*2) dtau * C eps(u) : eps(u)."""
+    """Output displacement and strain energy sharing a volume constraint,
+    k_a = lambda / (2 V0); the energy objective has the explicit self-term
+    e_2 = (w2 / 2 J*2) dtau * C eps(u) : eps(u)."""
     dtau = _masked_dtau(theta_e, mat, mask)
-    pressure = _masked_pressure(multiplier / (2.0 * volume_ref), mesh, mask)
-
-    sens1 = dtau * el.mutual_energy_density(mesh, mat, u, v_out)
-    sens2_adj = dtau * el.mutual_energy_density(mesh, mat, u, v_energy)
+    pressure = _masked_constant(multiplier / (2.0 * volume_ref), mesh, mask)
+    adjoint = [dtau * el.mutual_energy_density(mesh, mat, u, v_out),
+               dtau * el.mutual_energy_density(mesh, mat, u, v_energy)]
     self2 = (w[1] / (2.0 * j_energy_star)) * dtau * el.mutual_energy_density(mesh, mat, u, u)
-    if c_override is None:
-        # scale by the full objective-related field; with stiff boundary
-        # springs the governing-equation part alone can be orders of
-        # magnitude below the explicit energy term
-        c1 = normalize(sens1, w[0], volume_ref, mesh.element_areas)
-        c2 = normalize(self2 - sens2_adj, w[1], volume_ref, mesh.element_areas)
-    else:
-        c1, c2 = c_override
-    f1 = pressure - sens1 / c1
-    f2 = pressure + (self2 - sens2_adj) / c2
-    return PerturbationResult.from_elements(mesh, [f1, f2], (c1, c2))
+    return _combine(mesh, [pressure, pressure], [0.0, self2], adjoint, w,
+                    volume_ref, c_override)
 
 
 def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, theta_e,
@@ -213,15 +162,15 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, theta_e,
                                volume_ref: float, w, j_star, p: float,
                                yield_stress: float, mask=None,
                                c_override=None) -> PerturbationResult:
-    """Volume and strain-energy contributions with per-case aggregated
-    stress constraints; the constraint part is
+    """Volume and strain energy under per-case aggregated stress constraints:
 
-        (lambda_a / (p V0)) * S^(1/p - 1) * (vm/f_y)^p * dtau.
+        k_a = (lambda_a / (p V0)) * S^(1/p - 1) * (vm/f_y)^p * dtau,
+        e_1 = w1 / J*1,  e_2 = (w2 / 2 J*2) dtau * C eps(u) : eps(u).
     """
     dtau = _masked_dtau(theta_e, mat, mask)
     areas = mesh.element_areas
     stress = {}  # (vm/f_y)^p and its tau-weighted integral, per distinct state
-    contributions, c_norm = [], []
+    constraint, explicit, adjoint = [], [], []
     for alpha, (u, v) in enumerate(zip(states, adjoints)):
         stress_term = np.zeros(mesh.num_triangles)
         if multipliers[alpha] != 0.0:
@@ -233,17 +182,14 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, theta_e,
                 stress_term = (multipliers[alpha] / (p * volume_ref)
                                * agg_int ** (1.0 / p - 1.0) * ratio_p * dtau)
         if alpha == 0:
-            obj_term = np.full(mesh.num_triangles, w[0] / j_star[0])
-            if mask is not None:
-                obj_term = np.where(mask, obj_term, 0.0)
+            obj_term = _masked_constant(w[0] / j_star[0], mesh, mask)
         else:
             obj_term = (w[1] / (2.0 * j_star[1])) * dtau * el.mutual_energy_density(mesh, mat, u, u)
-        sens_adj = dtau * el.mutual_energy_density(mesh, mat, u, v)
-        c = (normalize(sens_adj - obj_term, w[alpha], volume_ref, areas)
-             if c_override is None else c_override[alpha])
-        contributions.append(stress_term + (obj_term - sens_adj) / c)
-        c_norm.append(c)
-    return PerturbationResult.from_elements(mesh, contributions, c_norm)
+        constraint.append(stress_term)
+        explicit.append(obj_term)
+        adjoint.append(dtau * el.mutual_energy_density(mesh, mat, u, v))
+    return _combine(mesh, constraint, explicit, adjoint, w, volume_ref,
+                    c_override)
 
 
 # ---------------------------------------------------------------------------

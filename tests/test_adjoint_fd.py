@@ -8,7 +8,6 @@ interpolation derivative is exact at intermediate densities.
 """
 
 import numpy as np
-from dataclasses import replace
 
 import molto.elasticity as el
 from molto.mesh import build_lshape_mesh, build_rect_mesh, tag_boundary
@@ -41,12 +40,12 @@ def tiny_mechanism():
                             solid_box=((0.75, 0.0), (1.0, 0.25)))
 
 
-def tiny_stress_volume():
+def tiny_stress_volume(yield_stress=42.0):
     mesh = build_lshape_mesh(1.0, 0.5, 0.25)
     mesh = tag_boundary(mesh, (0.0, 1.0), (0.5, 1.0), "clamp")
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "traction")
     return StressVolumeProblem(mesh, MAT, traction=(0.0, -0.3),
-                               stress_exponent=5.0, yield_stress=42.0,
+                               stress_exponent=5.0, yield_stress=yield_stress,
                                stress_limit=0.05)
 
 
@@ -54,22 +53,30 @@ def weighted_value(problem, theta_e, w, j_star, lams):
     tau = problem.tau_effective(theta_e)
     bundle = problem.solve_states(tau)
     j = problem.objectives(bundle, theta_e, tau)
-    g = problem.constraint_values(bundle, theta_e, tau, problem.constraint_specs())
+    g = problem.constraint_values(bundle, theta_e, tau)
     return float(np.dot(w, j / j_star) + np.dot(lams, g))
 
 
-def fd_check(problem, w, lams, seed=0, h=1e-4, tol=0.05):
+def adjoint_field(problem, w, lams, seed=0, perturbation_lams=None):
+    """J*, design and unnormalized perturbation field at a random design;
+    ``perturbation_lams`` replaces the multipliers in the perturbation only."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.4, 0.95, problem.mesh.num_triangles)
     tau = problem.tau_effective(theta)
     bundle = problem.solve_states(tau)
     j_star = problem.objectives(bundle, theta, tau)
-    cons = [replace(c, multiplier=lam)
-            for c, lam in zip(problem.constraint_specs(), lams)]
-    adjoints = problem.solve_adjoints(bundle, w, j_star, cons, theta, tau)
-    pert = problem.perturbation(bundle, adjoints, theta, tau, w, j_star, cons,
+    adjoints = problem.solve_adjoints(bundle, w, j_star, lams, theta, tau)
+    if perturbation_lams is None:
+        perturbation_lams = lams
+    pert = problem.perturbation(bundle, adjoints, theta, tau, w, j_star,
+                                perturbation_lams,
                                 c_override=(1.0,) * problem.num_objectives)
-    gradient = pert.total_elem * problem.mesh.element_areas
+    return j_star, theta, pert.total_elem
+
+
+def fd_check(problem, w, lams, seed=0, h=1e-4, tol=0.05):
+    j_star, theta, field = adjoint_field(problem, w, lams, seed)
+    gradient = field * problem.mesh.element_areas
     checked = 0
     for e in range(problem.mesh.num_triangles):
         tp, tm = theta.copy(), theta.copy()
@@ -95,6 +102,21 @@ def test_mechanism_family_matches_fd():
 
 def test_stress_volume_family_matches_fd():
     fd_check(tiny_stress_volume(), np.array([0.5, 0.5]), np.array([0.8, 0.5]))
+
+
+def test_stress_volume_fd_sees_explicit_stress_term():
+    # at a low yield stress the stress terms outweigh the objective terms, and
+    # the explicit one, (lambda_a / p V0) S^(1/p - 1) (vm/f_y)^p dtau, is a
+    # large share of the gradient: a wrong multiplier or exponent there fails
+    problem = tiny_stress_volume(yield_stress=1.0)
+    w, lams = np.array([0.5, 0.5]), np.array([0.8, 0.5])
+    # the perturbation without multipliers, but with the same adjoints,
+    # lacks exactly the explicit stress term
+    _, _, full = adjoint_field(problem, w, lams)
+    _, _, without = adjoint_field(problem, w, lams, perturbation_lams=np.zeros(2))
+    share = np.abs(full - without) / np.abs(full)
+    assert np.median(share) > 0.05 and np.sum(share > 0.5) >= 3
+    fd_check(problem, w, lams)
 
 
 def test_stress_volume_fd_with_zero_multipliers():

@@ -193,6 +193,50 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     assert cli.main(["validate", str(bad)]) == 2
 
 
+def test_cli_rejects_window_above_max_iterations(tmp_path, capsys):
+    text = bundled_text("girder_desk").replace("max_iterations = 800",
+                                               "max_iterations = 3")
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "max_iterations (3) must be at least window (5)" in err
+    assert not out.exists()
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse rejected an argument
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{cfg}", "--jobs", "0"],
+    ["surrogate", "{cfg}", "--jobs", "-3"],
+    ["pareto", "{register}", "--tol", "-1"],
+    ["pareto", "{missing}"],
+    ["pareto", "{empty}"],
+])
+def test_cli_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
+    out = tmp_path / "out"
+    monkeypatch.setenv(cli.OUTPUT_ENV, str(out))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(bundled_text("surrogate2"))
+    register = tmp_path / "register.csv"
+    cli.write_register([_candidate((1.0, 2.0))], register)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    paths = {"cfg": cfg, "register": register, "missing": tmp_path / "none.csv",
+             "empty": empty}
+    assert _exit_code([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_cli_surrogate_run_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
     cfg = tmp_path / "s.cfg"

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,21 +125,17 @@ def _stressed_lbracket():
     return problem, theta, tau, bundle, j_star
 
 
-def _with_multipliers(problem, multipliers):
-    return [replace(c, multiplier=lam)
-            for c, lam in zip(problem.constraint_specs(), multipliers)]
-
-
 def test_stress_adjoints_match_per_constraint_solves():
     problem, theta, tau, bundle, j_star = _stressed_lbracket()
     w = np.array([0.3, 0.7])
-    cons = _with_multipliers(problem, (0.8, 0.5))
-    got = problem.solve_adjoints(bundle, w, j_star, cons, theta, tau)
+    lams = np.array([0.8, 0.5])
+    got = problem.solve_adjoints(bundle, w, j_star, lams, theta, tau)
     # one load and one solve per constraint, as the adjoint is defined
     fact = bundle.facts[0]
-    for alpha, (u, c) in enumerate(zip(bundle.states, cons)):
-        load = c.multiplier * el.deviator_adjoint_load(
-            problem.mesh, problem.mat, u, tau, c.p, c.yield_stress) / problem.volume_ref
+    for alpha, (u, lam) in enumerate(zip(bundle.states, lams)):
+        load = lam * el.deviator_adjoint_load(
+            problem.mesh, problem.mat, u, tau, problem.stress_exponent,
+            problem.yield_stress) / problem.volume_ref
         ref = fact.solve(load)
         if alpha == 1:
             ref = ref + (w[1] / j_star[1]) * u
@@ -161,8 +156,7 @@ def test_stress_adjoints_solve_once_and_not_while_inactive(monkeypatch, multipli
 
     monkeypatch.setattr(el.FactorizedSystem, "solve", counting)
     w = np.array([0.3, 0.7])
-    adjoints = problem.solve_adjoints(bundle, w, j_star,
-                                      _with_multipliers(problem, multipliers),
+    adjoints = problem.solve_adjoints(bundle, w, j_star, np.array(multipliers),
                                       theta, tau)
     assert len(calls) == solves
     if solves == 0:

@@ -6,8 +6,10 @@ import pytest
 import molto.elasticity as el
 import molto.sensitivity as sens
 from molto.errors import InvalidArgument
-from molto.mesh import build_rect_mesh, tag_boundary
-from molto.problems import ComplianceProblem, LoadCase
+from molto.fem import element_to_nodes
+from molto.mesh import build_lshape_mesh, build_rect_mesh, tag_boundary
+from molto.problems import (ComplianceProblem, LoadCase, MechanismProblem,
+                            StateBundle, StressVolumeProblem)
 
 MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=3.0, floor=1e-3)
 
@@ -35,62 +37,69 @@ def test_compliance_equals_twice_strain_energy():
     tau = np.ones(problem.mesh.num_triangles)
     bundle = problem.solve_states(tau)
     u = bundle.states[0]
-    compliance = sens.eval_objective(sens.ObjectiveSpec("mean_compliance"), u=u,
-                                     load_vector=problem.traction_vectors[0])
+    compliance = problem.objectives(bundle, tau, tau)[0]
     energy = sens.strain_energy(problem.mesh, MAT, u, tau)
     assert compliance == pytest.approx(2.0 * energy, rel=1e-8)
 
 
 def test_output_displacement_sign():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
-    mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "out")
-    direction = el.boundary_vector(mesh, "out", (0.0, -1.0))
+    mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 0.5), "input")
+    mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "output")
+    problem = MechanismProblem(mesh, MAT, traction=(1.0, 0.0), spring_in=1.0,
+                               spring_out=1.0, dir_in=(1.0, 0.0),
+                               dir_out=(0.0, -1.0), volume_fraction=0.3,
+                               solid_box=((2.0, 2.0), (3.0, 3.0)))
     delta = 0.3
     u = np.tile([0.0, -delta], mesh.num_nodes)  # rigid downward motion
-    value = sens.eval_objective(sens.ObjectiveSpec("output_displacement"), u=u,
-                                load_vector=direction)
-    assert value == pytest.approx(-delta * 1.0, abs=1e-14)  # edge length one
-
-
-def test_eval_objective_requires_load_vector():
-    with pytest.raises(InvalidArgument):
-        sens.eval_objective(sens.ObjectiveSpec("mean_compliance"), u=np.zeros(2))
+    tau = np.ones(mesh.num_triangles)
+    j = problem.objectives(StateBundle(states=[u, u], facts=[]), tau, tau)
+    assert j[0] == pytest.approx(-delta * 1.0, abs=1e-14)  # edge length one
+    assert j[1] == pytest.approx(0.0, abs=1e-14)  # a rigid motion stores no energy
 
 
 def test_objective_reference_capture():
-    spec = sens.ObjectiveSpec("volume")
-    spec.capture_reference(0.64)
-    assert spec.j_star == 0.64
-    tiny = sens.ObjectiveSpec("volume")
-    tiny.capture_reference(1e-15)
-    assert tiny.j_star == 1.0
+    with pytest.warns(UserWarning, match="objective 2 is too small"):
+        j_star = sens.reference_values([0.64, 1e-15, -2.5])
+    assert j_star.tolist() == [0.64, 1.0, -2.5]
 
 
 def test_constraint_values():
-    spec = sens.ConstraintSpec("volume_fraction", 0.45)
-    assert sens.eval_constraint(spec, volume=1.0, volume_ref=1.0) == pytest.approx(0.55)
-    assert sens.eval_constraint(spec, volume=0.45, volume_ref=1.0) == pytest.approx(0.0, abs=1e-12)
-    stress = sens.ConstraintSpec("stress_pnorm", 0.05, p=5.0, yield_stress=42.0)
-    g = sens.eval_constraint(stress, stress_agg=1e-3, volume_ref=0.64)
-    assert g == pytest.approx(1e-3 / 0.64 - 0.05)
-    assert g < 0.0
+    problem = _loaded_square()  # unit square, volume fraction 0.45
+    n = problem.mesh.num_triangles
+    theta = np.ones(n)
+    g = problem.constraint_values(None, theta, theta)
+    assert g == pytest.approx([0.55])
+    assert problem.constraint_values(None, np.full(n, 0.45), theta) == pytest.approx(
+        [0.0], abs=1e-12)
+
+    mesh = build_lshape_mesh(1.0, 0.5, 0.25)
+    mesh = tag_boundary(mesh, (0.0, 1.0), (0.5, 1.0), "clamp")
+    mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "traction")
+    stressed = StressVolumeProblem(mesh, MAT, traction=(0.0, -0.3),
+                                   stress_exponent=5.0, yield_stress=42.0,
+                                   stress_limit=0.05)
+    tau = np.ones(mesh.num_triangles)
+    bundle = stressed.solve_states(tau)
+    agg = el.stress_pnorm(mesh, MAT, bundle.states[0], tau, 5.0, 42.0)
+    g = stressed.constraint_values(bundle, tau, tau)
+    # one constraint per objective, both on the same aggregate
+    assert g.tolist() == [agg / stressed.volume_ref - 0.05] * 2
+    assert np.all(g < 0.0)
 
 
 def test_multiplier_updates():
-    spec = sens.ConstraintSpec("volume_fraction", 0.45, multiplier=0.0, penalty=10.0)
-    assert sens.update_multiplier(spec, 0.55).multiplier == pytest.approx(5.5)
-    spec = sens.ConstraintSpec("volume_fraction", 0.45, multiplier=1.0, penalty=10.0)
-    assert sens.update_multiplier(spec, -0.2).multiplier == 0.0
-    spec = sens.ConstraintSpec("volume_fraction", 0.45, multiplier=0.0, penalty=10.0)
-    assert sens.update_multiplier(spec, 0.0).multiplier == 0.0
+    lam = sens.update_multipliers(np.array([0.0, 1.0, 0.0]),
+                                  np.array([0.55, -0.2, 0.0]), 10.0)
+    assert lam == pytest.approx([5.5, 0.0, 0.0])
 
 
 def test_multiplier_never_negative():
     rng = np.random.default_rng(0)
-    spec = sens.ConstraintSpec("volume_fraction", 0.45, penalty=3.0)
+    lam = np.zeros(2)
     for _ in range(200):
-        spec = sens.update_multiplier(spec, rng.normal(0.0, 1.0))
-        assert spec.multiplier >= 0.0
+        lam = sens.update_multipliers(lam, rng.normal(0.0, 1.0, 2), 3.0)
+        assert np.all(lam >= 0.0)
 
 
 def test_normalize_formula_and_homogeneity():
@@ -129,7 +138,8 @@ def test_perturbation_sum_identity():
                                           0.8, 1.0, [1.0])
     assert np.allclose(result.total_elem, np.sum(result.f_alpha_elem, axis=0),
                        atol=1e-15)
-    assert np.allclose(result.total, np.sum(result.f_alpha, axis=0), atol=1e-14)
+    nodal = [element_to_nodes(mesh, f) for f in result.f_alpha_elem]
+    assert np.allclose(result.total, np.sum(nodal, axis=0), atol=1e-14)
 
 
 def test_perturbation_sign_without_constraint():
