@@ -6,9 +6,9 @@ from .asd import (ASDConfig, ASDResult, SimplexComplex, SolutionRegister,
                   normalize_objectives, pareto_filter, run_asd)
 from .elasticity import (FixedBoundary, LoadSpec, MaterialParams,
                          PointConstraint, SparseSystem, Spring,
-                         StiffnessPattern, Traction, assemble_state,
-                         ersatz_dtau, ersatz_tau, heaviside, solve,
-                         stress_pnorm, von_mises)
+                         StiffnessPattern, StressAggregate, Traction,
+                         assemble_state, ersatz_dtau, ersatz_tau, heaviside,
+                         solve, stress_aggregate)
 from .errors import (ConfigError, DegenerateSensitivityError, InvalidArgument,
                      MoltoError, SingularSystemError, SolverFailure,
                      TagMatchError)

@@ -226,7 +226,8 @@ def run_asd(problem, initial_weights, cfg: ASDConfig) -> ASDResult:
             else:
                 register.add(cand)
         if len(register) == 0:
-            raise RuntimeError("all candidates failed at level 0")
+            raise RuntimeError(f"all {len(batch)} candidates failed at level 0; "
+                               f"first: {batch[0].error}")
         if len(register) < m:
             break
         complex_ = build_complex(register, m)

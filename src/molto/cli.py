@@ -54,21 +54,23 @@ def _candidate_row(index: int, cand: SolutionCandidate) -> list:
             + [int(cand.converged), cand.iterations])
 
 
-def _register_header(m: int) -> list:
+def _register_header(m: int, n_feasible: int) -> list:
+    """Columns of a register with m objectives and one feasibility flag per
+    constraint."""
     return (["index"]
             + [f"wstar_{a + 1}" for a in range(m)]
             + [f"wfinal_{a + 1}" for a in range(m)]
             + [f"j_{a + 1}" for a in range(m)]
             + [f"jnorm_{a + 1}" for a in range(m)]
-            + [f"feasible_{a + 1}" for a in range(m)]
+            + [f"feasible_{k + 1}" for k in range(n_feasible)]
             + ["converged", "iterations"])
 
 
 def write_register(candidates, path) -> None:
-    m = len(candidates[0].objectives)
+    first = candidates[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_register_header(m))
+        writer.writerow(_register_header(len(first.objectives), len(first.feasible)))
         for i, cand in enumerate(candidates):
             writer.writerow(_candidate_row(i, cand))
 
@@ -83,16 +85,19 @@ def read_register(path) -> list:
         reader = csv.reader(fh)
         header = next(reader, [])
         m = sum(1 for name in header if name.startswith("wstar_"))
+        n_g = sum(1 for name in header if name.startswith("feasible_"))
         for row in reader:
             vals = row[1:]
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} columns, the header has {len(header)}")
                 w_star = tuple(float(v) for v in vals[0:m])
                 w_final = tuple(float(v) for v in vals[m:2 * m])
                 objectives = tuple(float(v) for v in vals[2 * m:3 * m])
                 normalized = tuple(float(v) for v in vals[3 * m:4 * m])
-                feasible = tuple(bool(int(v)) for v in vals[4 * m:5 * m])
-                converged = bool(int(vals[5 * m]))
-                iterations = int(vals[5 * m + 1])
+                feasible = tuple(bool(int(v)) for v in vals[4 * m:4 * m + n_g])
+                converged = bool(int(vals[4 * m + n_g]))
+                iterations = int(vals[4 * m + n_g + 1])
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"{path}: line {reader.line_num}: "
                                   f"malformed row ({exc})") from exc
@@ -154,6 +159,7 @@ def _cmd_validate(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         config = load_config(args.config)
+        config.build_problem()
     for w in caught:
         print(f"warning: {w.message}")
     print(f"ok: {config.kind} configuration with "

@@ -15,7 +15,7 @@ from typing import Callable
 from . import problems
 from .asd import ASDConfig
 from .elasticity import MaterialParams
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgument, TagMatchError
 from .optimizer import RunConfig
 
 def _positive(v):
@@ -43,7 +43,7 @@ _RUN_KEYS = {
     "weight_inertia": ("float", 0.5, _positive),
     "weight_damping": ("float", 6.0, _positive),
     "weight_stiffness": ("float", 10.0, _positive),
-    "weight_clamp": ("float", 1e-3, _fraction),
+    "weight_clamp": ("float", 1e-3, lambda v: 0.0 < v < 0.5),
     "weight_ratio": ("float", 1.0, _nonneg),
     "penalty": ("float", 0.05, _positive),
     "multiplier_init": ("float", 0.0, _nonneg),
@@ -131,7 +131,12 @@ class ProblemConfig:
                               floor=v["ersatz_floor"])
 
     def build_problem(self):
-        return KINDS[self.kind].build(self)
+        """The problem this configuration describes; a value the schema
+        admits but the problem rejects is a configuration error too."""
+        try:
+            return KINDS[self.kind].build(self)
+        except (InvalidArgument, TagMatchError) as exc:
+            raise ConfigError(f"{self.kind}: {exc}") from exc
 
 
 def _beam(make):

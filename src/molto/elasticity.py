@@ -381,68 +381,69 @@ def element_strains(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     return np.column_stack([exx, eyy, gxy])
 
 
-def element_stresses(mesh: Mesh, u: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    """Solid-material stresses (s_xx, s_yy, s_xy, s_zz) per element."""
-    eps = element_strains(mesh, u)
-    dm = plane_strain_matrix(mat)
-    s = eps @ dm.T
+def element_stresses(eps: np.ndarray, mat: MaterialParams) -> np.ndarray:
+    """Solid-material stresses (s_xx, s_yy, s_xy, s_zz) of element strains."""
+    s = eps @ plane_strain_matrix(mat).T
     szz = mat.poisson * (s[:, 0] + s[:, 1])
     return np.column_stack([s[:, 0], s[:, 1], s[:, 2], szz])
 
 
-def mutual_energy_density(mesh: Mesh, mat: MaterialParams,
-                          u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solid-material energy density eps(u) : C : eps(v) per element."""
-    dm = plane_strain_matrix(mat)
-    eu = element_strains(mesh, u)
-    ev = eu if v is u else element_strains(mesh, v)
-    return np.einsum("ti,ti->t", eu @ dm, ev)
+def mutual_energy_density(mat: MaterialParams, eps_u: np.ndarray,
+                          eps_v: np.ndarray) -> np.ndarray:
+    """Solid-material energy density eps_u : C : eps_v per element."""
+    return np.einsum("ti,ti->t", eps_u @ plane_strain_matrix(mat), eps_v)
 
 
-def von_mises(mesh: Mesh, u: np.ndarray, mat: MaterialParams) -> np.ndarray:
-    s = element_stresses(mesh, u, mat)
-    mean = (s[:, 0] + s[:, 1] + s[:, 3]) / 3.0
-    dxx, dyy, dzz = s[:, 0] - mean, s[:, 1] - mean, s[:, 3] - mean
-    return np.sqrt(1.5 * (dxx ** 2 + dyy ** 2 + dzz ** 2 + 2.0 * s[:, 2] ** 2))
+@dataclass(frozen=True)
+class StressAggregate:
+    """S = (integral (vm/f_y)^p * tau)^(1/p) of one state with the element
+    fields its derivatives read, the peak ratio factored out so that no power
+    of a ratio over- or underflows: S = peak * total^(1/p)."""
+
+    exponent: float       # p
+    yield_stress: float   # f_y
+    deviator: np.ndarray  # (d_xx, d_yy, s_xy, d_zz) per element
+    vm: np.ndarray        # von Mises stress per element
+    rel: np.ndarray       # vm / (f_y * peak), in [0, 1]
+    peak: float           # the largest vm / f_y
+    total: float          # integral of rel^p * tau
+    value: float          # S
 
 
-def stress_pnorm(mesh: Mesh, mat: MaterialParams, u: np.ndarray,
-                 tau_e: np.ndarray, p: float, yield_stress: float) -> float:
-    """Aggregated stress measure (integral of (vm/f_y)^p * tau)^(1/p)."""
+def stress_aggregate(mesh: Mesh, mat: MaterialParams, eps: np.ndarray,
+                     tau_e: np.ndarray, p: float,
+                     yield_stress: float) -> StressAggregate:
+    """The aggregated stress of the state with element strains ``eps``."""
     if p < 1.0:
         raise InvalidArgument("aggregation exponent must be at least 1")
     if yield_stress <= 0.0:
         raise InvalidArgument("yield stress must be positive")
-    ratio = von_mises(mesh, u, mat) / yield_stress
-    peak = ratio.max(initial=0.0)
-    if peak == 0.0:
-        return 0.0
-    # factor out the peak so ratio**p stays in range for large p
-    agg = np.sum((ratio / peak) ** p * tau_e * mesh.element_areas)
-    return float(peak * agg ** (1.0 / p))
-
-
-def deviator_adjoint_load(mesh: Mesh, mat: MaterialParams, u: np.ndarray,
-                          tau_e: np.ndarray, p: float, yield_stress: float) -> np.ndarray:
-    """Nodal load of the aggregated-stress derivative with respect to u.
-
-    Acting on a test field du it evaluates
-    S^(1/p - 1) * integral (vm/f_y)^(p-1) * 3 tau / (2 f_y vm) * s(u):s(du);
-    elements with vanishing stress contribute their zero limit.
-    """
-    s = element_stresses(mesh, u, mat)
+    s = element_stresses(eps, mat)
     mean = (s[:, 0] + s[:, 1] + s[:, 3]) / 3.0
     dev = np.column_stack([s[:, 0] - mean, s[:, 1] - mean, s[:, 2], s[:, 3] - mean])
     vm = np.sqrt(1.5 * (dev[:, 0] ** 2 + dev[:, 1] ** 2 + dev[:, 3] ** 2 + 2.0 * dev[:, 2] ** 2))
-
     ratio = vm / yield_stress
-    agg_int = np.sum(ratio ** p * tau_e * mesh.element_areas)
-    if agg_int <= 0.0:
+    peak = float(ratio.max(initial=0.0))
+    rel = ratio / peak if peak > 0.0 else np.zeros_like(ratio)
+    total = float(np.sum(rel ** p * tau_e * mesh.element_areas))
+    return StressAggregate(exponent=p, yield_stress=yield_stress, deviator=dev, vm=vm,
+                           rel=rel, peak=peak, total=total, value=peak * total ** (1.0 / p))
+
+
+def deviator_adjoint_load(mesh: Mesh, mat: MaterialParams, stress: StressAggregate,
+                          tau_e: np.ndarray) -> np.ndarray:
+    """Nodal load of dS/du for the aggregate ``stress`` computed with element
+    stiffness ``tau_e``. Acting on a test field du it evaluates, peak-factored,
+    total^(1/p - 1) * integral rel^(p-1) * 3 tau / (2 f_y vm) * s(u):s(du);
+    elements with vanishing stress contribute their zero limit.
+    """
+    if stress.total <= 0.0:
         return np.zeros(2 * mesh.num_nodes)
+    p, vm, dev = stress.exponent, stress.vm, stress.deviator
     coef = np.zeros(mesh.num_triangles)
     pos = vm > 0.0
-    coef[pos] = (agg_int ** (1.0 / p - 1.0) * ratio[pos] ** (p - 1.0)
-                 * 1.5 * tau_e[pos] / (yield_stress * vm[pos]))
+    coef[pos] = (stress.total ** (1.0 / p - 1.0) * stress.rel[pos] ** (p - 1.0)
+                 * 1.5 * tau_e[pos] / (stress.yield_stress * vm[pos]))
 
     # s(u):sigma(du) = c . (sxx(du), syy(du), sxy(du)) with the plane-strain
     # szz folded into the in-plane coefficients

@@ -41,8 +41,12 @@ from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 
 @dataclass
 class StateBundle:
+    """The states of one design and their element fields, derived once."""
+
     states: list
     facts: list  # factorization per load case (shared objects allowed)
+    strains: list  # element strains per state, shared where states are
+    stress: el.StressAggregate | None = None  # stress family only
 
 
 @dataclass
@@ -167,7 +171,8 @@ class ComplianceProblem(FEMProblem):
             fact = facts_by_sig[sig]
             states.append(fact.solve(tvec))
             facts.append(fact)
-        return StateBundle(states=states, facts=facts)
+        return StateBundle(states=states, facts=facts,
+                           strains=[el.element_strains(self.mesh, u) for u in states])
 
     def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
         return np.array([tvec @ u for u, tvec in zip(bundle.states,
@@ -184,7 +189,8 @@ class ComplianceProblem(FEMProblem):
     def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
                      multipliers, c_override=None):
         return sens.perturbation_compliance(
-            self.mesh, self.mat, theta_e, bundle.states, adjoints,
+            self.mesh, self.mat, theta_e, bundle.strains,
+            [el.element_strains(self.mesh, v) for v in adjoints],
             multipliers[0], self.volume_ref, w,
             mask=self.design_mask, c_override=c_override)
 
@@ -279,13 +285,13 @@ class MechanismProblem(FEMProblem):
         sysm = self._assemble(tau_eff, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
         u = fact.solve()
+        eps = el.element_strains(self.mesh, u)
         # both objectives read the same physical state
-        return StateBundle(states=[u, u], facts=[fact, fact])
+        return StateBundle(states=[u, u], facts=[fact, fact], strains=[eps, eps])
 
     def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
-        u = bundle.states[0]
-        return np.array([-(self.output_vector @ u),
-                         sens.strain_energy(self.mesh, self.mat, u, tau_eff)])
+        energy = sens.strain_energy(self.mesh, self.mat, bundle.strains[0], tau_eff)
+        return np.array([-(self.output_vector @ bundle.states[0]), energy])
 
     def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
         vol = sens.volume_integral(self.mesh, theta_e, self.design_mask)
@@ -301,10 +307,11 @@ class MechanismProblem(FEMProblem):
 
     def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
                      multipliers, c_override=None):
+        eps_out, eps_energy = (el.element_strains(self.mesh, v) for v in adjoints)
         return sens.perturbation_mechanism(
-            self.mesh, self.mat, theta_e, bundle.states[0], adjoints[0],
-            adjoints[1], multipliers[0], self.volume_ref, w,
-            j_star[1], mask=self.design_mask, c_override=c_override)
+            self.mesh, self.mat, theta_e, bundle.strains[0], eps_out, eps_energy,
+            multipliers[0], self.volume_ref, w, j_star[1], mask=self.design_mask,
+            c_override=c_override)
 
 
 def make_gripper(nx=40, ny=20, traction_mag=1.0, spring_in=1e5, spring_out=1e3,
@@ -359,18 +366,20 @@ class StressVolumeProblem(FEMProblem):
         sysm = self._assemble(tau_eff, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
         u = fact.solve()
-        return StateBundle(states=[u, u], facts=[fact, fact])
+        eps = el.element_strains(self.mesh, u)
+        stress = el.stress_aggregate(self.mesh, self.mat, eps, tau_eff,
+                                     self.stress_exponent, self.yield_stress)
+        return StateBundle(states=[u, u], facts=[fact, fact], strains=[eps, eps],
+                           stress=stress)
 
     def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
         j1 = sens.volume_integral(self.mesh, theta_e)
-        j2 = sens.strain_energy(self.mesh, self.mat, bundle.states[1], tau_eff)
+        j2 = sens.strain_energy(self.mesh, self.mat, bundle.strains[1], tau_eff)
         return np.array([j1, j2])
 
     def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
         # both constraints limit the same aggregate of the one state
-        agg = el.stress_pnorm(self.mesh, self.mat, bundle.states[0], tau_eff,
-                              self.stress_exponent, self.yield_stress)
-        g = agg / self.volume_ref - self.stress_limit
+        g = bundle.stress.value / self.volume_ref - self.stress_limit
         return np.array([g, g])
 
     def solve_adjoints(self, bundle, w, j_star, multipliers, theta_e, tau_eff):
@@ -382,9 +391,8 @@ class StressVolumeProblem(FEMProblem):
         scales = [lam / self.volume_ref for lam in multipliers]
         z = np.zeros_like(u)
         if any(scales):
-            z = fact.solve(el.deviator_adjoint_load(
-                self.mesh, self.mat, u, tau_eff, self.stress_exponent,
-                self.yield_stress))
+            z = fact.solve(el.deviator_adjoint_load(self.mesh, self.mat,
+                                                    bundle.stress, tau_eff))
         adjoints = [scale * z for scale in scales]
         # the strain-energy objective is self-adjoint
         adjoints[1] = adjoints[1] + (w[1] / j_star[1]) * u
@@ -393,9 +401,9 @@ class StressVolumeProblem(FEMProblem):
     def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
                      multipliers, c_override=None):
         return sens.perturbation_stress_volume(
-            self.mesh, self.mat, theta_e, tau_eff, bundle.states, adjoints,
-            multipliers, self.volume_ref, w, j_star,
-            self.stress_exponent, self.yield_stress, mask=self.design_mask,
+            self.mesh, self.mat, theta_e, bundle.strains[0],
+            [el.element_strains(self.mesh, v) for v in adjoints], bundle.stress,
+            multipliers, self.volume_ref, w, j_star, mask=self.design_mask,
             c_override=c_override)
 
     def filter_forcing(self, forcing):

@@ -55,9 +55,9 @@ def volume_integral(mesh: Mesh, theta_e: np.ndarray, mask=None) -> float:
     return float(np.sum(theta_e * areas))
 
 
-def strain_energy(mesh: Mesh, mat: el.MaterialParams, u: np.ndarray,
+def strain_energy(mesh: Mesh, mat: el.MaterialParams, eps: np.ndarray,
                   tau_eff_e: np.ndarray) -> float:
-    density = el.mutual_energy_density(mesh, mat, u, u)
+    density = el.mutual_energy_density(mat, eps, eps)
     return float(0.5 * np.sum(tau_eff_e * density * mesh.element_areas))
 
 
@@ -124,72 +124,62 @@ def _masked_constant(value, mesh, mask):
 
 
 def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, theta_e,
-                            states, adjoints, multiplier: float,
+                            strains, adjoint_strains, multiplier: float,
                             volume_ref: float, w, mask=None,
                             c_override=None) -> PerturbationResult:
     """k_a = lambda / (m V0), e_a = 0, a_a = dtau * C eps(u_a) : eps(v_a).
 
-    The adjoints already carry their w_a / J*_a scaling. The shared volume
-    multiplier is split evenly over the m load cases.
+    The strains are those of the m states and of their adjoints, which carry
+    their w_a / J*_a scaling. The shared volume multiplier is split evenly
+    over the m load cases.
     """
-    m = len(states)
+    m = len(strains)
     dtau = _masked_dtau(theta_e, mat, mask)
     pressure = _masked_constant(multiplier / (m * volume_ref), mesh, mask)
-    adjoint = [dtau * el.mutual_energy_density(mesh, mat, u, v)
-               for u, v in zip(states, adjoints)]
+    adjoint = [dtau * el.mutual_energy_density(mat, eps_u, eps_v)
+               for eps_u, eps_v in zip(strains, adjoint_strains)]
     return _combine(mesh, [pressure] * m, [0.0] * m, adjoint, w, volume_ref,
                     c_override)
 
 
 def perturbation_mechanism(mesh: Mesh, mat: el.MaterialParams, theta_e,
-                           u, v_out, v_energy, multiplier: float,
+                           eps, eps_out, eps_energy, multiplier: float,
                            volume_ref: float, w, j_energy_star: float,
                            mask=None, c_override=None) -> PerturbationResult:
     """Output displacement and strain energy sharing a volume constraint,
     k_a = lambda / (2 V0); the energy objective has the explicit self-term
-    e_2 = (w2 / 2 J*2) dtau * C eps(u) : eps(u)."""
+    e_2 = (w2 / 2 J*2) dtau * C eps(u) : eps(u), from the strains of the
+    state and of its two adjoints."""
     dtau = _masked_dtau(theta_e, mat, mask)
     pressure = _masked_constant(multiplier / (2.0 * volume_ref), mesh, mask)
-    adjoint = [dtau * el.mutual_energy_density(mesh, mat, u, v_out),
-               dtau * el.mutual_energy_density(mesh, mat, u, v_energy)]
-    self2 = (w[1] / (2.0 * j_energy_star)) * dtau * el.mutual_energy_density(mesh, mat, u, u)
+    adjoint = [dtau * el.mutual_energy_density(mat, eps, eps_out),
+               dtau * el.mutual_energy_density(mat, eps, eps_energy)]
+    self2 = (w[1] / (2.0 * j_energy_star)) * dtau * el.mutual_energy_density(mat, eps, eps)
     return _combine(mesh, [pressure, pressure], [0.0, self2], adjoint, w,
                     volume_ref, c_override)
 
 
 def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, theta_e,
-                               tau_e, states, adjoints, multipliers,
-                               volume_ref: float, w, j_star, p: float,
-                               yield_stress: float, mask=None,
-                               c_override=None) -> PerturbationResult:
-    """Volume and strain energy under per-case aggregated stress constraints:
+                               eps, adjoint_strains, stress: el.StressAggregate,
+                               multipliers, volume_ref: float, w, j_star,
+                               mask=None, c_override=None) -> PerturbationResult:
+    """Volume and strain energy with one stress constraint per objective, all
+    on the aggregate ``stress`` of the one state, whose strains are ``eps``:
 
-        k_a = (lambda_a / (p V0)) * S^(1/p - 1) * (vm/f_y)^p * dtau,
+        k_a = (lambda_a / (p V0)) * S^(1/p - 1) * (vm/f_y)^p * dtau
+            = (lambda_a / (p V0)) * total^(1/p - 1) * peak * rel^p * dtau,
         e_1 = w1 / J*1,  e_2 = (w2 / 2 J*2) dtau * C eps(u) : eps(u).
     """
     dtau = _masked_dtau(theta_e, mat, mask)
-    areas = mesh.element_areas
-    stress = {}  # (vm/f_y)^p and its tau-weighted integral, per distinct state
-    constraint, explicit, adjoint = [], [], []
-    for alpha, (u, v) in enumerate(zip(states, adjoints)):
-        stress_term = np.zeros(mesh.num_triangles)
-        if multipliers[alpha] != 0.0:
-            if id(u) not in stress:
-                ratio_p = (el.von_mises(mesh, u, mat) / yield_stress) ** p
-                stress[id(u)] = ratio_p, float(np.sum(ratio_p * tau_e * areas))
-            ratio_p, agg_int = stress[id(u)]
-            if agg_int > 0.0:
-                stress_term = (multipliers[alpha] / (p * volume_ref)
-                               * agg_int ** (1.0 / p - 1.0) * ratio_p * dtau)
-        if alpha == 0:
-            obj_term = _masked_constant(w[0] / j_star[0], mesh, mask)
-        else:
-            obj_term = (w[1] / (2.0 * j_star[1])) * dtau * el.mutual_energy_density(mesh, mat, u, u)
-        constraint.append(stress_term)
-        explicit.append(obj_term)
-        adjoint.append(dtau * el.mutual_energy_density(mesh, mat, u, v))
-    return _combine(mesh, constraint, explicit, adjoint, w, volume_ref,
-                    c_override)
+    p, total = stress.exponent, stress.total
+    unit = (total ** (1.0 / p - 1.0) * stress.peak / (p * volume_ref) * stress.rel ** p * dtau
+            if total > 0.0 else np.zeros(mesh.num_triangles))
+    explicit = [_masked_constant(w[0] / j_star[0], mesh, mask),
+                (w[1] / (2.0 * j_star[1])) * dtau * el.mutual_energy_density(mat, eps, eps)]
+    adjoint = [dtau * el.mutual_energy_density(mat, eps, eps_v)
+               for eps_v in adjoint_strains]
+    return _combine(mesh, [lam * unit for lam in multipliers], explicit, adjoint,
+                    w, volume_ref, c_override)
 
 
 # ---------------------------------------------------------------------------

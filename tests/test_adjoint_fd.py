@@ -12,7 +12,7 @@ import numpy as np
 import molto.elasticity as el
 from molto.mesh import build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.problems import (ComplianceProblem, LoadCase, MechanismProblem,
-                            StressVolumeProblem)
+                            StressVolumeProblem, make_lbracket)
 
 MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=2.0, floor=1e-3)
 
@@ -135,13 +135,14 @@ def test_mechanism_objective_dropout():
     j_star = np.array([1.0, 1.0])
     adjoints = problem.solve_adjoints(bundle, [1.0, 1.0], j_star, None, theta, tau)
     import molto.sensitivity as sens
-    res = sens.perturbation_mechanism(mesh, MAT, theta, bundle.states[0],
-                                      adjoints[0], np.zeros_like(adjoints[1]),
-                                      0.0, problem.volume_ref, [1.0, 0.0],
+    eps, eps_out = bundle.strains[0], el.element_strains(mesh, adjoints[0])
+    res = sens.perturbation_mechanism(mesh, MAT, theta, eps, eps_out,
+                                      np.zeros_like(eps), 0.0,
+                                      problem.volume_ref, [1.0, 0.0],
                                       1.0, mask=problem.design_mask,
                                       c_override=(1.0, 1.0))
     dtau = np.where(problem.design_mask, el.ersatz_dtau(theta, MAT), 0.0)
-    mutual = dtau * el.mutual_energy_density(mesh, MAT, bundle.states[0], adjoints[0])
+    mutual = dtau * el.mutual_energy_density(MAT, eps, eps_out)
     assert np.allclose(res.f_alpha_elem[0], -mutual, atol=1e-14)
     assert np.allclose(res.f_alpha_elem[1], 0.0, atol=1e-14)
 
@@ -149,9 +150,36 @@ def test_mechanism_objective_dropout():
 def test_stress_adjoint_zero_stress_guard():
     problem = tiny_stress_volume()
     mesh = problem.mesh
-    load = el.deviator_adjoint_load(mesh, MAT, np.zeros(2 * mesh.num_nodes),
-                                    np.ones(mesh.num_triangles), 5.0, 42.0)
+    tau = np.ones(mesh.num_triangles)
+    stress = el.stress_aggregate(mesh, MAT, np.zeros((mesh.num_triangles, 3)),
+                                 tau, 5.0, 42.0)
+    load = el.deviator_adjoint_load(mesh, MAT, stress, tau)
     assert np.allclose(load, 0.0)
+
+
+def test_stress_adjoint_load_at_large_exponent():
+    # at p = 300 every (vm/f_y)^p underflows; the peak-factored derivative
+    # must still match the aggregate's finite difference along a direction d
+    problem = make_lbracket(nx=20, traction_mag=0.1, stress_exponent=300.0)
+    mesh, mat = problem.mesh, problem.mat
+    theta = np.random.default_rng(0).uniform(0.4, 0.95, mesh.num_triangles)
+    tau = problem.tau_effective(theta)
+    bundle = problem.solve_states(tau)
+    assert np.all(problem.constraint_values(bundle, theta, tau) > 0.0)
+    u = bundle.states[0]
+    d = np.random.default_rng(1).normal(size=u.size)
+    d[bundle.facts[0].system.fixed_dofs] = 0.0
+
+    def aggregate(v):
+        return el.stress_aggregate(mesh, mat, el.element_strains(mesh, v), tau,
+                                   problem.stress_exponent,
+                                   problem.yield_stress).value
+
+    h = 1e-6 * np.linalg.norm(u) / np.linalg.norm(d)
+    fd = (aggregate(u + h * d) - aggregate(u - h * d)) / (2.0 * h)
+    got = el.deviator_adjoint_load(mesh, mat, bundle.stress, tau) @ d
+    assert abs(fd) > 0.1
+    assert abs(got - fd) <= 1e-6 * abs(fd)
 
 
 def test_fd_runtime_budget():

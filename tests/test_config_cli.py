@@ -167,20 +167,26 @@ def test_export_field_roundtrip(tmp_path):
 
 
 def test_register_roundtrip_fidelity(tmp_path):
+    # one feasibility flag per constraint: two (stress pair) or one (volume)
     from molto.optimizer import SolutionCandidate
-    cands = [SolutionCandidate(w_star=(0.123456789012, 0.876543210988),
-                               w_final=(0.2, 0.8),
-                               objectives=(1.0 / 3.0, 2.0 / 7.0),
-                               normalized=(0.5, 0.25),
-                               feasible=(True, False), converged=True,
-                               iterations=42)]
-    path = tmp_path / "register.csv"
-    cli.write_register(cands, path)
-    back = cli.read_register(path)[0]
-    for a, b in zip(back.objectives, cands[0].objectives):
-        assert abs(a - b) <= 1e-9 * abs(b)
-    assert back.feasible == (True, False)
-    assert back.converged and back.iterations == 42
+    for k, feasible in enumerate([(True, False), (False,)]):
+        cands = [SolutionCandidate(w_star=(0.123456789012, 0.876543210988),
+                                   w_final=(0.2, 0.8),
+                                   objectives=(1.0 / 3.0, 2.0 / 7.0),
+                                   normalized=(0.5, 0.25),
+                                   feasible=feasible, converged=True,
+                                   iterations=42)]
+        path = tmp_path / f"register_{k}.csv"
+        cli.write_register(cands, path)
+        header = path.read_text().splitlines()[0].split(",")
+        assert [c for c in header if c.startswith("feasible_")] == [
+            f"feasible_{i + 1}" for i in range(len(feasible))]
+        back = cli.read_register(path)[0]
+        for a, b in zip(back.objectives, cands[0].objectives):
+            assert abs(a - b) <= 1e-9 * abs(b)
+        assert back.w_star == cands[0].w_star and back.normalized == (0.5, 0.25)
+        assert back.feasible == feasible
+        assert back.converged and back.iterations == 42
 
 
 def test_cli_validate_and_errors(tmp_path, capsys):
@@ -203,6 +209,29 @@ def test_cli_rejects_window_above_max_iterations(tmp_path, capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "max_iterations (3) must be at least window (5)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("lbracket", "nx = 40", "nx = 7", "does not divide cut"),
+    ("gripper", "dir_in = 1 0", "dir_in = 1.0 1.0", "must be a unit vector"),
+    ("girder_desk", "weight_clamp = 0.001", "weight_clamp = 0.6",
+     "out of range for 'weight_clamp'"),
+], ids=["lbracket_nx", "gripper_dir_in", "weight_clamp"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_configs_the_problem_rejects(tmp_path, capsys, name, old, new,
+                                                message, command):
+    # each value passes the schema's type check; the problem (or the weight
+    # clamp's real range) rejects it before any candidate runs
+    text = bundled_text(name)
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -343,6 +372,9 @@ def test_cli_fem_run_smoke(tmp_path, monkeypatch):
     out = tmp_path / "fem_out"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
     assert (out / "register.csv").exists()
+    # the register reads back: one feasibility flag per (volume) constraint
+    assert cli.main(["pareto", str(out / "register.csv")]) == 0
+    assert cli.read_register(out / "register.csv")[0].feasible in ((True,), (False,))
     assert (out / "candidate_0.csv").exists()
     assert (out / "candidate_0_final.dat").exists()
     nodes, values, tris = cli.read_field(out / "candidate_0_final.dat")
@@ -394,3 +426,20 @@ def test_cli_writes_failures(tmp_path, monkeypatch):
                     ["0.5", "0.5",
                      "SolverFailure: synthetic breakdown at the middle weight"]]
     assert len(cli.read_register(out / "register.csv")) == 2
+
+
+def test_cli_failed_sweep_names_its_cause(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    from molto.errors import SolverFailure
+    from molto.problems import SurrogateProblem
+
+    def evaluate(self, w_star):
+        raise SolverFailure("synthetic breakdown")
+
+    monkeypatch.setattr(SurrogateProblem, "evaluate", evaluate)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(bundled_text("surrogate2"))
+    assert cli.main(["surrogate", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert ("all 2 candidates failed at level 0; "
+            "first: SolverFailure: synthetic breakdown") in err

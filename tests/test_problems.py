@@ -133,9 +133,11 @@ def test_stress_adjoints_match_per_constraint_solves():
     # one load and one solve per constraint, as the adjoint is defined
     fact = bundle.facts[0]
     for alpha, (u, lam) in enumerate(zip(bundle.states, lams)):
+        stress = el.stress_aggregate(problem.mesh, problem.mat,
+                                     el.element_strains(problem.mesh, u), tau,
+                                     problem.stress_exponent, problem.yield_stress)
         load = lam * el.deviator_adjoint_load(
-            problem.mesh, problem.mat, u, tau, problem.stress_exponent,
-            problem.yield_stress) / problem.volume_ref
+            problem.mesh, problem.mat, stress, tau) / problem.volume_ref
         ref = fact.solve(load)
         if alpha == 1:
             ref = ref + (w[1] / j_star[1]) * u

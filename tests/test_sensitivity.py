@@ -22,6 +22,10 @@ def _loaded_square(nx=4, traction=(0.0, -1.0)):
     return ComplianceProblem(mesh, MAT, [LoadCase("right", traction, supports)], 0.45)
 
 
+def _strains(mesh, fields):
+    return [el.element_strains(mesh, v) for v in fields]
+
+
 def test_volume_objective():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     theta = np.ones(mesh.num_triangles)
@@ -36,9 +40,9 @@ def test_compliance_equals_twice_strain_energy():
     problem = _loaded_square()
     tau = np.ones(problem.mesh.num_triangles)
     bundle = problem.solve_states(tau)
-    u = bundle.states[0]
     compliance = problem.objectives(bundle, tau, tau)[0]
-    energy = sens.strain_energy(problem.mesh, MAT, u, tau)
+    energy = sens.strain_energy(problem.mesh, MAT,
+                                el.element_strains(problem.mesh, bundle.states[0]), tau)
     assert compliance == pytest.approx(2.0 * energy, rel=1e-8)
 
 
@@ -53,7 +57,9 @@ def test_output_displacement_sign():
     delta = 0.3
     u = np.tile([0.0, -delta], mesh.num_nodes)  # rigid downward motion
     tau = np.ones(mesh.num_triangles)
-    j = problem.objectives(StateBundle(states=[u, u], facts=[]), tau, tau)
+    eps = el.element_strains(mesh, u)
+    j = problem.objectives(StateBundle(states=[u, u], facts=[], strains=[eps, eps]),
+                           tau, tau)
     assert j[0] == pytest.approx(-delta * 1.0, abs=1e-14)  # edge length one
     assert j[1] == pytest.approx(0.0, abs=1e-14)  # a rigid motion stores no energy
 
@@ -81,7 +87,8 @@ def test_constraint_values():
                                    stress_limit=0.05)
     tau = np.ones(mesh.num_triangles)
     bundle = stressed.solve_states(tau)
-    agg = el.stress_pnorm(mesh, MAT, bundle.states[0], tau, 5.0, 42.0)
+    agg = el.stress_aggregate(mesh, MAT, el.element_strains(mesh, bundle.states[0]),
+                              tau, 5.0, 42.0).value
     g = stressed.constraint_values(bundle, tau, tau)
     # one constraint per objective, both on the same aggregate
     assert g.tolist() == [agg / stressed.volume_ref - 0.05] * 2
@@ -119,7 +126,7 @@ def test_perturbation_zero_states_pure_pressure():
     problem = _loaded_square()
     mesh = problem.mesh
     theta = np.ones(mesh.num_triangles)
-    zero = np.zeros(2 * mesh.num_nodes)
+    zero = el.element_strains(mesh, np.zeros(2 * mesh.num_nodes))
     result = sens.perturbation_compliance(mesh, MAT, theta, [zero, zero],
                                           [zero, zero], 4.0, 1.0, [0.5, 0.5])
     assert np.allclose(result.total_elem, 4.0, atol=1e-12)
@@ -134,8 +141,8 @@ def test_perturbation_sum_identity():
     bundle = problem.solve_states(tau)
     j = problem.objectives(bundle, theta, tau)
     adj = problem.solve_adjoints(bundle, [1.0], j, None, theta, tau)
-    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.states, adj,
-                                          0.8, 1.0, [1.0])
+    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+                                          _strains(mesh, adj), 0.8, 1.0, [1.0])
     assert np.allclose(result.total_elem, np.sum(result.f_alpha_elem, axis=0),
                        atol=1e-15)
     nodal = [element_to_nodes(mesh, f) for f in result.f_alpha_elem]
@@ -152,8 +159,8 @@ def test_perturbation_sign_without_constraint():
     bundle = problem.solve_states(tau)
     j = problem.objectives(bundle, theta, tau)
     adj = problem.solve_adjoints(bundle, [1.0], j, None, theta, tau)
-    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.states, adj,
-                                          0.0, 1.0, [1.0])
+    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+                                          _strains(mesh, adj), 0.0, 1.0, [1.0])
     assert np.all(result.total_elem <= 1e-15)
 
 
@@ -167,8 +174,9 @@ def test_perturbation_traction_scaling():
         tau = np.ones(mesh.num_triangles)
         bundle = problem.solve_states(tau)
         adj = [(1.0 / 1.0) * u for u in bundle.states]  # unscaled adjoints
-        res = sens.perturbation_compliance(mesh, MAT, theta, bundle.states, adj,
-                                           0.0, 1.0, [1.0], c_override=[1.0])
+        res = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+                                           _strains(mesh, adj), 0.0, 1.0, [1.0],
+                                           c_override=[1.0])
         results.append(res.total_elem)
     assert np.allclose(results[1], 4.0 * results[0], rtol=1e-9)
 
@@ -183,8 +191,9 @@ def test_perturbation_mirror_symmetry():
     bundle = problem.solve_states(tau)
     j = problem.objectives(bundle, theta, tau)
     adj = problem.solve_adjoints(bundle, [0.5, 0.5], j, None, theta, tau)
-    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.states, adj,
-                                          0.0, mesh.total_area, [0.5, 0.5])
+    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+                                          _strains(mesh, adj), 0.0,
+                                          mesh.total_area, [0.5, 0.5])
     f1, f2 = result.f_alpha_elem
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
     mirrored = np.column_stack([1.0 - cent[:, 0], cent[:, 1]])
@@ -252,12 +261,15 @@ def test_stress_terms_follow_each_multiplier(multipliers):
     tau = el.ersatz_tau(theta, MAT)
     p, f_y, v0 = 5.0, 0.5, 0.5
 
+    eps = el.element_strains(mesh, u)
+    stress = el.stress_aggregate(mesh, MAT, eps, tau, p, f_y)
+
     def contributions(lams):
         return sens.perturbation_stress_volume(
-            mesh, MAT, theta, tau, [u, u], adjoints, lams, v0, [0.4, 0.6],
-            [1.0, 2.0], p, f_y, c_override=(1.0, 1.0)).f_alpha_elem
+            mesh, MAT, theta, eps, _strains(mesh, adjoints), stress, lams, v0,
+            [0.4, 0.6], [1.0, 2.0], c_override=(1.0, 1.0)).f_alpha_elem
 
-    ratio_p = (el.von_mises(mesh, u, MAT) / f_y) ** p
+    ratio_p = (stress.vm / f_y) ** p
     agg_int = np.sum(ratio_p * tau * mesh.element_areas)
     unit = (agg_int ** (1.0 / p - 1.0) * ratio_p * el.ersatz_dtau(theta, MAT)
             / (p * v0))
