@@ -12,7 +12,8 @@ from .elasticity import (FixedBoundary, LoadSpec, MaterialParams,
 from .errors import (ConfigError, DegenerateSensitivityError, InvalidArgument,
                      MoltoError, SingularSystemError, SolverFailure,
                      TagMatchError)
-from .levelset import LevelSetState, WaveMatrices, assemble_wave, initialize
+from .levelset import (LevelSetState, WaveFactors, WaveMatrices, assemble_wave,
+                       factorize, initialize)
 from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from .optimizer import RunConfig, SolutionCandidate, run_candidate, stationarity
 from .problems import (ComplianceProblem, MechanismProblem, StressVolumeProblem,

@@ -179,7 +179,7 @@ def dedup(candidates, tol: float) -> list:
 @dataclass
 class ASDConfig:
     edge_tolerance: float = 0.04
-    max_levels: int = 6
+    max_levels: int = 3
     dedup_tolerance: float = 1e-3
     jobs: int = 1
     run: RunConfig = field(default_factory=RunConfig)

@@ -8,6 +8,7 @@ nothing is overridden silently.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,24 +31,30 @@ def _nonneg(v):
     return v >= 0
 
 
+def _defaults_of(instance, entries):
+    """key -> (type tag, validator) entries, defaulting to ``instance``'s fields."""
+    return {key: (tag, getattr(instance, key), validator)
+            for key, (tag, validator) in entries.items()}
+
+
 # key -> (type tag, default, validator or None)
-_RUN_KEYS = {
-    "max_iterations": ("int", 800, _positive),
-    "window": ("int", 5, lambda v: v >= 2),
-    "tol_objective": ("float", 1e-4, _positive),
-    "tol_constraint": ("float", 1e-3, _positive),
-    "wave_speed": ("float", 0.2, _positive),
-    "wave_damping": ("float", 0.1, _nonneg),
-    "interface_width": ("float", 0.3, _positive),
-    "step_size": ("float", 1.0, _positive),
-    "weight_inertia": ("float", 0.5, _positive),
-    "weight_damping": ("float", 6.0, _positive),
-    "weight_stiffness": ("float", 10.0, _positive),
-    "weight_clamp": ("float", 1e-3, lambda v: 0.0 < v < 0.5),
-    "weight_ratio": ("float", 1.0, _nonneg),
-    "penalty": ("float", 0.05, _positive),
-    "multiplier_init": ("float", 0.0, _nonneg),
-}
+_RUN_KEYS = _defaults_of(RunConfig(), {
+    "max_iterations": ("int", _positive),
+    "window": ("int", lambda v: v >= 2),
+    "tol_objective": ("float", _positive),
+    "tol_constraint": ("float", _positive),
+    "wave_speed": ("float", _positive),
+    "wave_damping": ("float", _nonneg),
+    "interface_width": ("float", _positive),
+    "step_size": ("float", _positive),
+    "weight_inertia": ("float", _positive),
+    "weight_damping": ("float", _positive),
+    "weight_stiffness": ("float", _positive),
+    "weight_clamp": ("float", lambda v: 0.0 < v < 0.5),
+    "weight_ratio": ("float", _nonneg),
+    "penalty": ("float", _positive),
+    "multiplier_init": ("float", _nonneg),
+})
 
 _MATERIAL_KEYS = {
     "young": ("float", 1.0, _positive),
@@ -56,11 +63,15 @@ _MATERIAL_KEYS = {
     "ersatz_floor": ("float", 1e-3, _fraction),
 }
 
+_ASD_FIELDS = _defaults_of(ASDConfig(), {
+    "edge_tolerance": ("float", _positive),
+    "max_levels": ("int", _nonneg),
+    "dedup_tolerance": ("float", _nonneg),
+    "jobs": ("int", _positive),
+})
+
 _ASD_KEYS = {
-    "edge_tolerance": ("float", 0.04, _positive),
-    "max_levels": ("int", 3, _nonneg),
-    "dedup_tolerance": ("float", 1e-3, _nonneg),
-    "jobs": ("int", 1, _positive),
+    **_ASD_FIELDS,
     "out_dir": ("str", "molto_out", None),
     "weights_init": ("weights", None, None),
 }
@@ -115,11 +126,8 @@ class ProblemConfig:
         return RunConfig(**{k: self.values[k] for k in _RUN_KEYS if k in self.values})
 
     def asd_config(self) -> ASDConfig:
-        v = self.values
-        return ASDConfig(edge_tolerance=v["edge_tolerance"],
-                         max_levels=v["max_levels"],
-                         dedup_tolerance=v["dedup_tolerance"],
-                         jobs=v["jobs"], run=self.run_config())
+        return ASDConfig(**{k: self.values[k] for k in _ASD_FIELDS},
+                         run=self.run_config())
 
     def initial_weights(self):
         return [tuple(w) for w in self.values["weights_init"]]
@@ -186,27 +194,29 @@ KINDS = {
 }
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw} is not a finite number")
+    return value
+
+
 def _parse_value(kind_tag, raw, key, lineno):
     try:
         if kind_tag == "int":
             return int(raw)
         if kind_tag == "float":
-            return float(raw)
+            return _finite(raw)
         if kind_tag == "str":
             return raw
         if kind_tag == "vector":
-            parts = tuple(float(p) for p in raw.split())
+            parts = tuple(_finite(p) for p in raw.split())
             if len(parts) != 2:
                 raise ValueError("expected two components")
             return parts
         if kind_tag == "weights":
-            groups = [g.strip() for g in raw.split(";") if g.strip()]
-            vectors = []
-            for g in groups:
-                vec = tuple(float(p) for p in g.split())
-                if len(vec) < 1:
-                    raise ValueError("empty weight vector")
-                vectors.append(vec)
+            vectors = [tuple(_finite(p) for p in g.split())
+                       for g in raw.split(";") if g.strip()]
             if not vectors:
                 raise ValueError("no weight vectors given")
             return vectors

@@ -3,9 +3,14 @@
 One implicit step solves
     ((1 + B*ds) M + ds^2 K) phi_next = M (-F*b*ds^2 + (2 + B*ds) phi - phi_prev)
 with prescribed values stamped on constrained nodes and the result clamped
-to [-1, 1]. The constrained operator depends only on the wave matrices, the
-damping, the step size and the constrained nodes; ``factorize`` builds its
-factors, which every run with those inputs can share.
+to [-1, 1]. The operator is fixed by the wave matrices, the damping, the
+step size and the prescribed nodes, so it is built once and holds them all:
+
+    factors = factorize(assemble_wave(mesh, c), B, ds, (nodes, values))
+    state = initialize(mesh, phi0, phi_prev, factors, width)
+    step(state, F)          # as often as needed
+
+Every run with the same inputs can share one ``WaveFactors``.
 """
 
 from __future__ import annotations
@@ -50,21 +55,39 @@ def assemble_wave(mesh: Mesh, wave_speed) -> WaveMatrices:
 
 @dataclass(frozen=True)
 class WaveFactors:
-    """LU factors of the free-node block of (1 + B*ds) M + ds^2 K, and its
-    coupling to the constrained nodes."""
+    """The step operator (1 + B*ds) M + ds^2 K with its constants: the
+    matrices, the damping B, the step ds and the prescribed nodes and values.
+    Its free-node block is LU-factorized; ``coupling`` is its block from the
+    prescribed to the free nodes."""
 
+    matrices: WaveMatrices
+    damping: float
+    ds: float
+    fixed_nodes: np.ndarray
+    fixed_values: np.ndarray
     free: np.ndarray
     coupling: sp.csr_matrix
-    lu: object
+    lu: object = field(repr=False)
 
 
 def factorize(matrices: WaveMatrices, damping: float, ds: float,
-              dirichlet_nodes: np.ndarray) -> WaveFactors:
-    """Factorize the step operator with ``dirichlet_nodes`` held fixed."""
+              dirichlet=None) -> WaveFactors:
+    """Factorize the step operator with the level set prescribed on
+    ``dirichlet`` = (nodes, values); None prescribes no node."""
+    if damping < 0.0:
+        raise InvalidArgument("damping must be non-negative")
+    if ds <= 0.0:
+        raise InvalidArgument("step size must be positive")
+    if dirichlet is None:
+        nodes, values = np.empty(0, dtype=np.int64), np.empty(0)
+    else:
+        nodes = np.asarray(dirichlet[0], dtype=np.int64)
+        values = np.asarray(dirichlet[1], dtype=float)
     a = (1.0 + damping * ds) * matrices.mass + ds ** 2 * matrices.stiffness
-    free = np.setdiff1d(np.arange(a.shape[0]), dirichlet_nodes)
-    return WaveFactors(free=free,
-                       coupling=a[free][:, dirichlet_nodes].tocsr(),
+    free = np.setdiff1d(np.arange(a.shape[0]), nodes)
+    return WaveFactors(matrices=matrices, damping=float(damping), ds=float(ds),
+                       fixed_nodes=nodes, fixed_values=values, free=free,
+                       coupling=a[free][:, nodes].tocsr(),
                        lu=spla.splu(a[free][:, free].tocsc()))
 
 
@@ -72,34 +95,24 @@ def factorize(matrices: WaveMatrices, damping: float, ds: float,
 class LevelSetState:
     phi: np.ndarray
     phi_prev: np.ndarray
-    matrices: WaveMatrices
-    damping: float
-    width: float
-    ds: float
-    dirichlet_nodes: np.ndarray
-    dirichlet_values: np.ndarray
     factors: WaveFactors = field(repr=False)
+    width: float
     clamp_events: int = 0
 
     def velocity(self) -> np.ndarray:
-        return (self.phi - self.phi_prev) / self.ds
+        return (self.phi - self.phi_prev) / self.factors.ds
 
     def energy(self) -> float:
         """Discrete kinetic + potential energy of the current state pair."""
         vel = self.velocity()
-        m, k = self.matrices.mass, self.matrices.stiffness
+        m, k = self.factors.matrices.mass, self.factors.matrices.stiffness
         return float(0.5 * vel @ (m @ vel) + 0.5 * self.phi @ (k @ self.phi))
 
 
 def initialize(mesh: Mesh, phi0: np.ndarray, phi_prev: np.ndarray,
-               matrices: WaveMatrices, damping: float, width: float,
-               ds: float = 1.0, dirichlet=None,
-               factors: WaveFactors | None = None) -> LevelSetState:
-    """Set up the evolution state; out-of-range initial data is rejected.
-
-    ``factors`` must come from ``factorize`` with the same matrices, damping,
-    step size and constrained nodes; without them, they are built here.
-    """
+               factors: WaveFactors, width: float) -> LevelSetState:
+    """Set up the evolution state, with the prescribed values of ``factors``
+    stamped on both fields; out-of-range initial data is rejected."""
     phi0 = np.asarray(phi0, dtype=float).copy()
     phi_prev = np.asarray(phi_prev, dtype=float).copy()
     for name, arr in (("phi0", phi0), ("phi_prev", phi_prev)):
@@ -107,42 +120,29 @@ def initialize(mesh: Mesh, phi0: np.ndarray, phi_prev: np.ndarray,
             raise InvalidArgument(f"{name} has wrong shape")
         if np.any(np.abs(arr) > 1.0 + 1e-12):
             raise InvalidArgument(f"{name} must lie in [-1, 1]")
-    if damping < 0.0:
-        raise InvalidArgument("damping must be non-negative")
-    if width <= 0.0 or ds <= 0.0:
-        raise InvalidArgument("interface width and step size must be positive")
-
-    if dirichlet is None:
-        nodes = np.empty(0, dtype=np.int64)
-        values = np.empty(0)
-    else:
-        nodes = np.asarray(dirichlet[0], dtype=np.int64)
-        values = np.asarray(dirichlet[1], dtype=float)
-    phi0[nodes] = values
-    phi_prev[nodes] = values
-
-    if factors is None:
-        factors = factorize(matrices, damping, ds, nodes)
-    return LevelSetState(phi=phi0, phi_prev=phi_prev, matrices=matrices,
-                         damping=float(damping), width=float(width), ds=float(ds),
-                         dirichlet_nodes=nodes, dirichlet_values=values,
-                         factors=factors)
+    if width <= 0.0:
+        raise InvalidArgument("interface width must be positive")
+    phi0[factors.fixed_nodes] = factors.fixed_values
+    phi_prev[factors.fixed_nodes] = factors.fixed_values
+    return LevelSetState(phi=phi0, phi_prev=phi_prev, factors=factors,
+                         width=float(width))
 
 
 def step(state: LevelSetState, forcing: np.ndarray) -> np.ndarray:
     """Advance one iteration; rotates the history and returns the new field."""
-    b_ds = state.damping * state.ds
-    rhs_field = (-forcing * state.width * state.ds ** 2
-                 + (2.0 + b_ds) * state.phi - state.phi_prev)
-    rhs = state.matrices.mass @ rhs_field
     factors = state.factors
+    ds = factors.ds
+    b_ds = factors.damping * ds
+    rhs_field = (-forcing * state.width * ds ** 2
+                 + (2.0 + b_ds) * state.phi - state.phi_prev)
+    rhs = factors.matrices.mass @ rhs_field
     rhs_free = rhs[factors.free]
-    if state.dirichlet_nodes.size:
-        rhs_free = rhs_free - factors.coupling @ state.dirichlet_values
+    if factors.fixed_nodes.size:
+        rhs_free = rhs_free - factors.coupling @ factors.fixed_values
 
     phi_new = np.empty_like(state.phi)
     phi_new[factors.free] = factors.lu.solve(rhs_free)
-    phi_new[state.dirichlet_nodes] = state.dirichlet_values
+    phi_new[factors.fixed_nodes] = factors.fixed_values
     if not np.all(np.isfinite(phi_new)):
         raise SolverFailure("level set update produced non-finite values")
 

@@ -14,30 +14,32 @@ import numpy as np
 
 from . import levelset, sensitivity, weights
 from .errors import MoltoError
+from .problems import SurrogateProblem
 
 
 @dataclass
 class RunConfig:
-    """Every numerical knob of one candidate run."""
+    """Every numerical knob of one candidate run; the defaults are the
+    configuration schema's."""
 
-    max_iterations: int = 200
+    max_iterations: int = 800
     window: int = 5
     tol_objective: float = 1e-4
     tol_constraint: float = 1e-3
 
-    wave_speed: float = 0.014
-    wave_damping: float = 0.001
-    interface_width: float = 1.0
+    wave_speed: float = 0.2
+    wave_damping: float = 0.1
+    interface_width: float = 0.3
     step_size: float = 1.0
 
-    weight_inertia: float = 1.0
-    weight_damping: float = 1.0
-    weight_stiffness: float = 1.0
+    weight_inertia: float = 0.5
+    weight_damping: float = 6.0
+    weight_stiffness: float = 10.0
     weight_clamp: float = 1e-3
     weight_ratio: float = 1.0
 
     multiplier_init: float = 0.0
-    penalty: float = 10.0
+    penalty: float = 0.05
 
     def __post_init__(self):
         if self.window < 2 or self.max_iterations < self.window:
@@ -96,7 +98,7 @@ def run_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
     """Run the coupled evolution for one reference weight; numerical failures
     are captured in the candidate instead of aborting a sweep."""
     try:
-        if problem.kind == "surrogate":
+        if isinstance(problem, SurrogateProblem):
             return _surrogate_candidate(problem, w_star)
         return _run_fem_candidate(problem, w_star, cfg)
     except (MoltoError, RuntimeError) as exc:  # singular factors included
@@ -109,17 +111,15 @@ def run_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
 
 
 def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
-    mesh = problem.mesh
     wstate = weights.make_state(
         w_star, inertia=cfg.weight_inertia, damping=cfg.weight_damping,
         stiffness=cfg.weight_stiffness, clamp_margin=cfg.weight_clamp,
         start_ratio=cfg.weight_ratio, ds=cfg.step_size)
     phi0 = problem.initial_phi()
     lstate = levelset.initialize(
-        mesh, phi0, phi0.copy(), problem.wave_matrices(cfg.wave_speed),
-        damping=cfg.wave_damping, width=cfg.interface_width, ds=cfg.step_size,
-        dirichlet=problem.phi_dirichlet(),
-        factors=problem.wave_factors(cfg.wave_speed, cfg.wave_damping, cfg.step_size))
+        problem.mesh, phi0, phi0.copy(),
+        problem.wave_factors(cfg.wave_speed, cfg.wave_damping, cfg.step_size),
+        cfg.interface_width)
 
     j_history: list[np.ndarray] = []
     g_latest = None
@@ -137,20 +137,17 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
             weights.step(wstate, fq)
             w_now = wstate.weights
 
-        theta_e = problem.theta_elements(lstate.phi, cfg.interface_width)
-        tau_eff = problem.tau_effective(theta_e)
-        bundle = problem.solve_states(tau_eff)
-        j_now = problem.objectives(bundle, theta_e, tau_eff)
-        g_now = problem.constraint_values(bundle, theta_e, tau_eff)
+        bundle = problem.solve_states(
+            problem.theta_elements(lstate.phi, cfg.interface_width))
+        j_now = problem.objectives(bundle)
+        g_now = problem.constraint_values(bundle)
         if j_star is None:
             j_star = sensitivity.reference_values(j_now)
             lam = np.full(len(g_now), cfg.multiplier_init)
         lam = sensitivity.update_multipliers(lam, g_now, cfg.penalty)
 
-        adjoints = problem.solve_adjoints(bundle, w_now, j_star, lam,
-                                          theta_e, tau_eff)
-        pert = problem.perturbation(bundle, adjoints, theta_e, tau_eff, w_now,
-                                    j_star, lam)
+        adjoints = problem.solve_adjoints(bundle, w_now, j_star, lam)
+        pert = problem.perturbation(bundle, adjoints, w_now, j_star, lam)
         levelset.step(lstate, problem.filter_forcing(pert.total))
 
         j_history.append(j_now)

@@ -5,18 +5,21 @@ between elasticity solves, adjoint solves, and the perturbation builders.
 All of them expose the same small interface consumed by the optimizer,
 with objectives, constraint values and multipliers as plain arrays:
 
-    solve_states(tau_eff) -> StateBundle
-    objectives(bundle, theta_e, tau_eff) -> J
-    constraint_values(bundle, theta_e, tau_eff) -> G  (feasible iff G <= 0)
-    solve_adjoints(bundle, w, j_star, multipliers, theta_e, tau_eff)
-    perturbation(bundle, adjoints, theta_e, tau_eff, w, j_star, multipliers,
+    solve_states(theta_e) -> StateBundle
+    objectives(bundle) -> J
+    constraint_values(bundle) -> G  (feasible iff G <= 0)
+    solve_adjoints(bundle, w, j_star, multipliers) -> adjoints
+    perturbation(bundle, adjoints, w, j_star, multipliers,
                  c_override=None) -> sensitivity.PerturbationResult
 
-plus tau_effective / wave_matrices / wave_factors / filter_forcing. The
-multipliers are one per entry of G; the optimizer owns them and J*.
+plus theta_elements / wave_factors / filter_forcing. Only
+``solve_states`` sees the design's element material fraction theta; the
+``StateBundle`` it returns carries everything derived from it once, which
+the other four methods read. The multipliers are one per entry of G; the
+optimizer owns them and J*.
 
-Operators that depend only on the problem (stiffness patterns, wave matrices
-and their step factors, Helmholtz factors) are built on first use and shared
+Operators that depend only on the problem (stiffness patterns, the level set
+step operator, Helmholtz factors) are built on first use and shared
 by concurrent candidates.
 
 The surrogate problem replaces the whole inner loop by an analytic mapping
@@ -41,12 +44,16 @@ from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 
 @dataclass
 class StateBundle:
-    """The states of one design and their element fields, derived once."""
+    """One design, its states and their element fields, derived once."""
 
+    theta: np.ndarray  # element material fraction
+    tau: np.ndarray  # relative stiffness, 1 off the design domain
+    dtau: np.ndarray  # its derivative, 0 off the design domain
     states: list
     facts: list  # factorization per load case (shared objects allowed)
     strains: list  # element strains per state, shared where states are
     stress: el.StressAggregate | None = None  # stress family only
+    density: np.ndarray | None = None  # eps(u):C:eps(u); mechanism and stress
 
 
 @dataclass
@@ -59,14 +66,11 @@ class LoadCase:
 class FEMProblem:
     """Shared plumbing for the concrete benchmark problems."""
 
-    kind = "fem"
-
     def __init__(self, mesh: Mesh, mat: el.MaterialParams):
         self.mesh = mesh
         self.mat = mat
         self.design_mask = None  # bool per element; None = everything designable
-        self.phi_fixed_nodes = np.empty(0, dtype=np.int64)
-        self.phi_fixed_values = np.empty(0)
+        self.phi_fixed = None  # (nodes, values) the level set is held at
         self._operators = {}
         self._operators_lock = threading.Lock()
 
@@ -89,18 +93,13 @@ class FEMProblem:
         return el.assemble_state(self.mesh, tau_eff, self.mat, loads, supports,
                                  pattern=pattern)
 
-    def wave_matrices(self, wave_speed) -> levelset.WaveMatrices:
-        return self._operator(
-            ("wave", float(wave_speed)),
-            lambda: levelset.assemble_wave(self.mesh, wave_speed))
-
     def wave_factors(self, wave_speed, damping, ds) -> levelset.WaveFactors:
-        """Factors of the level set step operator, constrained on the
-        problem's prescribed level set nodes."""
-        matrices = self.wave_matrices(wave_speed)
+        """The level set step operator, with the level set held at the
+        problem's prescribed values on its prescribed nodes."""
         return self._operator(
             ("wave_factors", float(wave_speed), float(damping), float(ds)),
-            lambda: levelset.factorize(matrices, damping, ds, self.phi_fixed_nodes))
+            lambda: levelset.factorize(levelset.assemble_wave(self.mesh, wave_speed),
+                                       damping, ds, self.phi_fixed))
 
     def filter_forcing(self, forcing: np.ndarray) -> np.ndarray:
         """The nodal forcing the level set step sees; unfiltered here."""
@@ -110,31 +109,26 @@ class FEMProblem:
     def theta_elements(self, phi: np.ndarray, width: float) -> np.ndarray:
         return element_means(self.mesh, el.heaviside(phi, width))
 
-    def tau_effective(self, theta_e: np.ndarray) -> np.ndarray:
+    def _material(self, theta_e: np.ndarray):
+        """tau and dtau of the design, held solid (1 and 0) off the design
+        domain."""
         tau = el.ersatz_tau(theta_e, self.mat)
+        dtau = el.ersatz_dtau(theta_e, self.mat)
         if self.design_mask is not None:
             tau = np.where(self.design_mask, tau, 1.0)
-        return tau
+            dtau = np.where(self.design_mask, dtau, 0.0)
+        return tau, dtau
 
     def initial_phi(self) -> np.ndarray:
         return np.ones(self.mesh.num_nodes)
 
-    def phi_dirichlet(self):
-        return self.phi_fixed_nodes, self.phi_fixed_values
-
     def _set_phi_dirichlet(self, pairs):
-        """pairs: iterable of (node array, value); on nodes listed more than
-        once the first value wins (traction anchors beat void walls)."""
-        nodes, values = [], []
-        for idx, val in pairs:
-            nodes.append(np.asarray(idx, dtype=np.int64))
-            values.append(np.full(len(idx), float(val)))
-        if nodes:
-            allnodes = np.concatenate(nodes)
-            allvals = np.concatenate(values)
-            allnodes, keep = np.unique(allnodes, return_index=True)
-            self.phi_fixed_nodes = allnodes
-            self.phi_fixed_values = allvals[keep]
+        """pairs: list of (node array, value); on nodes listed more than once
+        the first value wins (traction anchors beat void walls)."""
+        nodes = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in pairs])
+        values = np.concatenate([np.full(len(idx), float(val)) for idx, val in pairs])
+        nodes, keep = np.unique(nodes, return_index=True)
+        self.phi_fixed = (nodes, values[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +136,6 @@ class FEMProblem:
 
 class ComplianceProblem(FEMProblem):
     """Any number of mean-compliance load cases with a shared volume budget."""
-
-    kind = "compliance"
 
     def __init__(self, mesh, mat, cases, volume_fraction):
         super().__init__(mesh, mat)
@@ -161,35 +153,36 @@ class ComplianceProblem(FEMProblem):
     def num_objectives(self) -> int:
         return len(self.cases)
 
-    def solve_states(self, tau_eff) -> StateBundle:
+    def solve_states(self, theta_e) -> StateBundle:
+        tau, dtau = self._material(theta_e)
         facts_by_sig, facts, states = {}, [], []
         for case, tvec in zip(self.cases, self.traction_vectors):
             sig = case.supports
             if sig not in facts_by_sig:
-                sysm = self._assemble(tau_eff, el.LoadSpec(), sig)
+                sysm = self._assemble(tau, el.LoadSpec(), sig)
                 facts_by_sig[sig] = el.FactorizedSystem(sysm)
             fact = facts_by_sig[sig]
             states.append(fact.solve(tvec))
             facts.append(fact)
-        return StateBundle(states=states, facts=facts,
+        return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
                            strains=[el.element_strains(self.mesh, u) for u in states])
 
-    def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
+    def objectives(self, bundle) -> np.ndarray:
         return np.array([tvec @ u for u, tvec in zip(bundle.states,
                                                      self.traction_vectors)])
 
-    def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
-        vol = sens.volume_integral(self.mesh, theta_e, self.design_mask)
+    def constraint_values(self, bundle) -> np.ndarray:
+        vol = sens.volume_integral(self.mesh, bundle.theta, self.design_mask)
         return np.array([vol / self.volume_ref - self.volume_fraction])
 
-    def solve_adjoints(self, bundle, w, j_star, multipliers, theta_e, tau_eff):
+    def solve_adjoints(self, bundle, w, j_star, multipliers):
         # mean compliance is self-adjoint
         return [(w[a] / j_star[a]) * u for a, u in enumerate(bundle.states)]
 
-    def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
-                     multipliers, c_override=None):
+    def perturbation(self, bundle, adjoints, w, j_star, multipliers,
+                     c_override=None):
         return sens.perturbation_compliance(
-            self.mesh, self.mat, theta_e, bundle.strains,
+            self.mesh, self.mat, bundle.dtau, bundle.strains,
             [el.element_strains(self.mesh, v) for v in adjoints],
             multipliers[0], self.volume_ref, w,
             mask=self.design_mask, c_override=c_override)
@@ -252,7 +245,6 @@ class MechanismProblem(FEMProblem):
     """Output displacement vs. strain energy with boundary springs and a
     fixed solid block carrying the output face."""
 
-    kind = "mechanism"
     num_objectives = 2
 
     def __init__(self, mesh, mat, *, traction, spring_in, spring_out,
@@ -265,7 +257,6 @@ class MechanismProblem(FEMProblem):
                      el.Spring("output", spring_out, dir_out)))
         self.supports = (el.FixedBoundary("clamp", "both"),
                          el.FixedBoundary("symmetry", "y"))
-        self.traction_vector = el.boundary_vector(mesh, "input", traction)
         self.output_vector = el.boundary_vector(mesh, "output", dir_out)
         self._spring_matrix = el.spring_matrix(mesh, self.loads.springs)
 
@@ -281,23 +272,26 @@ class MechanismProblem(FEMProblem):
             (solid_nodes, 1.0),
         ])
 
-    def solve_states(self, tau_eff) -> StateBundle:
-        sysm = self._assemble(tau_eff, self.loads, self.supports)
+    def solve_states(self, theta_e) -> StateBundle:
+        tau, dtau = self._material(theta_e)
+        sysm = self._assemble(tau, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
         u = fact.solve()
         eps = el.element_strains(self.mesh, u)
         # both objectives read the same physical state
-        return StateBundle(states=[u, u], facts=[fact, fact], strains=[eps, eps])
+        return StateBundle(theta_e, tau, dtau, states=[u, u], facts=[fact, fact],
+                           strains=[eps, eps],
+                           density=el.mutual_energy_density(self.mat, eps, eps))
 
-    def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
-        energy = sens.strain_energy(self.mesh, self.mat, bundle.strains[0], tau_eff)
+    def objectives(self, bundle) -> np.ndarray:
+        energy = sens.strain_energy(self.mesh, bundle.density, bundle.tau)
         return np.array([-(self.output_vector @ bundle.states[0]), energy])
 
-    def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
-        vol = sens.volume_integral(self.mesh, theta_e, self.design_mask)
+    def constraint_values(self, bundle) -> np.ndarray:
+        vol = sens.volume_integral(self.mesh, bundle.theta, self.design_mask)
         return np.array([vol / self.volume_ref - self.volume_fraction])
 
-    def solve_adjoints(self, bundle, w, j_star, multipliers, theta_e, tau_eff):
+    def solve_adjoints(self, bundle, w, j_star, multipliers):
         u, fact = bundle.states[0], bundle.facts[0]
         v_out = fact.solve(-(w[0] / j_star[0]) * self.output_vector)
         # strain-energy load is the elastic (spring-free) part of K times u
@@ -305,13 +299,13 @@ class MechanismProblem(FEMProblem):
         v_energy = fact.solve((w[1] / j_star[1]) * bulk)
         return [v_out, v_energy]
 
-    def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
-                     multipliers, c_override=None):
+    def perturbation(self, bundle, adjoints, w, j_star, multipliers,
+                     c_override=None):
         eps_out, eps_energy = (el.element_strains(self.mesh, v) for v in adjoints)
         return sens.perturbation_mechanism(
-            self.mesh, self.mat, theta_e, bundle.strains[0], eps_out, eps_energy,
-            multipliers[0], self.volume_ref, w, j_star[1], mask=self.design_mask,
-            c_override=c_override)
+            self.mesh, self.mat, bundle.dtau, bundle.density, bundle.strains[0],
+            eps_out, eps_energy, multipliers[0], self.volume_ref, w, j_star[1],
+            mask=self.design_mask, c_override=c_override)
 
 
 def make_gripper(nx=40, ny=20, traction_mag=1.0, spring_in=1e5, spring_out=1e3,
@@ -340,8 +334,6 @@ def make_gripper(nx=40, ny=20, traction_mag=1.0, spring_in=1e5, spring_out=1e3,
 class StressVolumeProblem(FEMProblem):
     """Material volume vs. strain energy under aggregated stress limits,
     with the level set forcing Helmholtz-filtered."""
-
-    kind = "stress_volume"
     num_objectives = 2
 
     def __init__(self, mesh, mat, *, traction, stress_exponent, yield_stress,
@@ -355,34 +347,35 @@ class StressVolumeProblem(FEMProblem):
         self.volume_ref = mesh.total_area
         self.loads = el.LoadSpec(tractions=(el.Traction("traction", traction),))
         self.supports = (el.FixedBoundary("clamp", "both"),)
-        self.traction_vector = el.boundary_vector(mesh, "traction", traction)
         self._set_phi_dirichlet([
             (mesh.nodes_with_tag("traction"), 1.0),
             (mesh.nodes_with_tag("void_a"), -1.0),
             (mesh.nodes_with_tag("void_b"), -1.0),
         ])
 
-    def solve_states(self, tau_eff) -> StateBundle:
-        sysm = self._assemble(tau_eff, self.loads, self.supports)
+    def solve_states(self, theta_e) -> StateBundle:
+        tau, dtau = self._material(theta_e)
+        sysm = self._assemble(tau, self.loads, self.supports)
         fact = el.FactorizedSystem(sysm)
         u = fact.solve()
         eps = el.element_strains(self.mesh, u)
-        stress = el.stress_aggregate(self.mesh, self.mat, eps, tau_eff,
+        stress = el.stress_aggregate(self.mesh, self.mat, eps, tau,
                                      self.stress_exponent, self.yield_stress)
-        return StateBundle(states=[u, u], facts=[fact, fact], strains=[eps, eps],
-                           stress=stress)
+        return StateBundle(theta_e, tau, dtau, states=[u, u], facts=[fact, fact],
+                           strains=[eps, eps], stress=stress,
+                           density=el.mutual_energy_density(self.mat, eps, eps))
 
-    def objectives(self, bundle, theta_e, tau_eff) -> np.ndarray:
-        j1 = sens.volume_integral(self.mesh, theta_e)
-        j2 = sens.strain_energy(self.mesh, self.mat, bundle.strains[1], tau_eff)
+    def objectives(self, bundle) -> np.ndarray:
+        j1 = sens.volume_integral(self.mesh, bundle.theta)
+        j2 = sens.strain_energy(self.mesh, bundle.density, bundle.tau)
         return np.array([j1, j2])
 
-    def constraint_values(self, bundle, theta_e, tau_eff) -> np.ndarray:
+    def constraint_values(self, bundle) -> np.ndarray:
         # both constraints limit the same aggregate of the one state
         g = bundle.stress.value / self.volume_ref - self.stress_limit
         return np.array([g, g])
 
-    def solve_adjoints(self, bundle, w, j_star, multipliers, theta_e, tau_eff):
+    def solve_adjoints(self, bundle, w, j_star, multipliers):
         """Both constraints differentiate the same aggregate of the one state,
         so by linearity each stress adjoint is lambda_a / V0 times one
         solution z of K z = dS/du; z is not solved for while every
@@ -392,16 +385,16 @@ class StressVolumeProblem(FEMProblem):
         z = np.zeros_like(u)
         if any(scales):
             z = fact.solve(el.deviator_adjoint_load(self.mesh, self.mat,
-                                                    bundle.stress, tau_eff))
+                                                    bundle.stress, bundle.tau))
         adjoints = [scale * z for scale in scales]
         # the strain-energy objective is self-adjoint
         adjoints[1] = adjoints[1] + (w[1] / j_star[1]) * u
         return adjoints
 
-    def perturbation(self, bundle, adjoints, theta_e, tau_eff, w, j_star,
-                     multipliers, c_override=None):
+    def perturbation(self, bundle, adjoints, w, j_star, multipliers,
+                     c_override=None):
         return sens.perturbation_stress_volume(
-            self.mesh, self.mat, theta_e, bundle.strains[0],
+            self.mesh, self.mat, bundle.dtau, bundle.density, bundle.strains[0],
             [el.element_strains(self.mesh, v) for v in adjoints], bundle.stress,
             multipliers, self.volume_ref, w, j_star, mask=self.design_mask,
             c_override=c_override)
@@ -441,8 +434,6 @@ def make_lbracket(nx=40, outer=1.0, cut=0.6, traction_mag=1.0,
 
 class SurrogateProblem:
     """Analytic mapping from reference weights to objective values."""
-
-    kind = "surrogate"
 
     def __init__(self, num_objectives: int, mapping=None):
         self.num_objectives = int(num_objectives)

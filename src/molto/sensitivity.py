@@ -55,10 +55,9 @@ def volume_integral(mesh: Mesh, theta_e: np.ndarray, mask=None) -> float:
     return float(np.sum(theta_e * areas))
 
 
-def strain_energy(mesh: Mesh, mat: el.MaterialParams, eps: np.ndarray,
-                  tau_eff_e: np.ndarray) -> float:
-    density = el.mutual_energy_density(mat, eps, eps)
-    return float(0.5 * np.sum(tau_eff_e * density * mesh.element_areas))
+def strain_energy(mesh: Mesh, density: np.ndarray, tau_e: np.ndarray) -> float:
+    """(1/2) integral tau * eps(u):C:eps(u), from the solid density."""
+    return float(0.5 * np.sum(tau_e * density * mesh.element_areas))
 
 
 def update_multipliers(lam: np.ndarray, g: np.ndarray, penalty: float) -> np.ndarray:
@@ -109,13 +108,6 @@ def _combine(mesh: Mesh, constraint, explicit, adjoint, w, volume_ref: float,
                               total=element_to_nodes(mesh, total_e))
 
 
-def _masked_dtau(theta_e, mat, mask):
-    dtau = el.ersatz_dtau(theta_e, mat)
-    if mask is not None:
-        dtau = np.where(mask, dtau, 0.0)
-    return dtau
-
-
 def _masked_constant(value, mesh, mask):
     """A constant field, zero on non-design elements."""
     if mask is None:
@@ -123,18 +115,17 @@ def _masked_constant(value, mesh, mask):
     return np.where(mask, value, 0.0)
 
 
-def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, theta_e,
+def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, dtau,
                             strains, adjoint_strains, multiplier: float,
                             volume_ref: float, w, mask=None,
                             c_override=None) -> PerturbationResult:
     """k_a = lambda / (m V0), e_a = 0, a_a = dtau * C eps(u_a) : eps(v_a).
 
-    The strains are those of the m states and of their adjoints, which carry
-    their w_a / J*_a scaling. The shared volume multiplier is split evenly
-    over the m load cases.
+    ``dtau`` is zero off the design domain ``mask``. The strains are those of
+    the m states and of their adjoints, which carry their w_a / J*_a scaling.
+    The shared volume multiplier is split evenly over the m load cases.
     """
     m = len(strains)
-    dtau = _masked_dtau(theta_e, mat, mask)
     pressure = _masked_constant(multiplier / (m * volume_ref), mesh, mask)
     adjoint = [dtau * el.mutual_energy_density(mat, eps_u, eps_v)
                for eps_u, eps_v in zip(strains, adjoint_strains)]
@@ -142,40 +133,41 @@ def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, theta_e,
                     c_override)
 
 
-def perturbation_mechanism(mesh: Mesh, mat: el.MaterialParams, theta_e,
+def perturbation_mechanism(mesh: Mesh, mat: el.MaterialParams, dtau, density,
                            eps, eps_out, eps_energy, multiplier: float,
                            volume_ref: float, w, j_energy_star: float,
                            mask=None, c_override=None) -> PerturbationResult:
     """Output displacement and strain energy sharing a volume constraint,
     k_a = lambda / (2 V0); the energy objective has the explicit self-term
-    e_2 = (w2 / 2 J*2) dtau * C eps(u) : eps(u), from the strains of the
-    state and of its two adjoints."""
-    dtau = _masked_dtau(theta_e, mat, mask)
+    e_2 = (w2 / 2 J*2) dtau * density, with density = C eps(u) : eps(u) of
+    the state, whose strains are ``eps``, and the strains of its two
+    adjoints."""
     pressure = _masked_constant(multiplier / (2.0 * volume_ref), mesh, mask)
     adjoint = [dtau * el.mutual_energy_density(mat, eps, eps_out),
                dtau * el.mutual_energy_density(mat, eps, eps_energy)]
-    self2 = (w[1] / (2.0 * j_energy_star)) * dtau * el.mutual_energy_density(mat, eps, eps)
+    self2 = (w[1] / (2.0 * j_energy_star)) * dtau * density
     return _combine(mesh, [pressure, pressure], [0.0, self2], adjoint, w,
                     volume_ref, c_override)
 
 
-def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, theta_e,
-                               eps, adjoint_strains, stress: el.StressAggregate,
-                               multipliers, volume_ref: float, w, j_star,
-                               mask=None, c_override=None) -> PerturbationResult:
+def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
+                               density, eps, adjoint_strains,
+                               stress: el.StressAggregate, multipliers,
+                               volume_ref: float, w, j_star, mask=None,
+                               c_override=None) -> PerturbationResult:
     """Volume and strain energy with one stress constraint per objective, all
-    on the aggregate ``stress`` of the one state, whose strains are ``eps``:
+    on the aggregate ``stress`` of the one state, whose strains are ``eps``
+    and whose solid density C eps(u) : eps(u) is ``density``:
 
         k_a = (lambda_a / (p V0)) * S^(1/p - 1) * (vm/f_y)^p * dtau
             = (lambda_a / (p V0)) * total^(1/p - 1) * peak * rel^p * dtau,
-        e_1 = w1 / J*1,  e_2 = (w2 / 2 J*2) dtau * C eps(u) : eps(u).
+        e_1 = w1 / J*1,  e_2 = (w2 / 2 J*2) dtau * density.
     """
-    dtau = _masked_dtau(theta_e, mat, mask)
     p, total = stress.exponent, stress.total
     unit = (total ** (1.0 / p - 1.0) * stress.peak / (p * volume_ref) * stress.rel ** p * dtau
             if total > 0.0 else np.zeros(mesh.num_triangles))
     explicit = [_masked_constant(w[0] / j_star[0], mesh, mask),
-                (w[1] / (2.0 * j_star[1])) * dtau * el.mutual_energy_density(mat, eps, eps)]
+                (w[1] / (2.0 * j_star[1])) * dtau * density]
     adjoint = [dtau * el.mutual_energy_density(mat, eps, eps_v)
                for eps_v in adjoint_strains]
     return _combine(mesh, [lam * unit for lam in multipliers], explicit, adjoint,

@@ -22,14 +22,6 @@ def _report(name):
     print(f"\nACCEPTANCE {name}: PASS")
 
 
-def desk_run_config(**overrides):
-    base = dict(max_iterations=800, penalty=0.05, wave_speed=0.2,
-                wave_damping=0.1, interface_width=0.3,
-                weight_inertia=0.5, weight_damping=6.0, weight_stiffness=10.0)
-    base.update(overrides)
-    return RunConfig(**base)
-
-
 # -- criterion 1 -------------------------------------------------------------
 
 def test_c1_stick_breaking_suite():
@@ -117,7 +109,8 @@ def test_c4_fem_verification():
     assert np.abs(u - exact).max() <= 1e-10
 
     compliance = float(system.rhs @ u)
-    energy = sens.strain_energy(mesh, mat, el.element_strains(mesh, u),
+    eps_u = el.element_strains(mesh, u)
+    energy = sens.strain_energy(mesh, el.mutual_energy_density(mat, eps_u, eps_u),
                                 np.ones(mesh.num_triangles))
     assert compliance == pytest.approx(2.0 * energy, rel=1e-8)
 
@@ -155,12 +148,12 @@ def test_c5_sensitivity_adjoint_oracle():
 
 def test_c6_levelset_free_decay():
     mesh = build_rect_mesh(1.0, 1.0, 16, 16)
-    matrices = levelset.assemble_wave(mesh, 0.2)
+    factors = levelset.factorize(levelset.assemble_wave(mesh, 0.2), 0.5, 1.0)
     rng = np.random.default_rng(42)
     bump = (0.5 * np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
             + 0.1 * rng.uniform(-1.0, 1.0, mesh.num_nodes))
-    state = levelset.initialize(mesh, bump, np.zeros_like(bump), matrices,
-                                damping=0.5, width=1.0)
+    state = levelset.initialize(mesh, bump, np.zeros_like(bump), factors,
+                                width=1.0)
     zero = np.zeros(mesh.num_nodes)
     levelset.step(state, zero)
     e_ref = state.energy()
@@ -173,8 +166,7 @@ def test_c6_levelset_free_decay():
     assert np.linalg.norm(state.phi - state.phi_prev) <= 1e-6
 
     const = np.full(mesh.num_nodes, 0.41)
-    flat = levelset.initialize(mesh, const, const.copy(), matrices,
-                               damping=0.5, width=1.0)
+    flat = levelset.initialize(mesh, const, const.copy(), factors, width=1.0)
     levelset.step(flat, zero)
     assert np.abs(flat.phi - 0.41).max() <= 1e-12
     _report("6 level set free decay")
@@ -266,7 +258,7 @@ def test_c9_desk_scale_girder():
     start = time.time()
     problem = problems.make_girder(nx=60, ny=30)
     cfg = asd.ASDConfig(edge_tolerance=0.04, max_levels=3, dedup_tolerance=1e-3,
-                        jobs=1, run=desk_run_config())
+                        jobs=1, run=RunConfig())
     result = asd.run_asd(problem, [(0.9, 0.1), (0.1, 0.9)], cfg)
     elapsed = time.time() - start
     assert elapsed <= 1800.0, f"runtime {elapsed:.0f}s exceeds 30 minutes"
@@ -287,7 +279,7 @@ def test_c9_desk_scale_girder():
 # -- criterion 10 ------------------------------------------------------------
 
 def _girder_weight_trace(problem, inertia, damping, stiffness):
-    cfg = desk_run_config(max_iterations=250, tol_objective=1e-12,
+    cfg = RunConfig(max_iterations=250, tol_objective=1e-12,
                           weight_inertia=inertia, weight_damping=damping,
                           weight_stiffness=stiffness)
     cand = run_candidate(problem, (0.9, 0.1), cfg)

@@ -50,10 +50,9 @@ def tiny_stress_volume(yield_stress=42.0):
 
 
 def weighted_value(problem, theta_e, w, j_star, lams):
-    tau = problem.tau_effective(theta_e)
-    bundle = problem.solve_states(tau)
-    j = problem.objectives(bundle, theta_e, tau)
-    g = problem.constraint_values(bundle, theta_e, tau)
+    bundle = problem.solve_states(theta_e)
+    j = problem.objectives(bundle)
+    g = problem.constraint_values(bundle)
     return float(np.dot(w, j / j_star) + np.dot(lams, g))
 
 
@@ -62,14 +61,12 @@ def adjoint_field(problem, w, lams, seed=0, perturbation_lams=None):
     ``perturbation_lams`` replaces the multipliers in the perturbation only."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.4, 0.95, problem.mesh.num_triangles)
-    tau = problem.tau_effective(theta)
-    bundle = problem.solve_states(tau)
-    j_star = problem.objectives(bundle, theta, tau)
-    adjoints = problem.solve_adjoints(bundle, w, j_star, lams, theta, tau)
+    bundle = problem.solve_states(theta)
+    j_star = problem.objectives(bundle)
+    adjoints = problem.solve_adjoints(bundle, w, j_star, lams)
     if perturbation_lams is None:
         perturbation_lams = lams
-    pert = problem.perturbation(bundle, adjoints, theta, tau, w, j_star,
-                                perturbation_lams,
+    pert = problem.perturbation(bundle, adjoints, w, j_star, perturbation_lams,
                                 c_override=(1.0,) * problem.num_objectives)
     return j_star, theta, pert.total_elem
 
@@ -130,14 +127,13 @@ def test_mechanism_objective_dropout():
     problem = tiny_mechanism()
     mesh = problem.mesh
     theta = np.full(mesh.num_triangles, 0.8)
-    tau = problem.tau_effective(theta)
-    bundle = problem.solve_states(tau)
+    bundle = problem.solve_states(theta)
     j_star = np.array([1.0, 1.0])
-    adjoints = problem.solve_adjoints(bundle, [1.0, 1.0], j_star, None, theta, tau)
+    adjoints = problem.solve_adjoints(bundle, [1.0, 1.0], j_star, None)
     import molto.sensitivity as sens
     eps, eps_out = bundle.strains[0], el.element_strains(mesh, adjoints[0])
-    res = sens.perturbation_mechanism(mesh, MAT, theta, eps, eps_out,
-                                      np.zeros_like(eps), 0.0,
+    res = sens.perturbation_mechanism(mesh, MAT, bundle.dtau, bundle.density, eps,
+                                      eps_out, np.zeros_like(eps), 0.0,
                                       problem.volume_ref, [1.0, 0.0],
                                       1.0, mask=problem.design_mask,
                                       c_override=(1.0, 1.0))
@@ -163,9 +159,9 @@ def test_stress_adjoint_load_at_large_exponent():
     problem = make_lbracket(nx=20, traction_mag=0.1, stress_exponent=300.0)
     mesh, mat = problem.mesh, problem.mat
     theta = np.random.default_rng(0).uniform(0.4, 0.95, mesh.num_triangles)
-    tau = problem.tau_effective(theta)
-    bundle = problem.solve_states(tau)
-    assert np.all(problem.constraint_values(bundle, theta, tau) > 0.0)
+    bundle = problem.solve_states(theta)
+    tau = bundle.tau
+    assert np.all(problem.constraint_values(bundle) > 0.0)
     u = bundle.states[0]
     d = np.random.default_rng(1).normal(size=u.size)
     d[bundle.facts[0].system.fixed_dofs] = 0.0

@@ -235,6 +235,38 @@ def test_cli_rejects_configs_the_problem_rejects(tmp_path, capsys, name, old, ne
     assert not out.exists()
 
 
+_SMALL_GIRDER = {"nx = 60": "nx = 12", "ny = 30": "ny = 6"}
+
+
+@pytest.mark.parametrize("name, old, new, runner", [
+    ("surrogate2", "weights_init = 0.9 0.1", "weights_init = nan nan", "surrogate"),
+    ("girder_desk", "wave_speed = 0.2", "wave_speed = inf", "run"),
+    ("girder_desk", "traction = 1.0", "traction = inf", "run"),
+    ("girder_desk", "young = 1.0", "young = inf", "run"),
+], ids=["weights_nan", "wave_speed_inf", "traction_inf", "young_inf"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, name, old, new, runner,
+                                       command):
+    # each value passes its range check (nan fails none of the weight checks,
+    # inf is positive); the parser names the line instead
+    text = bundled_text(name)
+    for small, smaller in _SMALL_GIRDER.items():
+        text = text.replace(small, smaller)
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    argv = ([command, str(cfg)] if command == "validate"
+            else [runner, str(cfg), "--out", str(out)])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    lineno = next(i for i, line in enumerate(text.splitlines(), start=1)
+                  if line.startswith(old))
+    assert f"line {lineno}: cannot parse" in err and "not a finite number" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def _exit_code(argv):
     try:
         return cli.main(argv)

@@ -55,9 +55,8 @@ def test_wave_speed_validation():
 
 
 def _state(mesh, phi0, phi_prev, damping=0.5, dirichlet=None, speed=0.2):
-    wm = ls.assemble_wave(mesh, speed)
-    return ls.initialize(mesh, phi0, phi_prev, wm, damping=damping, width=1.0,
-                         dirichlet=dirichlet)
+    factors = ls.factorize(ls.assemble_wave(mesh, speed), damping, 1.0, dirichlet)
+    return ls.initialize(mesh, phi0, phi_prev, factors, width=1.0)
 
 
 def test_constant_field_is_stationary():

@@ -7,15 +7,6 @@ from molto.optimizer import RunConfig, run_candidate, stationarity
 from molto.problems import SurrogateProblem
 
 
-def desk_config(**overrides):
-    """Reference configuration for coarse fixed-mesh runs."""
-    base = dict(max_iterations=800, penalty=0.05, wave_speed=0.2,
-                wave_damping=0.1, interface_width=0.3, multiplier_init=0.0,
-                weight_inertia=0.5, weight_damping=6.0, weight_stiffness=10.0)
-    base.update(overrides)
-    return RunConfig(**base)
-
-
 def test_stationarity_rules():
     flat = [np.array([1.0, 2.0])] * 6
     assert stationarity(flat, [0.0], 5, 1e-4, 1e-3)
@@ -46,7 +37,7 @@ def _single_case_girder(nx=24, ny=12):
 
 def test_single_objective_degenerate_run():
     problem = _single_case_girder()
-    cand = run_candidate(problem, (1.0,), desk_config(max_iterations=500))
+    cand = run_candidate(problem, (1.0,), RunConfig(max_iterations=500))
     assert not cand.failed
     g_final = cand.history[-1][2][0]
     assert abs(g_final) <= 0.01
@@ -56,7 +47,7 @@ def test_single_objective_degenerate_run():
 
 def test_run_candidate_deterministic():
     problem = _single_case_girder(16, 8)
-    cfg = desk_config(max_iterations=40)
+    cfg = RunConfig(max_iterations=40)
     a = run_candidate(problem, (1.0,), cfg)
     b = run_candidate(problem, (1.0,), cfg)
     assert a.objectives == b.objectives
@@ -66,14 +57,13 @@ def test_run_candidate_deterministic():
 
 def test_history_and_reference_capture():
     problem = _single_case_girder(16, 8)
-    cand = run_candidate(problem, (1.0,), desk_config(max_iterations=30))
+    cand = run_candidate(problem, (1.0,), RunConfig(max_iterations=30))
     assert len(cand.history) <= 31
     j0 = cand.history[0][1][0]
     assert cand.normalized[0] == pytest.approx(cand.objectives[0] / j0)
 
 
 class _ExplodingProblem:
-    kind = "compliance"
     num_objectives = 1
 
     def __init__(self):
@@ -93,7 +83,7 @@ def test_failed_candidate_is_reported_not_raised():
 def test_ws_limit_weights_pinned():
     from molto.problems import make_girder
     problem = make_girder(nx=16, ny=8)
-    cfg = desk_config(max_iterations=60, weight_stiffness=1e6)
+    cfg = RunConfig(max_iterations=60, weight_stiffness=1e6)
     cand = run_candidate(problem, (0.9, 0.1), cfg)
     assert not cand.failed
     for row in cand.history:
@@ -103,6 +93,6 @@ def test_ws_limit_weights_pinned():
 def test_prioritized_objective_improves_more():
     from molto.problems import make_girder
     problem = make_girder(nx=40, ny=20)
-    cand = run_candidate(problem, (0.9, 0.1), desk_config())
+    cand = run_candidate(problem, (0.9, 0.1), RunConfig())
     assert not cand.failed
     assert cand.normalized[0] <= cand.normalized[1]

@@ -9,7 +9,7 @@ import molto.elasticity as el
 import molto.levelset as ls
 import molto.sensitivity as sens
 from molto.optimizer import RunConfig, run_candidate
-from molto.problems import make_girder, make_lbracket
+from molto.problems import make_girder, make_gripper, make_lbracket
 
 
 def test_concurrent_solves_build_one_pattern(monkeypatch):
@@ -23,7 +23,7 @@ def test_concurrent_solves_build_one_pattern(monkeypatch):
 
     monkeypatch.setattr(el, "StiffnessPattern", CountingPattern)
     problem = make_girder(nx=12, ny=6)
-    tau = np.ones(problem.mesh.num_triangles)
+    theta = np.ones(problem.mesh.num_triangles)
     workers = 6
     states, errors = [None] * workers, []
     start = threading.Barrier(workers, timeout=60)
@@ -31,7 +31,7 @@ def test_concurrent_solves_build_one_pattern(monkeypatch):
     def work(i):
         try:
             start.wait()
-            states[i] = problem.solve_states(tau).states[0]
+            states[i] = problem.solve_states(theta).states[0]
         except Exception as exc:  # reported through the assertion below
             errors.append(exc)
 
@@ -119,17 +119,17 @@ def test_concurrent_candidates_build_each_operator_once(monkeypatch):
 def _stressed_lbracket():
     problem = make_lbracket(nx=10)
     theta = np.random.default_rng(2).uniform(0.4, 0.95, problem.mesh.num_triangles)
-    tau = problem.tau_effective(theta)
-    bundle = problem.solve_states(tau)
-    j_star = problem.objectives(bundle, theta, tau)
-    return problem, theta, tau, bundle, j_star
+    bundle = problem.solve_states(theta)
+    j_star = problem.objectives(bundle)
+    return problem, bundle, j_star
 
 
 def test_stress_adjoints_match_per_constraint_solves():
-    problem, theta, tau, bundle, j_star = _stressed_lbracket()
+    problem, bundle, j_star = _stressed_lbracket()
+    tau = bundle.tau
     w = np.array([0.3, 0.7])
     lams = np.array([0.8, 0.5])
-    got = problem.solve_adjoints(bundle, w, j_star, lams, theta, tau)
+    got = problem.solve_adjoints(bundle, w, j_star, lams)
     # one load and one solve per constraint, as the adjoint is defined
     fact = bundle.facts[0]
     for alpha, (u, lam) in enumerate(zip(bundle.states, lams)):
@@ -148,7 +148,7 @@ def test_stress_adjoints_match_per_constraint_solves():
 @pytest.mark.parametrize("multipliers, solves", [((0.8, 0.5), 1), ((0.0, 0.0), 0)])
 def test_stress_adjoints_solve_once_and_not_while_inactive(monkeypatch, multipliers,
                                                            solves):
-    problem, theta, tau, bundle, j_star = _stressed_lbracket()
+    problem, bundle, j_star = _stressed_lbracket()
     calls = []
     real = el.FactorizedSystem.solve
 
@@ -158,10 +158,40 @@ def test_stress_adjoints_solve_once_and_not_while_inactive(monkeypatch, multipli
 
     monkeypatch.setattr(el.FactorizedSystem, "solve", counting)
     w = np.array([0.3, 0.7])
-    adjoints = problem.solve_adjoints(bundle, w, j_star, np.array(multipliers),
-                                      theta, tau)
+    adjoints = problem.solve_adjoints(bundle, w, j_star, np.array(multipliers))
     assert len(calls) == solves
     if solves == 0:
         u = bundle.states[0]
         assert np.array_equal(adjoints[0], np.zeros_like(u))
         assert np.array_equal(adjoints[1], (w[1] / j_star[1]) * u)
+
+
+@pytest.mark.parametrize("make", [lambda: make_lbracket(nx=10),
+                                  lambda: make_gripper(nx=12, ny=6)],
+                         ids=["lbracket", "gripper"])
+def test_design_fields_are_derived_once_per_iteration(monkeypatch, make):
+    # tau, dtau and the solid density eps(u):C:eps(u) of each design are
+    # derived once, in solve_states, and read from the bundle everywhere else
+    counts = {"tau": 0, "dtau": 0, "self_density": 0}
+    real_tau, real_dtau = el.ersatz_tau, el.ersatz_dtau
+    real_density = el.mutual_energy_density
+
+    def counting_tau(*args):
+        counts["tau"] += 1
+        return real_tau(*args)
+
+    def counting_dtau(*args):
+        counts["dtau"] += 1
+        return real_dtau(*args)
+
+    def counting_density(mat, eps_u, eps_v):
+        counts["self_density"] += eps_u is eps_v
+        return real_density(mat, eps_u, eps_v)
+
+    monkeypatch.setattr(el, "ersatz_tau", counting_tau)
+    monkeypatch.setattr(el, "ersatz_dtau", counting_dtau)
+    monkeypatch.setattr(el, "mutual_energy_density", counting_density)
+    cand = run_candidate(make(), (0.5, 0.5), RunConfig(max_iterations=6))
+    assert not cand.failed, cand.error
+    per_iteration = {k: v / (cand.iterations + 1) for k, v in counts.items()}
+    assert per_iteration == {"tau": 1.0, "dtau": 1.0, "self_density": 1.0}

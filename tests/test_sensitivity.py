@@ -38,11 +38,11 @@ def test_volume_objective():
 
 def test_compliance_equals_twice_strain_energy():
     problem = _loaded_square()
-    tau = np.ones(problem.mesh.num_triangles)
-    bundle = problem.solve_states(tau)
-    compliance = problem.objectives(bundle, tau, tau)[0]
-    energy = sens.strain_energy(problem.mesh, MAT,
-                                el.element_strains(problem.mesh, bundle.states[0]), tau)
+    bundle = problem.solve_states(np.ones(problem.mesh.num_triangles))
+    compliance = problem.objectives(bundle)[0]
+    eps = el.element_strains(problem.mesh, bundle.states[0])
+    energy = sens.strain_energy(problem.mesh, el.mutual_energy_density(MAT, eps, eps),
+                                bundle.tau)
     assert compliance == pytest.approx(2.0 * energy, rel=1e-8)
 
 
@@ -58,8 +58,9 @@ def test_output_displacement_sign():
     u = np.tile([0.0, -delta], mesh.num_nodes)  # rigid downward motion
     tau = np.ones(mesh.num_triangles)
     eps = el.element_strains(mesh, u)
-    j = problem.objectives(StateBundle(states=[u, u], facts=[], strains=[eps, eps]),
-                           tau, tau)
+    j = problem.objectives(StateBundle(
+        theta=tau, tau=tau, dtau=el.ersatz_dtau(tau, MAT), states=[u, u], facts=[],
+        strains=[eps, eps], density=el.mutual_energy_density(MAT, eps, eps)))
     assert j[0] == pytest.approx(-delta * 1.0, abs=1e-14)  # edge length one
     assert j[1] == pytest.approx(0.0, abs=1e-14)  # a rigid motion stores no energy
 
@@ -73,11 +74,10 @@ def test_objective_reference_capture():
 def test_constraint_values():
     problem = _loaded_square()  # unit square, volume fraction 0.45
     n = problem.mesh.num_triangles
-    theta = np.ones(n)
-    g = problem.constraint_values(None, theta, theta)
+    g = problem.constraint_values(problem.solve_states(np.ones(n)))
     assert g == pytest.approx([0.55])
-    assert problem.constraint_values(None, np.full(n, 0.45), theta) == pytest.approx(
-        [0.0], abs=1e-12)
+    assert problem.constraint_values(
+        problem.solve_states(np.full(n, 0.45))) == pytest.approx([0.0], abs=1e-12)
 
     mesh = build_lshape_mesh(1.0, 0.5, 0.25)
     mesh = tag_boundary(mesh, (0.0, 1.0), (0.5, 1.0), "clamp")
@@ -85,11 +85,10 @@ def test_constraint_values():
     stressed = StressVolumeProblem(mesh, MAT, traction=(0.0, -0.3),
                                    stress_exponent=5.0, yield_stress=42.0,
                                    stress_limit=0.05)
-    tau = np.ones(mesh.num_triangles)
-    bundle = stressed.solve_states(tau)
+    bundle = stressed.solve_states(np.ones(mesh.num_triangles))
     agg = el.stress_aggregate(mesh, MAT, el.element_strains(mesh, bundle.states[0]),
-                              tau, 5.0, 42.0).value
-    g = stressed.constraint_values(bundle, tau, tau)
+                              bundle.tau, 5.0, 42.0).value
+    g = stressed.constraint_values(bundle)
     # one constraint per objective, both on the same aggregate
     assert g.tolist() == [agg / stressed.volume_ref - 0.05] * 2
     assert np.all(g < 0.0)
@@ -127,7 +126,8 @@ def test_perturbation_zero_states_pure_pressure():
     mesh = problem.mesh
     theta = np.ones(mesh.num_triangles)
     zero = el.element_strains(mesh, np.zeros(2 * mesh.num_nodes))
-    result = sens.perturbation_compliance(mesh, MAT, theta, [zero, zero],
+    result = sens.perturbation_compliance(mesh, MAT, el.ersatz_dtau(theta, MAT),
+                                          [zero, zero],
                                           [zero, zero], 4.0, 1.0, [0.5, 0.5])
     assert np.allclose(result.total_elem, 4.0, atol=1e-12)
     assert np.allclose(result.total, 4.0, atol=1e-12)
@@ -136,12 +136,10 @@ def test_perturbation_zero_states_pure_pressure():
 def test_perturbation_sum_identity():
     problem = _loaded_square()
     mesh = problem.mesh
-    tau = np.ones(mesh.num_triangles)
-    theta = np.ones(mesh.num_triangles)
-    bundle = problem.solve_states(tau)
-    j = problem.objectives(bundle, theta, tau)
-    adj = problem.solve_adjoints(bundle, [1.0], j, None, theta, tau)
-    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+    bundle = problem.solve_states(np.ones(mesh.num_triangles))
+    j = problem.objectives(bundle)
+    adj = problem.solve_adjoints(bundle, [1.0], j, None)
+    result = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
                                           _strains(mesh, adj), 0.8, 1.0, [1.0])
     assert np.allclose(result.total_elem, np.sum(result.f_alpha_elem, axis=0),
                        atol=1e-15)
@@ -155,11 +153,10 @@ def test_perturbation_sign_without_constraint():
     mesh = problem.mesh
     rng = np.random.default_rng(9)
     theta = rng.uniform(0.2, 1.0, mesh.num_triangles)
-    tau = el.ersatz_tau(theta, MAT)
-    bundle = problem.solve_states(tau)
-    j = problem.objectives(bundle, theta, tau)
-    adj = problem.solve_adjoints(bundle, [1.0], j, None, theta, tau)
-    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+    bundle = problem.solve_states(theta)
+    j = problem.objectives(bundle)
+    adj = problem.solve_adjoints(bundle, [1.0], j, None)
+    result = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
                                           _strains(mesh, adj), 0.0, 1.0, [1.0])
     assert np.all(result.total_elem <= 1e-15)
 
@@ -170,11 +167,9 @@ def test_perturbation_traction_scaling():
     for scale in (1.0, 2.0):
         problem = _loaded_square(traction=(0.0, -scale))
         mesh = problem.mesh
-        theta = np.ones(mesh.num_triangles)
-        tau = np.ones(mesh.num_triangles)
-        bundle = problem.solve_states(tau)
+        bundle = problem.solve_states(np.ones(mesh.num_triangles))
         adj = [(1.0 / 1.0) * u for u in bundle.states]  # unscaled adjoints
-        res = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+        res = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
                                            _strains(mesh, adj), 0.0, 1.0, [1.0],
                                            c_override=[1.0])
         results.append(res.total_elem)
@@ -186,12 +181,10 @@ def test_perturbation_mirror_symmetry():
     from molto.problems import make_girder
     problem = make_girder(nx=20, ny=10)
     mesh = problem.mesh
-    theta = np.ones(mesh.num_triangles)
-    tau = np.ones(mesh.num_triangles)
-    bundle = problem.solve_states(tau)
-    j = problem.objectives(bundle, theta, tau)
-    adj = problem.solve_adjoints(bundle, [0.5, 0.5], j, None, theta, tau)
-    result = sens.perturbation_compliance(mesh, MAT, theta, bundle.strains,
+    bundle = problem.solve_states(np.ones(mesh.num_triangles))
+    j = problem.objectives(bundle)
+    adj = problem.solve_adjoints(bundle, [0.5, 0.5], j, None)
+    result = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
                                           _strains(mesh, adj), 0.0,
                                           mesh.total_area, [0.5, 0.5])
     f1, f2 = result.f_alpha_elem
@@ -263,10 +256,12 @@ def test_stress_terms_follow_each_multiplier(multipliers):
 
     eps = el.element_strains(mesh, u)
     stress = el.stress_aggregate(mesh, MAT, eps, tau, p, f_y)
+    density = el.mutual_energy_density(MAT, eps, eps)
 
     def contributions(lams):
         return sens.perturbation_stress_volume(
-            mesh, MAT, theta, eps, _strains(mesh, adjoints), stress, lams, v0,
+            mesh, MAT, el.ersatz_dtau(theta, MAT), density, eps,
+            _strains(mesh, adjoints), stress, lams, v0,
             [0.4, 0.6], [1.0, 2.0], c_override=(1.0, 1.0)).f_alpha_elem
 
     ratio_p = (stress.vm / f_y) ** p
