@@ -8,13 +8,14 @@ nothing is overridden silently.
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import problems
-from .asd import ASDConfig
+from .asd import WEIGHT_DEDUP_TOL, ASDConfig
 from .elasticity import MaterialParams
 from .errors import ConfigError, InvalidArgument, TagMatchError
 from .optimizer import RunConfig
@@ -31,14 +32,14 @@ def _nonneg(v):
     return v >= 0
 
 
-def _defaults_of(instance, entries):
-    """key -> (type tag, validator) entries, defaulting to ``instance``'s fields."""
-    return {key: (tag, getattr(instance, key), validator)
+def _defaults_of(defaults, entries):
+    """key -> (type tag, validator) entries, defaulting to ``defaults[key]``."""
+    return {key: (tag, defaults[key], validator)
             for key, (tag, validator) in entries.items()}
 
 
 # key -> (type tag, default, validator or None)
-_RUN_KEYS = _defaults_of(RunConfig(), {
+_RUN_KEYS = _defaults_of(vars(RunConfig()), {
     "max_iterations": ("int", _positive),
     "window": ("int", lambda v: v >= 2),
     "tol_objective": ("float", _positive),
@@ -63,7 +64,7 @@ _MATERIAL_KEYS = {
     "ersatz_floor": ("float", 1e-3, _fraction),
 }
 
-_ASD_FIELDS = _defaults_of(ASDConfig(), {
+_ASD_FIELDS = _defaults_of(vars(ASDConfig()), {
     "edge_tolerance": ("float", _positive),
     "max_levels": ("int", _nonneg),
     "dedup_tolerance": ("float", _nonneg),
@@ -76,40 +77,38 @@ _ASD_KEYS = {
     "weights_init": ("weights", None, None),
 }
 
-_FEM_COMMON = {
-    **_RUN_KEYS, **_MATERIAL_KEYS, **_ASD_KEYS,
-    "traction": ("float", 1.0, _positive),
+_FEM_COMMON = {**_RUN_KEYS, **_MATERIAL_KEYS, **_ASD_KEYS}
+
+# factory keyword -> (type tag, validator); the defaults are the factory's
+_BEAM_ARGS = {
+    "traction": ("float", _positive),
+    "length": ("float", _positive),
+    "nx": ("int", _positive),
+    "ny": ("int", _positive),
+    "volume_fraction": ("float", _fraction),
 }
 
-_BEAM_KEYS = {
-    **_FEM_COMMON,
-    "length": ("float", 1.0, _positive),
-    "nx": ("int", 60, _positive),
-    "ny": ("int", 30, _positive),
-    "volume_fraction": ("float", 0.45, _fraction),
+_GRIPPER_ARGS = {
+    "traction": ("float", _positive),
+    "nx": ("int", _positive),
+    "ny": ("int", _positive),
+    "volume_fraction": ("float", _fraction),
+    "spring_in": ("float", _nonneg),
+    "spring_out": ("float", _nonneg),
+    "dir_in": ("vector", None),
+    "dir_out": ("vector", None),
 }
 
-_GRIPPER_KEYS = {
-    **_FEM_COMMON,
-    "nx": ("int", 40, _positive),
-    "ny": ("int", 20, _positive),
-    "volume_fraction": ("float", 0.30, _fraction),
-    "spring_in": ("float", 1e5, _nonneg),
-    "spring_out": ("float", 1e3, _nonneg),
-    "dir_in": ("vector", (1.0, 0.0), None),
-    "dir_out": ("vector", (0.0, -1.0), None),
-}
-
-_LBRACKET_KEYS = {
-    **_FEM_COMMON,
-    "nx": ("int", 40, _positive),
-    "outer": ("float", 1.0, _positive),
-    "cut": ("float", 0.6, _positive),
-    "stress_exponent": ("float", 5.0, lambda v: v >= 1.0),
-    "yield_stress": ("float", 42.0, _positive),
-    "stress_limit": ("float", 0.05, _positive),
-    "filter_eta": ("float", 1e-4, _nonneg),
-    "filter_gamma": ("float", 2.0, _positive),
+_LBRACKET_ARGS = {
+    "traction": ("float", _positive),
+    "nx": ("int", _positive),
+    "outer": ("float", _positive),
+    "cut": ("float", _positive),
+    "stress_exponent": ("float", lambda v: v >= 1.0),
+    "yield_stress": ("float", _positive),
+    "stress_limit": ("float", _positive),
+    "filter_eta": ("float", _nonneg),
+    "filter_gamma": ("float", _positive),
 }
 
 
@@ -118,9 +117,6 @@ class ProblemConfig:
     kind: str
     values: dict = field(default_factory=dict)
     applied_defaults: list = field(default_factory=list, compare=False)
-
-    def __getitem__(self, key):
-        return self.values[key]
 
     def run_config(self) -> RunConfig:
         return RunConfig(**{k: self.values[k] for k in _RUN_KEYS if k in self.values})
@@ -147,31 +143,6 @@ class ProblemConfig:
             raise ConfigError(f"{self.kind}: {exc}") from exc
 
 
-def _beam(make):
-    def build(c: ProblemConfig):
-        return make(nx=c["nx"], ny=c["ny"], traction=c["traction"],
-                    length=c["length"], volume_fraction=c["volume_fraction"],
-                    mat=c.material())
-    return build
-
-
-def _gripper(c: ProblemConfig):
-    return problems.make_gripper(
-        nx=c["nx"], ny=c["ny"], traction_mag=c["traction"],
-        spring_in=c["spring_in"], spring_out=c["spring_out"],
-        dir_in=c["dir_in"], dir_out=c["dir_out"],
-        volume_fraction=c["volume_fraction"], mat=c.material())
-
-
-def _lbracket(c: ProblemConfig):
-    return problems.make_lbracket(
-        nx=c["nx"], outer=c["outer"], cut=c["cut"],
-        traction_mag=c["traction"], stress_exponent=c["stress_exponent"],
-        yield_stress=c["yield_stress"], stress_limit=c["stress_limit"],
-        filter_eta=c["filter_eta"], filter_gamma=c["filter_gamma"],
-        mat=c.material())
-
-
 def _surrogate(c: ProblemConfig):
     return problems.SurrogateProblem(len(c.initial_weights()[0]))
 
@@ -185,11 +156,22 @@ class Kind:
     build: Callable[[ProblemConfig], object]
 
 
+def _fem_kind(make, args, m) -> Kind:
+    """The kind built by ``make``: its keys are the common ones plus the
+    factory keywords ``args``, each defaulting to the factory's default."""
+    defaults = {k: p.default for k, p in inspect.signature(make).parameters.items()}
+
+    def build(c: ProblemConfig):
+        return make(**{key: c.values[key] for key in args}, mat=c.material())
+
+    return Kind({**_FEM_COMMON, **_defaults_of(defaults, args)}, m, build)
+
+
 KINDS = {
-    "girder": Kind(_BEAM_KEYS, 2, _beam(problems.make_girder)),
-    "gripper": Kind(_GRIPPER_KEYS, 2, _gripper),
-    "lbracket": Kind(_LBRACKET_KEYS, 2, _lbracket),
-    "clamped_tri": Kind(_BEAM_KEYS, 3, _beam(problems.make_clamped_tri)),
+    "girder": _fem_kind(problems.make_girder, _BEAM_ARGS, 2),
+    "gripper": _fem_kind(problems.make_gripper, _GRIPPER_ARGS, 2),
+    "lbracket": _fem_kind(problems.make_lbracket, _LBRACKET_ARGS, 2),
+    "clamped_tri": _fem_kind(problems.make_clamped_tri, _BEAM_ARGS, 3),
     "surrogate": Kind(_ASD_KEYS, None, _surrogate),
 }
 
@@ -238,6 +220,14 @@ def _validate(config: ProblemConfig):
     if expected is not None and m != expected:
         raise ConfigError(f"{config.kind} requires {expected} "
                           f"objectives, weights_init has {m}")
+    # the refinement loop's own rules, checked before any candidate runs
+    if len(weights) < m:
+        raise ConfigError(f"weights_init has {len(weights)} vectors, "
+                          f"{m} objectives need at least {m}")
+    for i, w in enumerate(weights):
+        if any(max(abs(a - b) for a, b in zip(w, other)) <= WEIGHT_DEDUP_TOL
+               for other in weights[:i]):
+            raise ConfigError(f"weights_init repeats the vector {w}")
     if config.kind == "lbracket" and not v["cut"] < v["outer"]:
         raise ConfigError("cut must be smaller than outer")
     if "window" in v and v["max_iterations"] < v["window"]:

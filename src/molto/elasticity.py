@@ -1,6 +1,6 @@
 """Plane-strain linear elasticity on the fictitious-material design domain.
 
-State and adjoint problems share one assembled operator per load case; void
+State and adjoint problems share one assembled operator per support set; void
 regions keep a small relative stiffness so the solve stays well posed over
 the whole domain.
 """
@@ -71,13 +71,7 @@ def plane_strain_matrix(mat: MaterialParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# boundary condition / load descriptors
-
-@dataclass(frozen=True)
-class Traction:
-    tag: str
-    vector: tuple  # (tx, ty), N/mm
-
+# boundary condition descriptors
 
 @dataclass(frozen=True)
 class Spring:
@@ -110,30 +104,18 @@ class PointConstraint:
     component: int  # 0 = x, 1 = y
 
 
-@dataclass(frozen=True)
-class LoadSpec:
-    tractions: tuple = ()
-    springs: tuple = ()
-
-
 @dataclass
 class SparseSystem:
     """Assembled symmetric system with homogeneous Dirichlet data.
 
     ``reduced`` is ``matrix`` restricted to the free DOFs, the operator that
-    gets factorized; ``rhs`` is the pattern's load vector, shared between
-    assemblies and not to be written to.
+    gets factorized.
     """
 
     matrix: sp.csc_matrix
-    rhs: np.ndarray
     fixed_dofs: np.ndarray
     free_dofs: np.ndarray
     reduced: sp.csc_matrix
-
-    @property
-    def num_dofs(self) -> int:
-        return self.rhs.shape[0]
 
 
 def boundary_vector(mesh: Mesh, tag: str, vector) -> np.ndarray:
@@ -242,21 +224,21 @@ def _element_dofs(mesh: Mesh) -> np.ndarray:
 class StiffnessPattern:
     """The design-independent part of the constrained stiffness operator.
 
-    Built once per (mesh, material, loads, supports): the solid element
+    Built once per (mesh, material, springs, supports): the solid element
     blocks, the CSC sparsity pattern with the map scattering element entries
-    into it, the summed spring entries, the fixed and free DOFs, the
-    selection of the free-DOF (reduced) submatrix and the traction load.
-    ``assemble`` then only scales the blocks by the element stiffness.
+    into it, the summed spring entries, the fixed and free DOFs and the
+    selection of the free-DOF (reduced) submatrix. ``assemble`` then only
+    scales the blocks by the element stiffness.
     """
 
-    def __init__(self, mesh: Mesh, mat: MaterialParams, loads: LoadSpec, bcs):
+    def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
         n = 2 * mesh.num_nodes
         self.fixed_dofs = _fixed_dofs(mesh, bcs)
-        if self.fixed_dofs.size == 0 and not loads.springs:
+        if self.fixed_dofs.size == 0 and not springs:
             raise SingularSystemError("no Dirichlet, roller, or spring constraint present")
         self.blocks = element_stiffness_blocks(mesh, mat).reshape(mesh.num_triangles, 36)
         dofs = _element_dofs(mesh)
-        springs = spring_matrix(mesh, loads.springs).tocoo()
+        springs = spring_matrix(mesh, springs).tocoo()
         rows = np.concatenate([np.repeat(dofs, 6, axis=1).ravel(), springs.row])
         cols = np.concatenate([np.tile(dofs, (1, 6)).ravel(), springs.col])
         # column-major keys sort into CSC order with sorted row indices
@@ -282,10 +264,6 @@ class StiffnessPattern:
         self._reduced_indptr = _column_pointers(renumber[key_cols[keep]],
                                                 self.free_dofs.size)
 
-        self.load = np.zeros(n)
-        for tr in loads.tractions:
-            self.load += boundary_vector(mesh, tr.tag, tr.vector)
-
     def assemble(self, tau_e: np.ndarray) -> SparseSystem:
         weighted = self.blocks * np.asarray(tau_e, dtype=float)[:, None]
         data = np.bincount(self._scatter, weights=weighted.ravel(),
@@ -295,7 +273,7 @@ class StiffnessPattern:
         matrix = sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
         reduced = sp.csc_matrix((data[self._reduced_select], self._reduced_indices,
                                  self._reduced_indptr), shape=self._reduced_shape)
-        return SparseSystem(matrix=matrix, rhs=self.load, fixed_dofs=self.fixed_dofs,
+        return SparseSystem(matrix=matrix, fixed_dofs=self.fixed_dofs,
                             free_dofs=self.free_dofs, reduced=reduced)
 
 
@@ -307,15 +285,15 @@ def _column_pointers(cols: np.ndarray, n: int) -> np.ndarray:
 
 
 def assemble_state(mesh: Mesh, tau_e: np.ndarray, mat: MaterialParams,
-                   loads: LoadSpec, bcs,
+                   springs, bcs,
                    pattern: StiffnessPattern | None = None) -> SparseSystem:
-    """Assemble tau-scaled stiffness, boundary springs, and traction loads.
+    """Assemble the tau-scaled stiffness plus the boundary springs.
 
-    ``pattern`` must have been built from the same mesh, material, loads and
-    supports; without one, a pattern is built for this call.
+    ``pattern`` must have been built from the same mesh, material, springs
+    and supports; without one, a pattern is built for this call.
     """
     if pattern is None:
-        pattern = StiffnessPattern(mesh, mat, loads, bcs)
+        pattern = StiffnessPattern(mesh, mat, springs, bcs)
     return pattern.assemble(tau_e)
 
 
@@ -333,11 +311,9 @@ class FactorizedSystem:
         self.free = system.free_dofs
         self._lu = spla.splu(system.reduced, permc_spec=_ORDERING)
 
-    def solve(self, rhs: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
         sysm = self.system
-        if rhs is None:
-            rhs = sysm.rhs
-        u = np.zeros(sysm.num_dofs)
+        u = np.zeros(rhs.shape[0])
         u[self.free] = self._lu.solve(rhs[self.free])
         if not np.all(np.isfinite(u)):
             raise SolverFailure("factorized solve produced non-finite values")
@@ -355,16 +331,11 @@ class FactorizedSystem:
         sysm = self.system
         x, info = spla.cg(sysm.reduced, rhs[self.free], x0=u0[self.free],
                           rtol=1e-12, maxiter=5000)
-        u = np.zeros(sysm.num_dofs)
+        u = np.zeros(rhs.shape[0])
         u[self.free] = x
         residual = sysm.matrix @ u - rhs
         residual[sysm.fixed_dofs] = 0.0
         return u, np.linalg.norm(residual) / scale
-
-
-def solve(system: SparseSystem) -> np.ndarray:
-    """Direct solve with residual check (relative residual <= 1e-9)."""
-    return FactorizedSystem(system).solve()
 
 
 # ---------------------------------------------------------------------------

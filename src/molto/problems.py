@@ -1,7 +1,8 @@
 """Benchmark problem definitions.
 
-Each FEM problem owns its mesh, boundary tagging, load data, and the wiring
-between elasticity solves, adjoint solves, and the perturbation builders.
+Each FEM problem owns its mesh, boundary tagging, load cases (a traction
+and its supports each) and boundary springs, and the wiring between
+elasticity solves, adjoint solves, and the perturbation builders.
 All of them expose the same small interface consumed by the optimizer,
 with objectives, constraint values and multipliers as plain arrays:
 
@@ -58,17 +59,26 @@ class StateBundle:
 
 @dataclass
 class LoadCase:
+    """A constant traction on a tagged boundary, held by its supports."""
+
     traction_tag: str
     traction: tuple
     supports: tuple
 
 
 class FEMProblem:
-    """Shared plumbing for the concrete benchmark problems."""
+    """Shared plumbing for the concrete benchmark problems: a mesh, load
+    cases and the boundary springs every case shares."""
 
-    def __init__(self, mesh: Mesh, mat: el.MaterialParams):
+    def __init__(self, mesh: Mesh, mat: el.MaterialParams, cases, springs=()):
+        if not cases:
+            raise InvalidArgument("at least one load case required")
         self.mesh = mesh
         self.mat = mat
+        self.cases = list(cases)
+        self.springs = tuple(springs)
+        self.traction_vectors = [el.boundary_vector(mesh, c.traction_tag, c.traction)
+                                 for c in self.cases]
         self.design_mask = None  # bool per element; None = everything designable
         self.phi_fixed = None  # (nodes, values) the level set is held at
         self._operators = {}
@@ -85,13 +95,24 @@ class FEMProblem:
                 op = self._operators[key] = build()
         return op
 
-    def _assemble(self, tau_eff, loads, supports) -> el.SparseSystem:
-        """Assemble through the stiffness pattern of (loads, supports)."""
-        pattern = self._operator(
-            ("stiffness", loads, supports),
-            lambda: el.StiffnessPattern(self.mesh, self.mat, loads, supports))
-        return el.assemble_state(self.mesh, tau_eff, self.mat, loads, supports,
-                                 pattern=pattern)
+    def _solve_cases(self, tau):
+        """The state and factorization of every load case; cases with equal
+        supports share one assembly and one factorization."""
+        facts_by_supports, facts, states = {}, [], []
+        for case, load in zip(self.cases, self.traction_vectors):
+            supports = case.supports
+            fact = facts_by_supports.get(supports)
+            if fact is None:
+                pattern = self._operator(
+                    ("stiffness", supports),
+                    lambda: el.StiffnessPattern(self.mesh, self.mat, self.springs,
+                                                supports))
+                fact = facts_by_supports[supports] = el.FactorizedSystem(
+                    el.assemble_state(self.mesh, tau, self.mat, self.springs,
+                                      supports, pattern=pattern))
+            states.append(fact.solve(load))
+            facts.append(fact)
+        return states, facts
 
     def wave_factors(self, wave_speed, damping, ds) -> levelset.WaveFactors:
         """The level set step operator, with the level set held at the
@@ -122,9 +143,13 @@ class FEMProblem:
     def initial_phi(self) -> np.ndarray:
         return np.ones(self.mesh.num_nodes)
 
-    def _set_phi_dirichlet(self, pairs):
-        """pairs: list of (node array, value); on nodes listed more than once
-        the first value wins (traction anchors beat void walls)."""
+    def _set_phi_dirichlet(self, extra):
+        """Hold the level set at +1 on every case's traction nodes, then at
+        the values of ``extra``, a list of (node array, value); on nodes
+        listed more than once the first value wins (traction anchors beat
+        void walls)."""
+        pairs = [(self.mesh.nodes_with_tag(c.traction_tag), 1.0)
+                 for c in self.cases] + extra
         nodes = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in pairs])
         values = np.concatenate([np.full(len(idx), float(val)) for idx, val in pairs])
         nodes, keep = np.unique(nodes, return_index=True)
@@ -138,16 +163,10 @@ class ComplianceProblem(FEMProblem):
     """Any number of mean-compliance load cases with a shared volume budget."""
 
     def __init__(self, mesh, mat, cases, volume_fraction):
-        super().__init__(mesh, mat)
-        if not cases:
-            raise InvalidArgument("at least one load case required")
-        self.cases = list(cases)
+        super().__init__(mesh, mat, cases)
         self.volume_fraction = float(volume_fraction)
         self.volume_ref = mesh.total_area
-        self.traction_vectors = [el.boundary_vector(mesh, c.traction_tag, c.traction)
-                                 for c in self.cases]
-        self._set_phi_dirichlet(
-            [(mesh.nodes_with_tag(c.traction_tag), 1.0) for c in self.cases])
+        self._set_phi_dirichlet([])
 
     @property
     def num_objectives(self) -> int:
@@ -155,15 +174,7 @@ class ComplianceProblem(FEMProblem):
 
     def solve_states(self, theta_e) -> StateBundle:
         tau, dtau = self._material(theta_e)
-        facts_by_sig, facts, states = {}, [], []
-        for case, tvec in zip(self.cases, self.traction_vectors):
-            sig = case.supports
-            if sig not in facts_by_sig:
-                sysm = self._assemble(tau, el.LoadSpec(), sig)
-                facts_by_sig[sig] = el.FactorizedSystem(sysm)
-            fact = facts_by_sig[sig]
-            states.append(fact.solve(tvec))
-            facts.append(fact)
+        states, facts = self._solve_cases(tau)
         return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
                            strains=[el.element_strains(self.mesh, u) for u in states])
 
@@ -249,16 +260,14 @@ class MechanismProblem(FEMProblem):
 
     def __init__(self, mesh, mat, *, traction, spring_in, spring_out,
                  dir_in, dir_out, volume_fraction, solid_box):
-        super().__init__(mesh, mat)
+        supports = (el.FixedBoundary("clamp", "both"),
+                    el.FixedBoundary("symmetry", "y"))
+        super().__init__(mesh, mat, [LoadCase("input", traction, supports)],
+                         springs=(el.Spring("input", spring_in, dir_in),
+                                  el.Spring("output", spring_out, dir_out)))
         self.volume_fraction = float(volume_fraction)
-        self.loads = el.LoadSpec(
-            tractions=(el.Traction("input", traction),),
-            springs=(el.Spring("input", spring_in, dir_in),
-                     el.Spring("output", spring_out, dir_out)))
-        self.supports = (el.FixedBoundary("clamp", "both"),
-                         el.FixedBoundary("symmetry", "y"))
         self.output_vector = el.boundary_vector(mesh, "output", dir_out)
-        self._spring_matrix = el.spring_matrix(mesh, self.loads.springs)
+        self._spring_matrix = el.spring_matrix(mesh, self.springs)
 
         (x0, y0), (x1, y1) = solid_box
         cent = mesh.nodes[mesh.triangles].mean(axis=1)
@@ -267,16 +276,11 @@ class MechanismProblem(FEMProblem):
         self.design_mask = ~solid
         self.volume_ref = float(mesh.element_areas[self.design_mask].sum())
         solid_nodes = np.unique(mesh.triangles[solid])
-        self._set_phi_dirichlet([
-            (mesh.nodes_with_tag("input"), 1.0),
-            (solid_nodes, 1.0),
-        ])
+        self._set_phi_dirichlet([(solid_nodes, 1.0)])
 
     def solve_states(self, theta_e) -> StateBundle:
         tau, dtau = self._material(theta_e)
-        sysm = self._assemble(tau, self.loads, self.supports)
-        fact = el.FactorizedSystem(sysm)
-        u = fact.solve()
+        (u,), (fact,) = self._solve_cases(tau)
         eps = el.element_strains(self.mesh, u)
         # both objectives read the same physical state
         return StateBundle(theta_e, tau, dtau, states=[u, u], facts=[fact, fact],
@@ -308,7 +312,7 @@ class MechanismProblem(FEMProblem):
             mask=self.design_mask, c_override=c_override)
 
 
-def make_gripper(nx=40, ny=20, traction_mag=1.0, spring_in=1e5, spring_out=1e3,
+def make_gripper(nx=40, ny=20, traction=1.0, spring_in=1e5, spring_out=1e3,
                  dir_in=(1.0, 0.0), dir_out=(0.0, -1.0), volume_fraction=0.30,
                  mat: el.MaterialParams | None = None) -> MechanismProblem:
     """Half-model gripper: input push on the lower left edge, clamped upper
@@ -321,11 +325,10 @@ def make_gripper(nx=40, ny=20, traction_mag=1.0, spring_in=1e5, spring_out=1e3,
     mesh = tag_boundary(mesh, (0.0, 0.9 * h), (0.0, h), "clamp")
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.7 * w, 0.0), "symmetry")
     mesh = tag_boundary(mesh, (0.95 * w, 0.0), (w, 0.0), "output")
-    traction = (traction_mag * dir_in[0], traction_mag * dir_in[1])
     return MechanismProblem(
-        mesh, mat, traction=traction, spring_in=spring_in, spring_out=spring_out,
-        dir_in=dir_in, dir_out=dir_out, volume_fraction=volume_fraction,
-        solid_box=((0.95 * w, 0.0), (w, 0.1 * h)))
+        mesh, mat, traction=(traction * dir_in[0], traction * dir_in[1]),
+        spring_in=spring_in, spring_out=spring_out, dir_in=dir_in, dir_out=dir_out,
+        volume_fraction=volume_fraction, solid_box=((0.95 * w, 0.0), (w, 0.1 * h)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +341,22 @@ class StressVolumeProblem(FEMProblem):
 
     def __init__(self, mesh, mat, *, traction, stress_exponent, yield_stress,
                  stress_limit, filter_eta=1e-4, filter_gamma=2.0):
-        super().__init__(mesh, mat)
+        clamp = (el.FixedBoundary("clamp", "both"),)
+        super().__init__(mesh, mat, [LoadCase("traction", traction, clamp)])
         self.stress_exponent = float(stress_exponent)
         self.yield_stress = float(yield_stress)
         self.stress_limit = float(stress_limit)
         self.filter_eta = float(filter_eta)
         self.filter_gamma = float(filter_gamma)
         self.volume_ref = mesh.total_area
-        self.loads = el.LoadSpec(tractions=(el.Traction("traction", traction),))
-        self.supports = (el.FixedBoundary("clamp", "both"),)
         self._set_phi_dirichlet([
-            (mesh.nodes_with_tag("traction"), 1.0),
             (mesh.nodes_with_tag("void_a"), -1.0),
             (mesh.nodes_with_tag("void_b"), -1.0),
         ])
 
     def solve_states(self, theta_e) -> StateBundle:
         tau, dtau = self._material(theta_e)
-        sysm = self._assemble(tau, self.loads, self.supports)
-        fact = el.FactorizedSystem(sysm)
-        u = fact.solve()
+        (u,), (fact,) = self._solve_cases(tau)
         eps = el.element_strains(self.mesh, u)
         stress = el.stress_aggregate(self.mesh, self.mat, eps, tau,
                                      self.stress_exponent, self.yield_stress)
@@ -409,7 +408,7 @@ class StressVolumeProblem(FEMProblem):
                                      operator)
 
 
-def make_lbracket(nx=40, outer=1.0, cut=0.6, traction_mag=1.0,
+def make_lbracket(nx=40, outer=1.0, cut=0.6, traction=1.0,
                   stress_exponent=5.0, yield_stress=42.0, stress_limit=0.05,
                   filter_eta=1e-4, filter_gamma=2.0,
                   mat: el.MaterialParams | None = None) -> StressVolumeProblem:
@@ -422,7 +421,7 @@ def make_lbracket(nx=40, outer=1.0, cut=0.6, traction_mag=1.0,
     mesh = tag_boundary(mesh, (0.0, outer), (leg, outer), "clamp")
     mesh = tag_boundary(mesh, (outer, max(0.0, leg - 0.125 * outer)), (outer, leg),
                         "traction")
-    return StressVolumeProblem(mesh, mat, traction=(0.0, -traction_mag),
+    return StressVolumeProblem(mesh, mat, traction=(0.0, -traction),
                                stress_exponent=stress_exponent,
                                yield_stress=yield_stress,
                                stress_limit=stress_limit,
@@ -435,14 +434,13 @@ def make_lbracket(nx=40, outer=1.0, cut=0.6, traction_mag=1.0,
 class SurrogateProblem:
     """Analytic mapping from reference weights to objective values."""
 
-    def __init__(self, num_objectives: int, mapping=None):
+    def __init__(self, num_objectives: int):
         self.num_objectives = int(num_objectives)
-        self.mapping = mapping or convex_quadratic_map
 
     def evaluate(self, w_star) -> np.ndarray:
-        j = np.asarray(self.mapping(np.asarray(w_star, dtype=float)), dtype=float)
+        j = convex_quadratic_map(np.asarray(w_star, dtype=float))
         if j.shape != (self.num_objectives,):
-            raise InvalidArgument("surrogate mapping returned wrong dimension")
+            raise InvalidArgument("reference weight has the wrong dimension")
         return j
 
 

@@ -98,17 +98,17 @@ def test_c4_fem_verification():
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
     mesh = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "right")
-    loads = el.LoadSpec(tractions=(el.Traction("right", (1.0, 0.0)),))
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, loads,
+    load = el.boundary_vector(mesh, "right", (1.0, 0.0))
+    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, (),
                                [el.FixedBoundary("left", "x"),
                                 el.FixedBoundary("bottom", "y")])
-    u = el.solve(system)
+    u = el.FactorizedSystem(system).solve(load)
     eps = np.linalg.solve(el.plane_strain_matrix(mat), [1.0, 0.0, 0.0])
     exact = np.column_stack([eps[0] * mesh.nodes[:, 0],
                              eps[1] * mesh.nodes[:, 1]]).ravel()
     assert np.abs(u - exact).max() <= 1e-10
 
-    compliance = float(system.rhs @ u)
+    compliance = float(load @ u)
     eps_u = el.element_strains(mesh, u)
     energy = sens.strain_energy(mesh, el.mutual_energy_density(mat, eps_u, eps_u),
                                 np.ones(mesh.num_triangles))
@@ -120,11 +120,10 @@ def test_c4_fem_verification():
     beam = tag_boundary(beam, (0.0, 0.0), (0.0, height), "root")
     beam = tag_boundary(beam, (length, 0.0), (length, height), "tip")
     p = 1e-3
-    beam_sys = el.assemble_state(
-        beam, np.ones(beam.num_triangles), beam_mat,
-        el.LoadSpec(tractions=(el.Traction("tip", (0.0, -p / height)),)),
-        [el.FixedBoundary("root", "both")])
-    u_beam = el.solve(beam_sys)
+    beam_sys = el.assemble_state(beam, np.ones(beam.num_triangles), beam_mat, (),
+                                 [el.FixedBoundary("root", "both")])
+    u_beam = el.FactorizedSystem(beam_sys).solve(
+        el.boundary_vector(beam, "tip", (0.0, -p / height)))
     tip = beam.nodes_with_tag("tip")
     deflection = -np.mean(u_beam[2 * tip + 1])
     euler = p * length ** 3 / (3.0 * beam_mat.young * (height ** 3 / 12.0))

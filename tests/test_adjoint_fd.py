@@ -156,7 +156,7 @@ def test_stress_adjoint_zero_stress_guard():
 def test_stress_adjoint_load_at_large_exponent():
     # at p = 300 every (vm/f_y)^p underflows; the peak-factored derivative
     # must still match the aggregate's finite difference along a direction d
-    problem = make_lbracket(nx=20, traction_mag=0.1, stress_exponent=300.0)
+    problem = make_lbracket(nx=20, traction=0.1, stress_exponent=300.0)
     mesh, mat = problem.mesh, problem.mat
     theta = np.random.default_rng(0).uniform(0.4, 0.95, mesh.num_triangles)
     bundle = problem.solve_states(theta)

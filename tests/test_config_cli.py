@@ -131,7 +131,7 @@ def test_weights_must_lie_in_simplex():
 
 
 def test_defaults_are_warned():
-    text = "problem = surrogate\nweights_init = 0.5 0.5\n"
+    text = "problem = surrogate\nweights_init = 0.9 0.1 ; 0.1 0.9\n"
     with pytest.warns(UserWarning, match="edge_tolerance"):
         parse_config(text)
 
@@ -217,12 +217,18 @@ def test_cli_rejects_window_above_max_iterations(tmp_path, capsys):
     ("gripper", "dir_in = 1 0", "dir_in = 1.0 1.0", "must be a unit vector"),
     ("girder_desk", "weight_clamp = 0.001", "weight_clamp = 0.6",
      "out of range for 'weight_clamp'"),
-], ids=["lbracket_nx", "gripper_dir_in", "weight_clamp"])
+    ("surrogate3", "; 0.15 0.15 0.70", "",
+     "weights_init has 2 vectors, 3 objectives need at least 3"),
+    ("surrogate3", "0.15 0.70 0.15 ;", "0.70 0.15 0.15 ;",
+     "weights_init repeats the vector (0.7, 0.15, 0.15)"),
+], ids=["lbracket_nx", "gripper_dir_in", "weight_clamp", "weights_too_few",
+        "weights_repeated"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_configs_the_problem_rejects(tmp_path, capsys, name, old, new,
                                                 message, command):
-    # each value passes the schema's type check; the problem (or the weight
-    # clamp's real range) rejects it before any candidate runs
+    # each value passes the schema's type check; the problem, the weight
+    # clamp's real range or the refinement loop's rules for the initial
+    # weights reject it before any candidate runs
     text = bundled_text(name)
     assert old in text
     cfg = tmp_path / "bad.cfg"

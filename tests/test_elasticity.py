@@ -94,7 +94,7 @@ def test_stiffness_matches_independent_quadrature():
         oracle = _independent_element_stiffness(mesh.nodes[mesh.triangles[t]], dmat)
         assert np.allclose(blocks[t], oracle, atol=1e-7)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
-    system = el.assemble_state(mesh, np.ones(2), mat, el.LoadSpec(),
+    system = el.assemble_state(mesh, np.ones(2), mat, (),
                                [el.FixedBoundary("left", "both")])
     dense = system.matrix.toarray()
     assert np.allclose(dense, dense.T, atol=1e-14)
@@ -104,7 +104,7 @@ def test_rigid_body_nullspace():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
     system = el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT,
-                               el.LoadSpec(), [el.FixedBoundary("left", "both")])
+                               (), [el.FixedBoundary("left", "both")])
     for mode in ((1.0, 0.0), (0.0, 1.0)):
         r = np.tile(mode, mesh.num_nodes)
         norm = np.abs(system.matrix @ r).max()
@@ -115,14 +115,14 @@ def test_stiffness_linear_in_tau():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
     bcs = [el.FixedBoundary("left", "both")]
-    solid = el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, el.LoadSpec(), bcs)
+    solid = el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, (), bcs)
     scaled = el.assemble_state(mesh, np.full(mesh.num_triangles, MAT.floor), MAT,
-                               el.LoadSpec(), bcs)
+                               (), bcs)
     assert np.allclose(scaled.matrix.toarray(), MAT.floor * solid.matrix.toarray(),
                        atol=1e-15)
 
 
-def _coo_reference(mesh, tau, mat, loads):
+def _coo_reference(mesh, tau, mat, springs):
     """From-scratch assembly: tau-scaled element blocks summed through COO,
     plus the spring matrix."""
     blocks = el.element_stiffness_blocks(mesh, mat) * tau[:, None, None]
@@ -133,7 +133,7 @@ def _coo_reference(mesh, tau, mat, loads):
     cols = np.tile(dofs, (1, 6)).ravel()
     n = 2 * mesh.num_nodes
     k = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return k + el.spring_matrix(mesh, loads.springs)
+    return k + el.spring_matrix(mesh, springs)
 
 
 def test_cached_assembly_matches_coo_reference():
@@ -142,27 +142,25 @@ def test_cached_assembly_matches_coo_reference():
     mesh = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "right")
     mesh = tag_boundary(mesh, (0.4, 0.5), (0.6, 0.5), "top")
-    loads = el.LoadSpec(tractions=(el.Traction("top", (0.2, -1.0)),),
-                        springs=(el.Spring("right", 30.0, (0.6, 0.8)),))
+    springs = (el.Spring("right", 30.0, (0.6, 0.8)),)
     corner = mesh.nearest_node(1.0, 0.5)
     bcs = (el.FixedBoundary("left", "normal"), el.FixedBoundary("bottom", "normal"),
            el.PointConstraint(corner, 1))
-    pattern = el.StiffnessPattern(mesh, MAT, loads, bcs)
+    pattern = el.StiffnessPattern(mesh, MAT, springs, bcs)
     rng = np.random.default_rng(21)
     tau_a = rng.uniform(MAT.floor, 1.0, mesh.num_triangles)
     tau_b = rng.uniform(MAT.floor, 1.0, mesh.num_triangles)
-    a = el.assemble_state(mesh, tau_a, MAT, loads, bcs, pattern=pattern)
-    b = el.assemble_state(mesh, tau_b, MAT, loads, bcs, pattern=pattern)
+    a = el.assemble_state(mesh, tau_a, MAT, springs, bcs, pattern=pattern)
+    b = el.assemble_state(mesh, tau_b, MAT, springs, bcs, pattern=pattern)
 
     expected_fixed = (set(2 * mesh.nodes_with_tag("left"))
                       | set(2 * mesh.nodes_with_tag("bottom") + 1) | {2 * corner + 1})
     assert set(a.fixed_dofs.tolist()) == expected_fixed
-    free = np.setdiff1d(np.arange(a.num_dofs), a.fixed_dofs)
+    free = np.setdiff1d(np.arange(2 * mesh.num_nodes), a.fixed_dofs)
     assert np.array_equal(a.free_dofs, free)
-    assert np.array_equal(a.rhs, el.boundary_vector(mesh, "top", (0.2, -1.0)))
 
     for system, tau in ((a, tau_a), (b, tau_b)):
-        ref = _coo_reference(mesh, tau, MAT, loads)
+        ref = _coo_reference(mesh, tau, MAT, springs)
         assert spla.norm(system.matrix - ref) <= 1e-14 * spla.norm(ref)
         assert (system.reduced != system.matrix[free][:, free]).nnz == 0
     # each assembly owns its values: building b left a untouched
@@ -174,7 +172,7 @@ def test_cached_assembly_matches_coo_reference():
 def test_no_constraints_raises():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     with pytest.raises(SingularSystemError):
-        el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, el.LoadSpec(), [])
+        el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, (), [])
 
 
 def _patch_problem(nx=4, ny=4, mat=MAT):
@@ -182,15 +180,15 @@ def _patch_problem(nx=4, ny=4, mat=MAT):
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
     mesh = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "right")
-    loads = el.LoadSpec(tractions=(el.Traction("right", (1.0, 0.0)),))
+    load = el.boundary_vector(mesh, "right", (1.0, 0.0))
     bcs = [el.FixedBoundary("left", "x"), el.FixedBoundary("bottom", "y")]
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, loads, bcs)
-    return mesh, system
+    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, (), bcs)
+    return mesh, system, load
 
 
 def test_patch_test_uniform_strain():
-    mesh, system = _patch_problem()
-    u = el.solve(system)
+    mesh, system, load = _patch_problem()
+    u = el.FactorizedSystem(system).solve(load)
     strains = el.element_strains(mesh, u)
     # uniform strain state, exact for linear elements
     assert np.abs(strains - strains[0]).max() < 1e-10
@@ -205,9 +203,9 @@ def test_patch_test_uniform_strain():
 
 
 def test_zero_load_zero_displacement():
-    mesh, system = _patch_problem()
-    system.rhs[:] = 0.0
-    assert np.abs(el.solve(system)).max() == 0.0
+    mesh, system, load = _patch_problem()
+    load[:] = 0.0
+    assert np.abs(el.FactorizedSystem(system).solve(load)).max() == 0.0
 
 
 def test_cantilever_beam_oracle():
@@ -218,10 +216,10 @@ def test_cantilever_beam_oracle():
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, height), "root")
     mesh = tag_boundary(mesh, (length, 0.0), (length, height), "tip")
     p = 1e-3
-    loads = el.LoadSpec(tractions=(el.Traction("tip", (0.0, -p / height)),))
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, loads,
+    load = el.boundary_vector(mesh, "tip", (0.0, -p / height))
+    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, (),
                                [el.FixedBoundary("root", "both")])
-    u = el.solve(system)
+    u = el.FactorizedSystem(system).solve(load)
     tip_nodes = mesh.nodes_with_tag("tip")
     deflection = -np.mean(u[2 * tip_nodes + 1])
     inertia = height ** 3 / 12.0
@@ -230,9 +228,9 @@ def test_cantilever_beam_oracle():
 
 
 def test_work_energy_identity():
-    mesh, system = _patch_problem(6, 6)
-    u = el.solve(system)
-    compliance = float(system.rhs @ u)
+    mesh, system, load = _patch_problem(6, 6)
+    u = el.FactorizedSystem(system).solve(load)
+    compliance = float(load @ u)
     eps = el.element_strains(mesh, u)
     density = el.mutual_energy_density(MAT, eps, eps)
     energy = float(np.sum(density * mesh.element_areas))
@@ -244,13 +242,13 @@ def test_compliance_monotone_in_tau():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4, crossed=True)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "right")
-    loads = el.LoadSpec(tractions=(el.Traction("right", (0.3, -1.0)),))
+    load = el.boundary_vector(mesh, "right", (0.3, -1.0))
     bcs = [el.FixedBoundary("left", "both")]
     tau = rng.uniform(0.2, 0.9, mesh.num_triangles)
 
     def compliance(t):
-        system = el.assemble_state(mesh, t, MAT, loads, bcs)
-        return float(system.rhs @ el.solve(system))
+        system = el.assemble_state(mesh, t, MAT, (), bcs)
+        return float(load @ el.FactorizedSystem(system).solve(load))
 
     base = compliance(tau)
     for e in rng.choice(mesh.num_triangles, size=8, replace=False):
@@ -265,18 +263,17 @@ def test_gripper_adjoint_reciprocity():
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "input")
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "output")
     mesh = tag_boundary(mesh, (0.0, 1.0), (1.0, 1.0), "clamp")
-    loads = el.LoadSpec(
-        tractions=(el.Traction("input", (1.0, 0.0)),),
-        springs=(el.Spring("input", 10.0, (1.0, 0.0)),
-                 el.Spring("output", 1.0, (0.0, -1.0))))
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, loads,
+    load = el.boundary_vector(mesh, "input", (1.0, 0.0))
+    springs = (el.Spring("input", 10.0, (1.0, 0.0)),
+               el.Spring("output", 1.0, (0.0, -1.0)))
+    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, springs,
                                [el.FixedBoundary("clamp", "both")])
     fact = el.FactorizedSystem(system)
-    u = fact.solve()
+    u = fact.solve(load)
     out_vec = el.boundary_vector(mesh, "output", (0.0, -1.0))
     j1 = -float(out_vec @ u)
     adjoint = fact.solve(-out_vec)
-    dj_dc = float(adjoint @ system.rhs)
+    dj_dc = float(adjoint @ load)
     assert dj_dc == pytest.approx(j1, rel=1e-6)
 
 
@@ -286,8 +283,8 @@ def test_assembled_matrix_symmetry_with_springs():
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "out")
     rng = np.random.default_rng(8)
     tau = rng.uniform(1e-3, 1.0, mesh.num_triangles)
-    loads = el.LoadSpec(springs=(el.Spring("out", 50.0, (0.6, 0.8)),))
-    system = el.assemble_state(mesh, tau, MAT, loads, [el.FixedBoundary("clamp", "both")])
+    springs = (el.Spring("out", 50.0, (0.6, 0.8)),)
+    system = el.assemble_state(mesh, tau, MAT, springs, [el.FixedBoundary("clamp", "both")])
     asym = np.abs((system.matrix - system.matrix.T).data)
     scale = np.abs(system.matrix.data).max()
     assert (asym.max() if asym.size else 0.0) <= 1e-12 * scale
@@ -366,12 +363,12 @@ def test_stress_pnorm_monotone():
 
 
 def test_solve_residual_contract():
-    mesh, system = _patch_problem(8, 8)
-    u = el.solve(system)
-    residual = system.matrix @ u - system.rhs
+    mesh, system, load = _patch_problem(8, 8)
+    u = el.FactorizedSystem(system).solve(load)
+    residual = system.matrix @ u - load
     residual[system.fixed_dofs] = 0.0  # constrained rows carry reactions
-    free = np.setdiff1d(np.arange(system.num_dofs), system.fixed_dofs)
-    assert np.linalg.norm(residual) / np.linalg.norm(system.rhs[free]) <= 1e-9
+    free = np.setdiff1d(np.arange(load.size), system.fixed_dofs)
+    assert np.linalg.norm(residual) / np.linalg.norm(load[free]) <= 1e-9
 
 
 def _deviator_adjoint_load_reference(mesh, mat, u, tau_e, p, yield_stress):

@@ -9,7 +9,7 @@ import molto.elasticity as el
 import molto.levelset as ls
 import molto.sensitivity as sens
 from molto.optimizer import RunConfig, run_candidate
-from molto.problems import make_girder, make_gripper, make_lbracket
+from molto.problems import make_clamped_tri, make_girder, make_gripper, make_lbracket
 
 
 def test_concurrent_solves_build_one_pattern(monkeypatch):
@@ -195,3 +195,34 @@ def test_design_fields_are_derived_once_per_iteration(monkeypatch, make):
     assert not cand.failed, cand.error
     per_iteration = {k: v / (cand.iterations + 1) for k, v in counts.items()}
     assert per_iteration == {"tau": 1.0, "dtau": 1.0, "self_density": 1.0}
+
+
+@pytest.mark.parametrize("make, groups", [
+    (lambda: make_girder(nx=12, ny=6), [0, 0]),
+    (lambda: make_clamped_tri(nx=12, ny=6), [0, 1, 0]),
+    (lambda: make_gripper(nx=12, ny=6), [0]),
+    (lambda: make_lbracket(nx=10), [0]),
+], ids=["girder", "clamped_tri", "gripper", "lbracket"])
+def test_each_load_case_is_one_state_solve(make, groups):
+    # every family solves its load cases the same way: one assembly and one
+    # factorization per distinct support set, one solve per case; groups[k]
+    # is the first case whose factorization case k shares
+    problem = make()
+    mesh = problem.mesh
+    theta = np.random.default_rng(4).uniform(0.1, 1.0, mesh.num_triangles)
+    tau = el.ersatz_tau(theta, problem.mat)
+    if problem.design_mask is not None:
+        tau[~problem.design_mask] = 1.0
+    bundle = problem.solve_states(theta)
+    for case, u in zip(problem.cases, bundle.states):
+        system = el.assemble_state(mesh, tau, problem.mat, problem.springs,
+                                   case.supports)
+        ref = el.FactorizedSystem(system).solve(
+            el.boundary_vector(mesh, case.traction_tag, case.traction))
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+    facts = bundle.facts[:len(problem.cases)]
+    assert [next(i for i, f in enumerate(facts) if f is fact)
+            for fact in facts] == groups
+    for a, case_a in enumerate(problem.cases):
+        for b, case_b in enumerate(problem.cases):
+            assert (facts[a] is facts[b]) == (case_a.supports == case_b.supports)
