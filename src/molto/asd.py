@@ -23,6 +23,12 @@ from .optimizer import RunConfig, SolutionCandidate, run_candidate
 WEIGHT_DEDUP_TOL = 1e-9
 
 
+def same_weight(a, b) -> bool:
+    """Whether two reference weights agree to WEIGHT_DEDUP_TOL in every
+    component, so they name the same candidate."""
+    return np.allclose(a, b, rtol=0.0, atol=WEIGHT_DEDUP_TOL)
+
+
 @dataclass
 class SolutionRegister:
     """Stored candidates plus per-objective normalization bounds."""
@@ -34,8 +40,7 @@ class SolutionRegister:
 
     def add(self, candidate: SolutionCandidate) -> None:
         for existing in self.candidates:
-            if np.allclose(existing.w_star, candidate.w_star, rtol=0.0,
-                           atol=WEIGHT_DEDUP_TOL):
+            if same_weight(existing.w_star, candidate.w_star):
                 raise InvalidArgument("duplicate reference weight in register")
         self.candidates.append(candidate)
 
@@ -137,8 +142,7 @@ def mark_and_refine(complex_: SimplexComplex, register: SolutionRegister,
                 mid = 0.5 * (np.asarray(register.candidates[i].w_star)
                              + np.asarray(register.candidates[j].w_star))
                 known = existing + emitted
-                if not any(np.allclose(mid, other, rtol=0.0, atol=WEIGHT_DEDUP_TOL)
-                           for other in known):
+                if not any(same_weight(mid, other) for other in known):
                     emitted.append(mid)
     return emitted
 

@@ -112,7 +112,6 @@ def read_register(path) -> list:
 
 
 def _write_outputs(result, out_dir: Path, problem) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     candidates = result.register.candidates
     write_register(candidates, out_dir / "register.csv")
 
@@ -175,10 +174,13 @@ def _run_common(args, require_kind=None) -> int:
     asd_cfg = config.asd_config()
     if args.jobs is not None:
         asd_cfg.jobs = args.jobs
-    out_dir = Path(os.environ.get(OUTPUT_ENV)
-                   or args.out
-                   or config.values.get("out_dir", "molto_out"))
+    out_dir = Path(os.environ.get(OUTPUT_ENV) or args.out or config.values["out_dir"])
     problem = config.build_problem()
+    # before any candidate runs, so a bad directory costs no results
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     result = run_asd(problem, config.initial_weights(), asd_cfg)
     _write_outputs(result, out_dir, problem)
     for level, count, mean, std in result.history:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import problems
-from .asd import WEIGHT_DEDUP_TOL, ASDConfig
+from .asd import ASDConfig, same_weight
 from .elasticity import MaterialParams
 from .errors import ConfigError, InvalidArgument, TagMatchError
 from .optimizer import RunConfig
@@ -57,12 +57,17 @@ _RUN_KEYS = _defaults_of(vars(RunConfig()), {
     "multiplier_init": ("float", _nonneg),
 })
 
-_MATERIAL_KEYS = {
-    "young": ("float", 1.0, _positive),
-    "poisson": ("float", 0.3, lambda v: 0.0 <= v < 0.5),
-    "ersatz_exponent": ("float", 3.0, lambda v: v > 1.0),
-    "ersatz_floor": ("float", 1e-3, _fraction),
-}
+# config key -> MaterialParams field
+_MATERIAL_FIELDS = {"young": "young", "poisson": "poisson",
+                    "ersatz_exponent": "exponent", "ersatz_floor": "floor"}
+
+_MATERIAL_KEYS = _defaults_of(
+    {key: getattr(MaterialParams(), name) for key, name in _MATERIAL_FIELDS.items()}, {
+        "young": ("float", _positive),
+        "poisson": ("float", lambda v: 0.0 <= v < 0.5),
+        "ersatz_exponent": ("float", lambda v: v > 1.0),
+        "ersatz_floor": ("float", _fraction),
+    })
 
 _ASD_FIELDS = _defaults_of(vars(ASDConfig()), {
     "edge_tolerance": ("float", _positive),
@@ -129,10 +134,8 @@ class ProblemConfig:
         return [tuple(w) for w in self.values["weights_init"]]
 
     def material(self) -> MaterialParams:
-        v = self.values
-        return MaterialParams(young=v["young"], poisson=v["poisson"],
-                              exponent=v["ersatz_exponent"],
-                              floor=v["ersatz_floor"])
+        return MaterialParams(**{name: self.values[key]
+                                 for key, name in _MATERIAL_FIELDS.items()})
 
     def build_problem(self):
         """The problem this configuration describes; a value the schema
@@ -225,11 +228,8 @@ def _validate(config: ProblemConfig):
         raise ConfigError(f"weights_init has {len(weights)} vectors, "
                           f"{m} objectives need at least {m}")
     for i, w in enumerate(weights):
-        if any(max(abs(a - b) for a, b in zip(w, other)) <= WEIGHT_DEDUP_TOL
-               for other in weights[:i]):
+        if any(same_weight(w, other) for other in weights[:i]):
             raise ConfigError(f"weights_init repeats the vector {w}")
-    if config.kind == "lbracket" and not v["cut"] < v["outer"]:
-        raise ConfigError("cut must be smaller than outer")
     if "window" in v and v["max_iterations"] < v["window"]:
         raise ConfigError(f"max_iterations ({v['max_iterations']}) must be at "
                           f"least window ({v['window']})")

@@ -2,7 +2,9 @@
 
 State and adjoint problems share one assembled operator per support set; void
 regions keep a small relative stiffness so the solve stays well posed over
-the whole domain.
+the whole domain. The operator is assembled, factorized and checked on the
+free DOFs only: states are zero on the fixed DOFs, whose rows carry the
+reactions and are never solved for.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class Spring:
 class FixedBoundary:
     """Dirichlet constraint on a tagged boundary.
 
-    components: 'both', 'x', 'y', or 'normal' (axis-aligned edges only).
+    components: 'both', 'x' or 'y'.
     """
     tag: str
     components: str = "both"
@@ -106,16 +108,11 @@ class PointConstraint:
 
 @dataclass
 class SparseSystem:
-    """Assembled symmetric system with homogeneous Dirichlet data.
-
-    ``reduced`` is ``matrix`` restricted to the free DOFs, the operator that
-    gets factorized.
-    """
+    """Assembled symmetric operator on the free DOFs (homogeneous Dirichlet
+    data on the rest); ``free_dofs[i]`` is the global DOF of row/column i."""
 
     matrix: sp.csc_matrix
-    fixed_dofs: np.ndarray
     free_dofs: np.ndarray
-    reduced: sp.csc_matrix
 
 
 def boundary_vector(mesh: Mesh, tag: str, vector) -> np.ndarray:
@@ -162,36 +159,23 @@ def spring_matrix(mesh: Mesh, springs) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _edge_normal_component(mesh: Mesh, edge) -> int:
-    p0, p1 = mesh.nodes[edge[0]], mesh.nodes[edge[1]]
-    return 1 if abs(p1[0] - p0[0]) >= abs(p1[1] - p0[1]) else 0
+_COMPONENTS = {"both": (0, 1), "x": (0,), "y": (1,)}
 
 
 def _fixed_dofs(mesh: Mesh, bcs) -> np.ndarray:
-    fixed = set()
+    dofs = [np.zeros(0, dtype=np.int64)]
     for bc in bcs:
         if isinstance(bc, PointConstraint):
-            fixed.add(2 * bc.node + bc.component)
+            dofs.append([2 * bc.node + bc.component])
             continue
         edges = mesh.edges_with_tag(bc.tag)
         if edges.shape[0] == 0:
             raise InvalidArgument(f"no boundary edges tagged '{bc.tag}'")
-        if bc.components == "both":
-            for n in np.unique(edges):
-                fixed.add(2 * n)
-                fixed.add(2 * n + 1)
-        elif bc.components in ("x", "y"):
-            comp = 0 if bc.components == "x" else 1
-            for n in np.unique(edges):
-                fixed.add(2 * n + comp)
-        elif bc.components == "normal":
-            for edge in edges:
-                comp = _edge_normal_component(mesh, edge)
-                fixed.add(2 * edge[0] + comp)
-                fixed.add(2 * edge[1] + comp)
-        else:
+        comps = _COMPONENTS.get(bc.components)
+        if comps is None:
             raise InvalidArgument(f"unknown constraint components '{bc.components}'")
-    return np.array(sorted(fixed), dtype=np.int64)
+        dofs.extend(2 * edges.ravel() + c for c in comps)
+    return np.unique(np.concatenate(dofs))
 
 
 def strain_displacement(mesh: Mesh) -> np.ndarray:
@@ -225,63 +209,53 @@ class StiffnessPattern:
     """The design-independent part of the constrained stiffness operator.
 
     Built once per (mesh, material, springs, supports): the solid element
-    blocks, the CSC sparsity pattern with the map scattering element entries
-    into it, the summed spring entries, the fixed and free DOFs and the
-    selection of the free-DOF (reduced) submatrix. ``assemble`` then only
-    scales the blocks by the element stiffness.
+    blocks, the free DOFs, the CSC sparsity pattern over the free DOFs with
+    the map scattering element entries into it, and the summed spring
+    entries. Every entry that touches a fixed DOF is scattered into one
+    trailing bin that ``assemble`` drops, so ``assemble`` only scales the
+    blocks by the element stiffness and sums them.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
         n = 2 * mesh.num_nodes
-        self.fixed_dofs = _fixed_dofs(mesh, bcs)
-        if self.fixed_dofs.size == 0 and not springs:
+        fixed = _fixed_dofs(mesh, bcs)
+        if fixed.size == 0 and not springs:
             raise SingularSystemError("no Dirichlet, roller, or spring constraint present")
         self.blocks = element_stiffness_blocks(mesh, mat).reshape(mesh.num_triangles, 36)
         dofs = _element_dofs(mesh)
         springs = spring_matrix(mesh, springs).tocoo()
-        rows = np.concatenate([np.repeat(dofs, 6, axis=1).ravel(), springs.row])
-        cols = np.concatenate([np.tile(dofs, (1, 6)).ravel(), springs.col])
-        # column-major keys sort into CSC order with sorted row indices
-        keys, scatter = np.unique(cols * n + rows, return_inverse=True)
+
+        free = np.ones(n, dtype=bool)
+        free[fixed] = False
+        self.free_dofs = np.flatnonzero(free)
+        m = self.free_dofs.size
+        renumber = np.full(n, m, dtype=np.int64)
+        renumber[self.free_dofs] = np.arange(m)
+        rows = renumber[np.concatenate([np.repeat(dofs, 6, axis=1).ravel(), springs.row])]
+        cols = renumber[np.concatenate([np.tile(dofs, (1, 6)).ravel(), springs.col])]
+        # column-major keys sort into CSC order with sorted row indices; the
+        # discarded bin m * m sorts after all of them
+        keys = np.where((rows < m) & (cols < m), cols * m + rows, m * m)
+        keys, scatter = np.unique(keys, return_inverse=True)
+        keys = keys[keys < m * m]
         num_blocks = self.blocks.size
         self._scatter = scatter[:num_blocks]
         self._spring_data = (np.bincount(scatter[num_blocks:], weights=springs.data,
-                                         minlength=keys.size)
+                                         minlength=keys.size)[:keys.size]
                              if springs.nnz else None)
-        key_rows, key_cols = keys % n, keys // n
-        self._shape = (n, n)
-        self._indices = key_rows.astype(np.int32)
-        self._indptr = _column_pointers(key_cols, n)
-
-        free = np.ones(n, dtype=bool)
-        free[self.fixed_dofs] = False
-        self.free_dofs = np.flatnonzero(free)
-        keep = free[key_rows] & free[key_cols]
-        renumber = np.cumsum(free) - 1
-        self._reduced_select = np.flatnonzero(keep)
-        self._reduced_shape = (self.free_dofs.size, self.free_dofs.size)
-        self._reduced_indices = renumber[key_rows[keep]].astype(np.int32)
-        self._reduced_indptr = _column_pointers(renumber[key_cols[keep]],
-                                                self.free_dofs.size)
+        self._shape = (m, m)
+        self._indices = (keys % m).astype(np.int32)
+        self._indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // m, minlength=m), out=self._indptr[1:])
 
     def assemble(self, tau_e: np.ndarray) -> SparseSystem:
         weighted = self.blocks * np.asarray(tau_e, dtype=float)[:, None]
-        data = np.bincount(self._scatter, weights=weighted.ravel(),
-                           minlength=self._indices.size)
+        nnz = self._indices.size
+        data = np.bincount(self._scatter, weights=weighted.ravel(), minlength=nnz)[:nnz]
         if self._spring_data is not None:
             data += self._spring_data
-        matrix = sp.csc_matrix((data, self._indices, self._indptr), shape=self._shape)
-        reduced = sp.csc_matrix((data[self._reduced_select], self._reduced_indices,
-                                 self._reduced_indptr), shape=self._reduced_shape)
-        return SparseSystem(matrix=matrix, fixed_dofs=self.fixed_dofs,
-                            free_dofs=self.free_dofs, reduced=reduced)
-
-
-def _column_pointers(cols: np.ndarray, n: int) -> np.ndarray:
-    """CSC column pointers of entries whose sorted column indices are ``cols``."""
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return indptr
+        return SparseSystem(sp.csc_matrix((data, self._indices, self._indptr),
+                                          shape=self._shape), self.free_dofs)
 
 
 def assemble_state(mesh: Mesh, tau_e: np.ndarray, mat: MaterialParams,
@@ -308,34 +282,30 @@ class FactorizedSystem:
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        self.free = system.free_dofs
-        self._lu = spla.splu(system.reduced, permc_spec=_ORDERING)
+        self._lu = spla.splu(system.matrix, permc_spec=_ORDERING)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        sysm = self.system
-        u = np.zeros(rhs.shape[0])
-        u[self.free] = self._lu.solve(rhs[self.free])
-        if not np.all(np.isfinite(u)):
+        """The displacement of the load ``rhs``, zero on the fixed DOFs; its
+        rows on the fixed DOFs are reactions and are not read."""
+        free = self.system.free_dofs
+        f = rhs[free]
+        x = self._lu.solve(f)
+        if not np.all(np.isfinite(x)):
             raise SolverFailure("factorized solve produced non-finite values")
-        residual = sysm.matrix @ u - rhs
-        residual[sysm.fixed_dofs] = 0.0
-        scale = max(np.linalg.norm(rhs[self.free]), 1e-30)
-        rel = np.linalg.norm(residual) / scale
+        scale = max(np.linalg.norm(f), 1e-30)
+        rel = np.linalg.norm(self.system.matrix @ x - f) / scale
         if rel > 1e-9:
-            u, rel = self._cg_fallback(rhs, u, scale)
+            x, rel = self._cg_fallback(f, x, scale)
             if rel > 1e-9:
                 raise SolverFailure(f"relative residual {rel:.3e} exceeds 1e-9")
+        u = np.zeros(rhs.shape[0])
+        u[free] = x
         return u
 
-    def _cg_fallback(self, rhs, u0, scale):
-        sysm = self.system
-        x, info = spla.cg(sysm.reduced, rhs[self.free], x0=u0[self.free],
-                          rtol=1e-12, maxiter=5000)
-        u = np.zeros(rhs.shape[0])
-        u[self.free] = x
-        residual = sysm.matrix @ u - rhs
-        residual[sysm.fixed_dofs] = 0.0
-        return u, np.linalg.norm(residual) / scale
+    def _cg_fallback(self, f, x0, scale):
+        matrix = self.system.matrix
+        x, info = spla.cg(matrix, f, x0=x0, rtol=1e-12, maxiter=5000)
+        return x, np.linalg.norm(matrix @ x - f) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Fixed structured triangle meshes for rectangular and L-shaped design domains.
+"""Fixed structured triangle meshes for rectangular and L-shaped design domains,
+both cut from one grid triangulation.
 
 Meshes are immutable after construction and safe to share between concurrent
 candidate runs; the P1 geometry (shape function gradients, lumped node areas)
@@ -112,34 +113,24 @@ def _finish(nodes, triangles, spacing) -> Mesh:
                 boundary.astype(np.int32), tags, float(spacing))
 
 
-def build_rect_mesh(width: float, height: float, nx: int, ny: int,
-                    crossed: bool = False) -> Mesh:
-    """Structured triangulation of [0, width] x [0, height].
+def _grid_mesh(xs, ys, ci, cj, crossed, spacing) -> Mesh:
+    """Triangulation of the cells (ci, cj) of the node grid xs x ys.
 
-    Default split is two triangles per cell; ``crossed`` adds a centre node
-    per cell (four triangles), which keeps the mesh mirror-symmetric.
+    Each cell is split into two triangles, or with ``crossed`` into four
+    around an added centre node; grid nodes that no cell uses are dropped.
     """
-    if width <= 0.0 or height <= 0.0:
-        raise InvalidArgument("width and height must be positive")
-    if nx < 1 or ny < 1:
-        raise InvalidArgument("nx and ny must be at least 1")
-
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
     def nid(i, j):
-        return j * (nx + 1) + i
+        return j * xs.size + i
 
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    ii, jj = ii.ravel(), jj.ravel()
-    n00, n10 = nid(ii, jj), nid(ii + 1, jj)
-    n11, n01 = nid(ii + 1, jj + 1), nid(ii, jj + 1)
+    n00, n10 = nid(ci, cj), nid(ci + 1, cj)
+    n11, n01 = nid(ci + 1, cj + 1), nid(ci, cj + 1)
 
     if crossed:
-        centers = np.column_stack([(xs[ii] + xs[ii + 1]) / 2.0,
-                                   (ys[jj] + ys[jj + 1]) / 2.0])
+        centers = np.column_stack([(xs[ci] + xs[ci + 1]) / 2.0,
+                                   (ys[cj] + ys[cj + 1]) / 2.0])
         c = np.arange(centers.shape[0]) + nodes.shape[0]
         nodes = np.vstack([nodes, centers])
         triangles = np.vstack([
@@ -154,7 +145,32 @@ def build_rect_mesh(width: float, height: float, nx: int, ny: int,
             np.column_stack([n00, n11, n01]),
         ])
 
-    return _finish(nodes, triangles, min(width / nx, height / ny))
+    used = np.zeros(nodes.shape[0], dtype=bool)
+    used[triangles] = True
+    remap = np.cumsum(used) - 1
+    return _finish(nodes[used], remap[triangles], spacing)
+
+
+def _cells(nx: int, ny: int):
+    """Column and row index of every cell of an nx x ny grid, row by row."""
+    ci, cj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
+    return ci.ravel(), cj.ravel()
+
+
+def build_rect_mesh(width: float, height: float, nx: int, ny: int,
+                    crossed: bool = False) -> Mesh:
+    """Structured triangulation of [0, width] x [0, height].
+
+    Default split is two triangles per cell; ``crossed`` adds a centre node
+    per cell (four triangles), which keeps the mesh mirror-symmetric.
+    """
+    if width <= 0.0 or height <= 0.0:
+        raise InvalidArgument("width and height must be positive")
+    if nx < 1 or ny < 1:
+        raise InvalidArgument("nx and ny must be at least 1")
+    ci, cj = _cells(nx, ny)
+    return _grid_mesh(np.linspace(0.0, width, nx + 1), np.linspace(0.0, height, ny + 1),
+                      ci, cj, crossed, min(width / nx, height / ny))
 
 
 def _cell_count(length: float, h: float, name: str) -> int:
@@ -175,44 +191,10 @@ def build_lshape_mesh(outer: float, cut: float, h: float,
         raise InvalidArgument("cut must satisfy 0 < cut < outer")
     n = _cell_count(outer, h, "outer")
     ncut = _cell_count(cut, h, "cut")
-
     xs = np.linspace(0.0, outer, n + 1)
-    keep_i, keep_j = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    keep_i, keep_j = keep_i.ravel(), keep_j.ravel()
-    kept = ~((keep_i >= n - ncut) & (keep_j >= n - ncut))
-    ci, cj = keep_i[kept], keep_j[kept]
-
-    def nid(i, j):
-        return j * (n + 1) + i
-
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    grid_nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    n00, n10 = nid(ci, cj), nid(ci + 1, cj)
-    n11, n01 = nid(ci + 1, cj + 1), nid(ci, cj + 1)
-
-    if crossed:
-        centers = np.column_stack([(xs[ci] + xs[ci + 1]) / 2.0,
-                                   (xs[cj] + xs[cj + 1]) / 2.0])
-        c = np.arange(centers.shape[0]) + grid_nodes.shape[0]
-        nodes = np.vstack([grid_nodes, centers])
-        triangles = np.vstack([
-            np.column_stack([n00, n10, c]),
-            np.column_stack([n10, n11, c]),
-            np.column_stack([n11, n01, c]),
-            np.column_stack([n01, n00, c]),
-        ])
-    else:
-        nodes = grid_nodes
-        triangles = np.vstack([
-            np.column_stack([n00, n10, n11]),
-            np.column_stack([n00, n11, n01]),
-        ])
-
-    # drop unused grid nodes and remap indices
-    used = np.unique(triangles)
-    remap = -np.ones(nodes.shape[0], dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    mesh = _finish(nodes[used], remap[triangles], h)
+    ci, cj = _cells(n, n)
+    kept = ~((ci >= n - ncut) & (cj >= n - ncut))
+    mesh = _grid_mesh(xs, xs, ci[kept], cj[kept], crossed, h)
 
     corner = outer - cut
     mesh = tag_boundary(mesh, (corner, corner), (corner, outer), "void_a")

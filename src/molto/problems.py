@@ -298,8 +298,11 @@ class MechanismProblem(FEMProblem):
     def solve_adjoints(self, bundle, w, j_star, multipliers):
         u, fact = bundle.states[0], bundle.facts[0]
         v_out = fact.solve(-(w[0] / j_star[0]) * self.output_vector)
-        # strain-energy load is the elastic (spring-free) part of K times u
-        bulk = fact.system.matrix @ u - self._spring_matrix @ u
+        # strain-energy load is the elastic (spring-free) part of K times u,
+        # read on the free rows, the only ones a solve reads
+        free = fact.system.free_dofs
+        bulk = np.zeros_like(u)
+        bulk[free] = fact.system.matrix @ u[free] - (self._spring_matrix @ u)[free]
         v_energy = fact.solve((w[1] / j_star[1]) * bulk)
         return [v_out, v_energy]
 

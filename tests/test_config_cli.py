@@ -5,6 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import molto.asd as asd
 import molto.cli as cli
 from molto.config import load_config, parse_config, serialize_config
 from molto.errors import ConfigError
@@ -221,8 +222,9 @@ def test_cli_rejects_window_above_max_iterations(tmp_path, capsys):
      "weights_init has 2 vectors, 3 objectives need at least 3"),
     ("surrogate3", "0.15 0.70 0.15 ;", "0.70 0.15 0.15 ;",
      "weights_init repeats the vector (0.7, 0.15, 0.15)"),
+    ("lbracket", "cut = 0.6", "cut = 1.2", "cut must satisfy 0 < cut < outer"),
 ], ids=["lbracket_nx", "gripper_dir_in", "weight_clamp", "weights_too_few",
-        "weights_repeated"])
+        "weights_repeated", "lbracket_cut"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_configs_the_problem_rejects(tmp_path, capsys, name, old, new,
                                                 message, command):
@@ -242,6 +244,33 @@ def test_cli_rejects_configs_the_problem_rejects(tmp_path, capsys, name, old, ne
 
 
 _SMALL_GIRDER = {"nx = 60": "nx = 12", "ny = 30": "ny = 6"}
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_cli_unusable_output_dir_exits_before_any_candidate(tmp_path, monkeypatch,
+                                                            capsys, via):
+    # a path that cannot become a directory is bad input: the run stops
+    # with exit 2 before it spends time on candidates whose results it
+    # could not write
+    text = bundled_text("girder_desk")
+    for small, smaller in _SMALL_GIRDER.items():
+        text = text.replace(small, smaller)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(text)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    calls = []
+    monkeypatch.setattr(asd, "run_candidate", lambda *args: calls.append(args))
+    argv = ["run", str(cfg)]
+    if via == "env":
+        monkeypatch.setenv(cli.OUTPUT_ENV, str(taken))
+    else:
+        monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+        argv += ["--out", str(taken)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cannot create output directory" in err and "Traceback" not in err
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, old, new, runner", [
@@ -388,6 +417,7 @@ def _candidate(objectives):
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTPUT_ENV, str(tmp_path / "out"))
     cfg = tmp_path / "s.cfg"
     cfg.write_text(bundled_text("surrogate2"))
 
