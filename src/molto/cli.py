@@ -29,10 +29,9 @@ def export_field(phi: np.ndarray, mesh: Mesh, path) -> None:
         raise MoltoError("field dimension does not match mesh")
     with open(path, "w") as fh:
         fh.write(f"nodes {mesh.num_nodes} triangles {mesh.num_triangles}\n")
-        for (x, y), value in zip(mesh.nodes, phi):
-            fh.write(f"{x:.9f} {y:.9f} {value:.9f}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")
+        rows = np.column_stack([mesh.nodes, phi])
+        fh.write("%.9f %.9f %.9f\n" * mesh.num_nodes % tuple(rows.ravel().tolist()))
+        fh.write("%d %d %d\n" * mesh.num_triangles % tuple(mesh.triangles.ravel().tolist()))
 
 
 def read_field(path):

@@ -5,6 +5,12 @@ regions keep a small relative stiffness so the solve stays well posed over
 the whole domain. The operator is assembled, factorized and checked on the
 free DOFs only: states are zero on the fixed DOFs, whose rows carry the
 reactions and are never solved for.
+
+What depends only on the sparsity pattern is done once per support set by
+``StiffnessPattern``: it numbers the free DOFs in a fill-reducing elimination
+order, so each factorization keeps that order, and it maps the element
+stiffness straight to the values of the CSC matrix. ``FactorizedSystem.solve``
+takes one load or several as columns, and checks each column on its own.
 """
 
 from __future__ import annotations
@@ -205,15 +211,31 @@ def _element_dofs(mesh: Mesh) -> np.ndarray:
     return dofs
 
 
+# The operator is symmetric positive definite: a symmetric fill-reducing
+# ordering of A + A^T keeps the factors well below COLAMD's fill.
+_ORDERING = "MMD_AT_PLUS_A"
+
+
+def _csc_structure(keys: np.ndarray, m: int):
+    """CSC ``indices`` and ``indptr`` of the sorted column-major keys
+    ``col * m + row`` of an m x m pattern."""
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    return (keys % m).astype(np.int32), indptr
+
+
 class StiffnessPattern:
     """The design-independent part of the constrained stiffness operator.
 
-    Built once per (mesh, material, springs, supports): the solid element
-    blocks, the free DOFs, the CSC sparsity pattern over the free DOFs with
-    the map scattering element entries into it, and the summed spring
-    entries. Every entry that touches a fixed DOF is scattered into one
-    trailing bin that ``assemble`` drops, so ``assemble`` only scales the
-    blocks by the element stiffness and sums them.
+    Built once per (mesh, material, springs, supports): the free DOFs in
+    elimination order, the CSC sparsity pattern over them, one sparse map
+    from the element stiffness tau_e to the CSC values, and the summed
+    spring entries, so ``assemble`` is one sparse product plus the springs.
+
+    The elimination order is the MMD ordering of K + K^T that SuperLU finds
+    for the solid operator. It depends only on the pattern, so it is found
+    once here and every ``FactorizedSystem`` factorizes in the given order.
+    Entries that touch a fixed DOF are dropped.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
@@ -221,37 +243,66 @@ class StiffnessPattern:
         fixed = _fixed_dofs(mesh, bcs)
         if fixed.size == 0 and not springs:
             raise SingularSystemError("no Dirichlet, roller, or spring constraint present")
-        self.blocks = element_stiffness_blocks(mesh, mat).reshape(mesh.num_triangles, 36)
         dofs = _element_dofs(mesh)
         springs = spring_matrix(mesh, springs).tocoo()
 
         free = np.ones(n, dtype=bool)
         free[fixed] = False
-        self.free_dofs = np.flatnonzero(free)
-        m = self.free_dofs.size
+        free_dofs = np.flatnonzero(free)
+        m = free_dofs.size
         renumber = np.full(n, m, dtype=np.int64)
-        renumber[self.free_dofs] = np.arange(m)
+        renumber[free_dofs] = np.arange(m)
         rows = renumber[np.concatenate([np.repeat(dofs, 6, axis=1).ravel(), springs.row])]
         cols = renumber[np.concatenate([np.tile(dofs, (1, 6)).ravel(), springs.col])]
         # column-major keys sort into CSC order with sorted row indices; the
         # discarded bin m * m sorts after all of them
         keys = np.where((rows < m) & (cols < m), cols * m + rows, m * m)
+        del rows, cols
         keys, scatter = np.unique(keys, return_inverse=True)
-        keys = keys[keys < m * m]
-        num_blocks = self.blocks.size
-        self._scatter = scatter[:num_blocks]
-        self._spring_data = (np.bincount(scatter[num_blocks:], weights=springs.data,
-                                         minlength=keys.size)[:keys.size]
-                             if springs.nnz else None)
+        nnz = int(np.searchsorted(keys, m * m))
+        keys = keys[:nnz]
+        num_blocks = 36 * mesh.num_triangles
+        # the blocks are computed only now, which keeps them out of the
+        # unique's peak memory
+        blocks = element_stiffness_blocks(mesh, mat).reshape(-1, 36)
+        solid = np.bincount(scatter[:num_blocks], weights=blocks.ravel(),
+                            minlength=nnz)[:nnz]
+        spring_data = None
+        if springs.nnz:
+            spring_data = np.bincount(scatter[num_blocks:], weights=springs.data,
+                                      minlength=nnz)[:nnz]
+            solid += spring_data
+
+        # order once, on the solid operator in ascending free-DOF numbering:
+        # SuperLU eliminates its column argsort(perm_c)[i] i-th, so DOF j of
+        # this numbering becomes DOF perm_c[j] of the ordered one
+        solid = sp.csc_matrix((solid, *_csc_structure(keys, m)), shape=(m, m))
+        perm_c = spla.splu(solid, permc_spec=_ORDERING).perm_c.astype(np.int64)
+        del solid
+        self.free_dofs = free_dofs[np.argsort(perm_c)]
+
+        # renumber the pattern into that order; key k lands at CSC position
+        # rank[k] of the ordered operator
+        ordered = perm_c[keys // m] * m + perm_c[keys % m]
+        order = np.argsort(ordered)
+        self._indices, self._indptr = _csc_structure(ordered[order], m)
+        rank = np.empty(nnz, dtype=np.int32)
+        rank[order] = np.arange(nnz, dtype=np.int32)
+        self._spring_data = None if spring_data is None else spring_data[order]
+
+        # column t of the map holds element t's block entries at their CSC
+        # positions, so map @ tau_e sums each value over its elements in
+        # ascending order
+        scatter = scatter[:num_blocks].reshape(-1, 36)
+        kept = scatter < nnz
+        columns = np.zeros(mesh.num_triangles + 1, dtype=np.int32)
+        np.cumsum(kept.sum(axis=1), out=columns[1:])
+        self._map = sp.csc_matrix((blocks[kept], rank[scatter[kept]], columns),
+                                  shape=(nnz, mesh.num_triangles))
         self._shape = (m, m)
-        self._indices = (keys % m).astype(np.int32)
-        self._indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(np.bincount(keys // m, minlength=m), out=self._indptr[1:])
 
     def assemble(self, tau_e: np.ndarray) -> SparseSystem:
-        weighted = self.blocks * np.asarray(tau_e, dtype=float)[:, None]
-        nnz = self._indices.size
-        data = np.bincount(self._scatter, weights=weighted.ravel(), minlength=nnz)[:nnz]
+        data = self._map @ np.asarray(tau_e, dtype=float)
         if self._spring_data is not None:
             data += self._spring_data
         return SparseSystem(sp.csc_matrix((data, self._indices, self._indptr),
@@ -271,34 +322,33 @@ def assemble_state(mesh: Mesh, tau_e: np.ndarray, mat: MaterialParams,
     return pattern.assemble(tau_e)
 
 
-# The operator is symmetric positive definite: a symmetric fill-reducing
-# ordering of A + A^T keeps the factors well below COLAMD's fill.
-_ORDERING = "MMD_AT_PLUS_A"
-
-
 class FactorizedSystem:
     """LU factorization of the constrained operator, reusable across
-    right-hand sides (state plus adjoint solves)."""
+    right-hand sides (state plus adjoint solves). The operator comes from a
+    ``StiffnessPattern``, whose DOFs are already in elimination order."""
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        self._lu = spla.splu(system.matrix, permc_spec=_ORDERING)
+        self._lu = spla.splu(system.matrix, permc_spec="NATURAL")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The displacement of the load ``rhs``, zero on the fixed DOFs; its
-        rows on the fixed DOFs are reactions and are not read."""
+        rows on the fixed DOFs are reactions and are not read. An (n, k)
+        ``rhs`` is k loads, solved in one pass and each checked on its own;
+        the result's columns are contiguous."""
         free = self.system.free_dofs
         f = rhs[free]
         x = self._lu.solve(f)
         if not np.all(np.isfinite(x)):
             raise SolverFailure("factorized solve produced non-finite values")
-        scale = max(np.linalg.norm(f), 1e-30)
-        rel = np.linalg.norm(self.system.matrix @ x - f) / scale
-        if rel > 1e-9:
-            x, rel = self._cg_fallback(f, x, scale)
-            if rel > 1e-9:
-                raise SolverFailure(f"relative residual {rel:.3e} exceeds 1e-9")
-        u = np.zeros(rhs.shape[0])
+        f_cols, x_cols = f.reshape(f.shape[0], -1), x.reshape(x.shape[0], -1)
+        scale = np.maximum(np.linalg.norm(f_cols, axis=0), 1e-30)
+        rel = np.linalg.norm(self.system.matrix @ x_cols - f_cols, axis=0) / scale
+        for j in np.flatnonzero(rel > 1e-9):
+            x_cols[:, j], rel_j = self._cg_fallback(f_cols[:, j], x_cols[:, j], scale[j])
+            if rel_j > 1e-9:
+                raise SolverFailure(f"relative residual {rel_j:.3e} exceeds 1e-9")
+        u = np.zeros(rhs.shape, order="F")
         u[free] = x
         return u
 

@@ -101,9 +101,12 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
     """Edges that belong to exactly one triangle, in ascending node order."""
     edges = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    return uniq[counts == 1]
+    edges = np.sort(edges, axis=1).astype(np.int64)
+    # one integer key per edge sorts like the (a, b) rows themselves
+    num_nodes = int(edges.max(initial=-1)) + 1
+    keys, counts = np.unique(edges[:, 0] * num_nodes + edges[:, 1], return_counts=True)
+    keys = keys[counts == 1]
+    return np.column_stack([keys // num_nodes, keys % num_nodes])
 
 
 def _finish(nodes, triangles, spacing) -> Mesh:

@@ -97,21 +97,21 @@ class FEMProblem:
 
     def _solve_cases(self, tau):
         """The state and factorization of every load case; cases with equal
-        supports share one assembly and one factorization."""
-        facts_by_supports, facts, states = {}, [], []
-        for case, load in zip(self.cases, self.traction_vectors):
-            supports = case.supports
-            fact = facts_by_supports.get(supports)
-            if fact is None:
-                pattern = self._operator(
-                    ("stiffness", supports),
-                    lambda: el.StiffnessPattern(self.mesh, self.mat, self.springs,
-                                                supports))
-                fact = facts_by_supports[supports] = el.FactorizedSystem(
-                    el.assemble_state(self.mesh, tau, self.mat, self.springs,
-                                      supports, pattern=pattern))
-            states.append(fact.solve(load))
-            facts.append(fact)
+        supports share one assembly, one factorization and one blocked
+        solve."""
+        groups = {}
+        for k, case in enumerate(self.cases):
+            groups.setdefault(case.supports, []).append(k)
+        states, facts = [None] * len(self.cases), [None] * len(self.cases)
+        for supports, members in groups.items():
+            pattern = self._operator(
+                ("stiffness", supports),
+                lambda: el.StiffnessPattern(self.mesh, self.mat, self.springs, supports))
+            fact = el.FactorizedSystem(el.assemble_state(
+                self.mesh, tau, self.mat, self.springs, supports, pattern=pattern))
+            solved = fact.solve(np.column_stack([self.traction_vectors[k] for k in members]))
+            for k, u in zip(members, solved.T):
+                states[k], facts[k] = u, fact
         return states, facts
 
     def wave_factors(self, wave_speed, damping, ds) -> levelset.WaveFactors:
@@ -192,9 +192,11 @@ class ComplianceProblem(FEMProblem):
 
     def perturbation(self, bundle, adjoints, w, j_star, multipliers,
                      c_override=None):
+        # each adjoint is (w_a / J*_a) u_a (solve_adjoints), and strains are
+        # linear in the displacement
+        adjoint_strains = [(w[a] / j_star[a]) * eps for a, eps in enumerate(bundle.strains)]
         return sens.perturbation_compliance(
-            self.mesh, self.mat, bundle.dtau, bundle.strains,
-            [el.element_strains(self.mesh, v) for v in adjoints],
+            self.mesh, self.mat, bundle.dtau, bundle.strains, adjoint_strains,
             multipliers[0], self.volume_ref, w,
             mask=self.design_mask, c_override=c_override)
 
@@ -395,9 +397,20 @@ class StressVolumeProblem(FEMProblem):
 
     def perturbation(self, bundle, adjoints, w, j_star, multipliers,
                      c_override=None):
+        # adjoint a is s_a z plus, for the strain energy, c u (solve_adjoints);
+        # strains are linear in the displacement, so those of z are taken
+        # once, from the adjoint with the largest |s_a|
+        scales = np.asarray(multipliers, dtype=float) / self.volume_ref
+        self_terms = (0.0, w[1] / j_star[1])
+        lead = int(np.argmax(np.abs(scales)))
+        eps_z = 0.0
+        if scales[lead] != 0.0:
+            z = (adjoints[lead] - self_terms[lead] * bundle.states[0]) / scales[lead]
+            eps_z = el.element_strains(self.mesh, z)
+        eps = bundle.strains[0]
         return sens.perturbation_stress_volume(
-            self.mesh, self.mat, bundle.dtau, bundle.density, bundle.strains[0],
-            [el.element_strains(self.mesh, v) for v in adjoints], bundle.stress,
+            self.mesh, self.mat, bundle.dtau, bundle.density, eps,
+            [s * eps_z + c * eps for s, c in zip(scales, self_terms)], bundle.stress,
             multipliers, self.volume_ref, w, j_star, mask=self.design_mask,
             c_override=c_override)
 

@@ -167,6 +167,22 @@ def test_export_field_roundtrip(tmp_path):
     assert np.array_equal(values, values2)
 
 
+def test_export_field_matches_row_format(tmp_path):
+    # the batched writer produces the bytes of one formatted write per row,
+    # signed zeros and large values included
+    mesh = build_rect_mesh(1.0, 1.0, 2, 2, crossed=True)
+    phi = np.linspace(-1.0, 1.0, mesh.num_nodes)
+    phi[:3] = (-0.0, 1e6, -1e6)
+    path = tmp_path / "field.dat"
+    cli.export_field(phi, mesh, path)
+    rows = [f"nodes {mesh.num_nodes} triangles {mesh.num_triangles}\n"]
+    rows += [f"{x:.9f} {y:.9f} {value:.9f}\n" for (x, y), value in zip(mesh.nodes, phi)]
+    rows += [f"{i} {j} {k}\n" for i, j, k in mesh.triangles]
+    data = path.read_bytes()
+    assert data == "".join(rows).encode()
+    assert b" -0.000000000\n" in data and b" 1000000.000000000\n" in data
+
+
 def test_register_roundtrip_fidelity(tmp_path):
     # one feasibility flag per constraint: two (stress pair) or one (volume)
     from molto.optimizer import SolutionCandidate

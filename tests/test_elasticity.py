@@ -154,10 +154,11 @@ def test_cached_assembly_matches_coo_reference():
     expected_fixed = (set(2 * mesh.nodes_with_tag("left"))
                       | set(2 * mesh.nodes_with_tag("bottom") + 1) | {2 * corner + 1})
     free = np.setdiff1d(np.arange(2 * mesh.num_nodes), sorted(expected_fixed))
-    assert np.array_equal(a.free_dofs, free)
+    # the free DOFs come in elimination order: the same set, renumbered
+    assert np.array_equal(np.sort(a.free_dofs), free)
 
     for system, tau in ((a, tau_a), (b, tau_b)):
-        ref = _coo_reference(mesh, tau, MAT, springs)[free][:, free]
+        ref = _coo_reference(mesh, tau, MAT, springs)[a.free_dofs][:, a.free_dofs]
         assert spla.norm(system.matrix - ref) <= 1e-14 * spla.norm(ref)
     # each assembly owns its values: building b left a untouched
     assert not np.shares_memory(a.matrix.data, b.matrix.data)
@@ -408,6 +409,62 @@ def test_residual_gate_and_fallback(monkeypatch):
     monkeypatch.setattr(spla, "cg", lambda a, b, x0=None, **kwargs: (x0, 1))
     with pytest.raises(SolverFailure, match=r"relative residual .* exceeds 1e-9"):
         fact.solve(load)
+
+
+def test_blocked_solve_falls_back_per_column(monkeypatch):
+    # a 2-column solve whose LU is off for column 0 only: that column alone
+    # goes to CG, both end within the gate, and a CG that makes no progress
+    # fails with the single-column message
+    mesh, system, load = _patch_problem(8, 8)
+    fact = el.FactorizedSystem(system)
+    exact = fact._lu
+
+    class SkewedLU:
+        def solve(self, f):
+            x = exact.solve(f)
+            x[:, 0] *= 1.0 + 1e-6
+            return x
+
+    fact._lu = SkewedLU()
+    loads = np.column_stack([load, np.roll(load, 2)])
+    fallbacks = []
+    real_fallback = el.FactorizedSystem._cg_fallback
+
+    def counted_fallback(self, f, x0, scale):
+        fallbacks.append(f.copy())
+        return real_fallback(self, f, x0, scale)
+
+    monkeypatch.setattr(el.FactorizedSystem, "_cg_fallback", counted_fallback)
+    u = fact.solve(loads)
+    assert len(fallbacks) == 1
+    assert np.array_equal(fallbacks[0], load[system.free_dofs])
+    for j in range(2):
+        residual = _full_residual(mesh, np.ones(mesh.num_triangles), (), system,
+                                  u[:, j], loads[:, j])
+        assert (np.linalg.norm(residual)
+                <= 1e-9 * np.linalg.norm(loads[system.free_dofs, j]))
+
+    monkeypatch.setattr(spla, "cg", lambda a, b, x0=None, **kwargs: (x0, 1))
+    with pytest.raises(SolverFailure, match=r"^relative residual .* exceeds 1e-9$"):
+        fact.solve(loads)
+
+
+def test_pattern_order_keeps_mmd_fill():
+    # the pattern's elimination order, factorized as given, fills no more
+    # than SuperLU's own MMD ordering of the same operator in ascending order
+    mesh = build_rect_mesh(1.0, 0.5, 40, 20, crossed=True)
+    mesh = tag_boundary(mesh, (0.0, 0.0), (0.05, 0.0), "left")
+    mesh = tag_boundary(mesh, (0.95, 0.0), (1.0, 0.0), "right")
+    bcs = (el.FixedBoundary("left", "y"), el.FixedBoundary("right", "y"),
+           el.PointConstraint(mesh.nearest_node(0.0, 0.0), 0))
+    tau = el.ersatz_tau(np.random.default_rng(6).uniform(0.0, 1.0, mesh.num_triangles),
+                        MAT)
+    system = el.assemble_state(mesh, tau, MAT, (), bcs)
+    ascending = np.argsort(system.free_dofs)
+    reference = spla.splu(system.matrix[ascending][:, ascending].tocsc(),
+                          permc_spec="MMD_AT_PLUS_A")
+    fill = el.FactorizedSystem(system)._lu.nnz
+    assert abs(fill - reference.nnz) <= 0.01 * reference.nnz
 
 
 def _deviator_adjoint_load_reference(mesh, mat, u, tau_e, p, yield_stress):

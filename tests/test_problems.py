@@ -197,6 +197,37 @@ def test_design_fields_are_derived_once_per_iteration(monkeypatch, make):
     assert per_iteration == {"tau": 1.0, "dtau": 1.0, "self_density": 1.0}
 
 
+def test_load_cases_sharing_supports_are_one_blocked_solve(monkeypatch):
+    # the girder's two cases share their supports: one factorization and one
+    # solve call with both loads as columns, equal to solving case by case
+    problem = make_girder(nx=30, ny=15)
+    tau = el.ersatz_tau(np.random.default_rng(2).uniform(0.1, 1.0,
+                                                         problem.mesh.num_triangles),
+                        problem.mat)
+    calls = {"factorize": 0, "solve": []}
+    real_init, real_solve = el.FactorizedSystem.__init__, el.FactorizedSystem.solve
+
+    def counting_init(self, system):
+        calls["factorize"] += 1
+        real_init(self, system)
+
+    def counting_solve(self, rhs):
+        calls["solve"].append(rhs.shape)
+        return real_solve(self, rhs)
+
+    monkeypatch.setattr(el.FactorizedSystem, "__init__", counting_init)
+    monkeypatch.setattr(el.FactorizedSystem, "solve", counting_solve)
+    states, facts = problem._solve_cases(tau)
+    assert calls == {"factorize": 1, "solve": [(2 * problem.mesh.num_nodes, 2)]}
+    monkeypatch.undo()
+
+    assert facts[0] is facts[1]
+    for u, load in zip(states, problem.traction_vectors):
+        ref = facts[0].solve(load)
+        assert u.flags["C_CONTIGUOUS"]
+        assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("make, groups", [
     (lambda: make_girder(nx=12, ny=6), [0, 0]),
     (lambda: make_clamped_tri(nx=12, ny=6), [0, 1, 0]),
