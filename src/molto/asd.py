@@ -68,14 +68,6 @@ class SimplexComplex:
     edges: np.ndarray          # (E, 2) unique index pairs, sorted
     edge_lengths: np.ndarray   # normalized objective-space lengths
 
-    def edge_length_of(self, i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        return self._length_map[key]
-
-    def __post_init__(self):
-        self._length_map = {(int(a), int(b)): float(l)
-                            for (a, b), l in zip(self.edges, self.edge_lengths)}
-
 
 def _fan_triangulation(order: np.ndarray, m: int) -> list:
     return [tuple(int(order[k]) for k in (0, i, i + 1))
@@ -126,9 +118,11 @@ def mean_edge_length(complex_: SimplexComplex):
 def mark_and_refine(complex_: SimplexComplex, register: SolutionRegister,
                     edge_tolerance: float) -> list:
     """New reference weights: edge midpoints of every poor simplex."""
+    length = {(int(a), int(b)): float(l)
+              for (a, b), l in zip(complex_.edges, complex_.edge_lengths)}
     poor = []
     for simplex in complex_.simplices:
-        longest = max(complex_.edge_length_of(i, j)
+        longest = max(length[min(i, j), max(i, j)]
                       for k, i in enumerate(simplex) for j in simplex[k + 1:])
         poor.append(longest > edge_tolerance)
 

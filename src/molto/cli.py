@@ -85,6 +85,8 @@ def read_register(path) -> list:
         header = next(reader, [])
         m = sum(1 for name in header if name.startswith("wstar_"))
         n_g = sum(1 for name in header if name.startswith("feasible_"))
+        if m < 1 or header != _register_header(m, n_g):
+            raise ConfigError(f"{path}: not a register (unexpected header)")
         for row in reader:
             vals = row[1:]
             try:

@@ -124,8 +124,6 @@ class SparseSystem:
 def boundary_vector(mesh: Mesh, tag: str, vector) -> np.ndarray:
     """Consistent nodal vector of a constant traction on a tagged boundary."""
     edges = mesh.edges_with_tag(tag)
-    if edges.shape[0] == 0:
-        raise InvalidArgument(f"no boundary edges tagged '{tag}'")
     delta = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     lengths = np.hypot(delta[:, 0], delta[:, 1])
     f = np.zeros(2 * mesh.num_nodes)
@@ -144,8 +142,6 @@ def spring_matrix(mesh: Mesh, springs) -> sp.csr_matrix:
     rows, cols, vals = [], [], []
     for spec in springs:
         edges = mesh.edges_with_tag(spec.tag)
-        if edges.shape[0] == 0:
-            raise InvalidArgument(f"no boundary edges tagged '{spec.tag}'")
         r = np.asarray(spec.direction, dtype=float)
         rr = np.outer(r, r)
         delta = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
@@ -175,8 +171,6 @@ def _fixed_dofs(mesh: Mesh, bcs) -> np.ndarray:
             dofs.append([2 * bc.node + bc.component])
             continue
         edges = mesh.edges_with_tag(bc.tag)
-        if edges.shape[0] == 0:
-            raise InvalidArgument(f"no boundary edges tagged '{bc.tag}'")
         comps = _COMPONENTS.get(bc.components)
         if comps is None:
             raise InvalidArgument(f"unknown constraint components '{bc.components}'")

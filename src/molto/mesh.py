@@ -81,7 +81,11 @@ class Mesh:
         return areas
 
     def edges_with_tag(self, tag: str) -> np.ndarray:
-        return self.boundary_edges[self.edge_tags == tag]
+        """Boundary edges carrying ``tag``; at least one must."""
+        edges = self.boundary_edges[self.edge_tags == tag]
+        if edges.shape[0] == 0:
+            raise InvalidArgument(f"no boundary edges tagged '{tag}'")
+        return edges
 
     def nodes_with_tag(self, tag: str) -> np.ndarray:
         """Unique node indices touched by edges carrying ``tag``."""

@@ -9,15 +9,17 @@ with objectives, constraint values and multipliers as plain arrays:
     solve_states(theta_e) -> StateBundle
     objectives(bundle) -> J
     constraint_values(bundle) -> G  (feasible iff G <= 0)
-    solve_adjoints(bundle, w, j_star, multipliers) -> adjoints
+    solve_adjoints(bundle, w, j_star, multipliers) -> adjoint strains
     perturbation(bundle, adjoints, w, j_star, multipliers,
                  c_override=None) -> sensitivity.PerturbationResult
 
 plus theta_elements / wave_factors / filter_forcing. Only
 ``solve_states`` sees the design's element material fraction theta; the
-``StateBundle`` it returns carries everything derived from it once, which
-the other four methods read. The multipliers are one per entry of G; the
-optimizer owns them and J*.
+``StateBundle`` it returns carries everything derived from it once (one
+state, factorization and strain field per load case), which the other four
+methods read. An adjoint enters the perturbation only through its strains,
+so ``solve_adjoints`` returns those, one field per objective. The
+multipliers are one per entry of G; the optimizer owns them and J*.
 
 Operators that depend only on the problem (stiffness patterns, the level set
 step operator, Helmholtz factors) are built on first use and shared
@@ -50,9 +52,9 @@ class StateBundle:
     theta: np.ndarray  # element material fraction
     tau: np.ndarray  # relative stiffness, 1 off the design domain
     dtau: np.ndarray  # its derivative, 0 off the design domain
-    states: list
+    states: list  # displacement per load case
     facts: list  # factorization per load case (shared objects allowed)
-    strains: list  # element strains per state, shared where states are
+    strains: list  # element strains per load case
     stress: el.StressAggregate | None = None  # stress family only
     density: np.ndarray | None = None  # eps(u):C:eps(u); mechanism and stress
 
@@ -187,16 +189,13 @@ class ComplianceProblem(FEMProblem):
         return np.array([vol / self.volume_ref - self.volume_fraction])
 
     def solve_adjoints(self, bundle, w, j_star, multipliers):
-        # mean compliance is self-adjoint
-        return [(w[a] / j_star[a]) * u for a, u in enumerate(bundle.states)]
+        # mean compliance is self-adjoint: v_a = (w_a / J*_a) u_a
+        return [(w[a] / j_star[a]) * eps for a, eps in enumerate(bundle.strains)]
 
     def perturbation(self, bundle, adjoints, w, j_star, multipliers,
                      c_override=None):
-        # each adjoint is (w_a / J*_a) u_a (solve_adjoints), and strains are
-        # linear in the displacement
-        adjoint_strains = [(w[a] / j_star[a]) * eps for a, eps in enumerate(bundle.strains)]
         return sens.perturbation_compliance(
-            self.mesh, self.mat, bundle.dtau, bundle.strains, adjoint_strains,
+            self.mesh, self.mat, bundle.dtau, bundle.strains, adjoints,
             multipliers[0], self.volume_ref, w,
             mask=self.design_mask, c_override=c_override)
 
@@ -282,11 +281,10 @@ class MechanismProblem(FEMProblem):
 
     def solve_states(self, theta_e) -> StateBundle:
         tau, dtau = self._material(theta_e)
-        (u,), (fact,) = self._solve_cases(tau)
-        eps = el.element_strains(self.mesh, u)
-        # both objectives read the same physical state
-        return StateBundle(theta_e, tau, dtau, states=[u, u], facts=[fact, fact],
-                           strains=[eps, eps],
+        states, facts = self._solve_cases(tau)
+        eps = el.element_strains(self.mesh, states[0])
+        return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
+                           strains=[eps],
                            density=el.mutual_energy_density(self.mat, eps, eps))
 
     def objectives(self, bundle) -> np.ndarray:
@@ -299,21 +297,20 @@ class MechanismProblem(FEMProblem):
 
     def solve_adjoints(self, bundle, w, j_star, multipliers):
         u, fact = bundle.states[0], bundle.facts[0]
-        v_out = fact.solve(-(w[0] / j_star[0]) * self.output_vector)
         # strain-energy load is the elastic (spring-free) part of K times u,
         # read on the free rows, the only ones a solve reads
         free = fact.system.free_dofs
         bulk = np.zeros_like(u)
         bulk[free] = fact.system.matrix @ u[free] - (self._spring_matrix @ u)[free]
-        v_energy = fact.solve((w[1] / j_star[1]) * bulk)
-        return [v_out, v_energy]
+        loads = np.column_stack([-(w[0] / j_star[0]) * self.output_vector,
+                                 (w[1] / j_star[1]) * bulk])
+        return [el.element_strains(self.mesh, v) for v in fact.solve(loads).T]
 
     def perturbation(self, bundle, adjoints, w, j_star, multipliers,
                      c_override=None):
-        eps_out, eps_energy = (el.element_strains(self.mesh, v) for v in adjoints)
         return sens.perturbation_mechanism(
             self.mesh, self.mat, bundle.dtau, bundle.density, bundle.strains[0],
-            eps_out, eps_energy, multipliers[0], self.volume_ref, w, j_star[1],
+            adjoints, multipliers[0], self.volume_ref, w, j_star,
             mask=self.design_mask, c_override=c_override)
 
 
@@ -361,12 +358,12 @@ class StressVolumeProblem(FEMProblem):
 
     def solve_states(self, theta_e) -> StateBundle:
         tau, dtau = self._material(theta_e)
-        (u,), (fact,) = self._solve_cases(tau)
-        eps = el.element_strains(self.mesh, u)
+        states, facts = self._solve_cases(tau)
+        eps = el.element_strains(self.mesh, states[0])
         stress = el.stress_aggregate(self.mesh, self.mat, eps, tau,
                                      self.stress_exponent, self.yield_stress)
-        return StateBundle(theta_e, tau, dtau, states=[u, u], facts=[fact, fact],
-                           strains=[eps, eps], stress=stress,
+        return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
+                           strains=[eps], stress=stress,
                            density=el.mutual_energy_density(self.mat, eps, eps))
 
     def objectives(self, bundle) -> np.ndarray:
@@ -382,37 +379,25 @@ class StressVolumeProblem(FEMProblem):
     def solve_adjoints(self, bundle, w, j_star, multipliers):
         """Both constraints differentiate the same aggregate of the one state,
         so by linearity each stress adjoint is lambda_a / V0 times one
-        solution z of K z = dS/du; z is not solved for while every
-        lambda_a is zero."""
-        u, fact = bundle.states[0], bundle.facts[0]
-        scales = [lam / self.volume_ref for lam in multipliers]
-        z = np.zeros_like(u)
-        if any(scales):
-            z = fact.solve(el.deviator_adjoint_load(self.mesh, self.mat,
-                                                    bundle.stress, bundle.tau))
-        adjoints = [scale * z for scale in scales]
+        solution z of K z = dS/du, whose strains are taken once; z is not
+        solved for while every lambda_a is zero."""
+        eps = bundle.strains[0]
+        eps_z = np.zeros_like(eps)
+        if any(multipliers):
+            eps_z = el.element_strains(self.mesh, bundle.facts[0].solve(
+                el.deviator_adjoint_load(self.mesh, self.mat, bundle.stress,
+                                         bundle.tau)))
+        adjoints = [(lam / self.volume_ref) * eps_z for lam in multipliers]
         # the strain-energy objective is self-adjoint
-        adjoints[1] = adjoints[1] + (w[1] / j_star[1]) * u
+        adjoints[1] = adjoints[1] + (w[1] / j_star[1]) * eps
         return adjoints
 
     def perturbation(self, bundle, adjoints, w, j_star, multipliers,
                      c_override=None):
-        # adjoint a is s_a z plus, for the strain energy, c u (solve_adjoints);
-        # strains are linear in the displacement, so those of z are taken
-        # once, from the adjoint with the largest |s_a|
-        scales = np.asarray(multipliers, dtype=float) / self.volume_ref
-        self_terms = (0.0, w[1] / j_star[1])
-        lead = int(np.argmax(np.abs(scales)))
-        eps_z = 0.0
-        if scales[lead] != 0.0:
-            z = (adjoints[lead] - self_terms[lead] * bundle.states[0]) / scales[lead]
-            eps_z = el.element_strains(self.mesh, z)
-        eps = bundle.strains[0]
         return sens.perturbation_stress_volume(
-            self.mesh, self.mat, bundle.dtau, bundle.density, eps,
-            [s * eps_z + c * eps for s, c in zip(scales, self_terms)], bundle.stress,
-            multipliers, self.volume_ref, w, j_star, mask=self.design_mask,
-            c_override=c_override)
+            self.mesh, self.mat, bundle.dtau, bundle.density, bundle.strains[0],
+            adjoints, bundle.stress, multipliers, self.volume_ref, w, j_star,
+            mask=self.design_mask, c_override=c_override)
 
     def filter_forcing(self, forcing):
         eta = self.filter_eta

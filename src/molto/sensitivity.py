@@ -8,9 +8,10 @@ the same form to the forcing:
 
 with k_a the constraint part (multiplier pressure or aggregated stress term,
 never normalized), e_a the explicit part of the objective's shape derivative,
-a_a the part carried by the adjoint, and c_a the constant that scales the
-objective part to mean magnitude w_a. Each problem family has one builder
-that only supplies these terms:
+a_a = dtau * C eps(u_a) : eps(v_a) the part carried by the adjoint v_a of the
+state u_a, and c_a the constant that scales the objective part to mean
+magnitude w_a. Each problem family has one builder that only supplies k_a,
+e_a and the strains of each (state, adjoint) pair:
 
 * ``perturbation_compliance``     -- any number of mean-compliance load cases
                                      sharing a volume constraint
@@ -85,17 +86,20 @@ class PerturbationResult:
     total: np.ndarray
 
 
-def _combine(mesh: Mesh, constraint, explicit, adjoint, w, volume_ref: float,
+def _combine(mesh: Mesh, mat: el.MaterialParams, dtau, constraint, explicit,
+             strains, adjoint_strains, w, volume_ref: float,
              c_override) -> PerturbationResult:
-    """f_a = k_a + (e_a - a_a) / c_a for every objective a.
+    """f_a = k_a + (e_a - a_a) / c_a for every objective a, with a_a formed
+    from the strains of state a and of its adjoint.
 
     c_a scales the whole objective part e_a - a_a, not the adjoint part
     alone: with stiff boundary springs the governing-equation part can be
     orders of magnitude below an explicit energy term.
     """
     contributions, c_norm = [], []
-    for alpha, (k, e, a) in enumerate(zip(constraint, explicit, adjoint)):
-        objective = e - a
+    for alpha, (k, e, eps_u, eps_v) in enumerate(zip(constraint, explicit, strains,
+                                                     adjoint_strains)):
+        objective = e - dtau * el.mutual_energy_density(mat, eps_u, eps_v)
         c = (normalize(objective, w[alpha], volume_ref, mesh.element_areas)
              if c_override is None else c_override[alpha])
         contributions.append(k + objective / c)
@@ -119,7 +123,7 @@ def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, dtau,
                             strains, adjoint_strains, multiplier: float,
                             volume_ref: float, w, mask=None,
                             c_override=None) -> PerturbationResult:
-    """k_a = lambda / (m V0), e_a = 0, a_a = dtau * C eps(u_a) : eps(v_a).
+    """k_a = lambda / (m V0) and e_a = 0 for each of the m load cases.
 
     ``dtau`` is zero off the design domain ``mask``. The strains are those of
     the m states and of their adjoints, which carry their w_a / J*_a scaling.
@@ -127,27 +131,23 @@ def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, dtau,
     """
     m = len(strains)
     pressure = _masked_constant(multiplier / (m * volume_ref), mesh, mask)
-    adjoint = [dtau * el.mutual_energy_density(mat, eps_u, eps_v)
-               for eps_u, eps_v in zip(strains, adjoint_strains)]
-    return _combine(mesh, [pressure] * m, [0.0] * m, adjoint, w, volume_ref,
-                    c_override)
+    return _combine(mesh, mat, dtau, [pressure] * m, [0.0] * m, strains,
+                    adjoint_strains, w, volume_ref, c_override)
 
 
 def perturbation_mechanism(mesh: Mesh, mat: el.MaterialParams, dtau, density,
-                           eps, eps_out, eps_energy, multiplier: float,
-                           volume_ref: float, w, j_energy_star: float,
-                           mask=None, c_override=None) -> PerturbationResult:
+                           eps, adjoint_strains, multiplier: float,
+                           volume_ref: float, w, j_star, mask=None,
+                           c_override=None) -> PerturbationResult:
     """Output displacement and strain energy sharing a volume constraint,
     k_a = lambda / (2 V0); the energy objective has the explicit self-term
     e_2 = (w2 / 2 J*2) dtau * density, with density = C eps(u) : eps(u) of
-    the state, whose strains are ``eps``, and the strains of its two
-    adjoints."""
+    the one state, whose strains are ``eps``; both adjoints, whose strains
+    are ``adjoint_strains``, pair with that state."""
     pressure = _masked_constant(multiplier / (2.0 * volume_ref), mesh, mask)
-    adjoint = [dtau * el.mutual_energy_density(mat, eps, eps_out),
-               dtau * el.mutual_energy_density(mat, eps, eps_energy)]
-    self2 = (w[1] / (2.0 * j_energy_star)) * dtau * density
-    return _combine(mesh, [pressure, pressure], [0.0, self2], adjoint, w,
-                    volume_ref, c_override)
+    self2 = (w[1] / (2.0 * j_star[1])) * dtau * density
+    return _combine(mesh, mat, dtau, [pressure, pressure], [0.0, self2], [eps, eps],
+                    adjoint_strains, w, volume_ref, c_override)
 
 
 def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
@@ -157,7 +157,8 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
                                c_override=None) -> PerturbationResult:
     """Volume and strain energy with one stress constraint per objective, all
     on the aggregate ``stress`` of the one state, whose strains are ``eps``
-    and whose solid density C eps(u) : eps(u) is ``density``:
+    and whose solid density C eps(u) : eps(u) is ``density``; both adjoints
+    pair with that state:
 
         k_a = (lambda_a / (p V0)) * S^(1/p - 1) * (vm/f_y)^p * dtau
             = (lambda_a / (p V0)) * total^(1/p - 1) * peak * rel^p * dtau,
@@ -168,10 +169,8 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
             if total > 0.0 else np.zeros(mesh.num_triangles))
     explicit = [_masked_constant(w[0] / j_star[0], mesh, mask),
                 (w[1] / (2.0 * j_star[1])) * dtau * density]
-    adjoint = [dtau * el.mutual_energy_density(mat, eps, eps_v)
-               for eps_v in adjoint_strains]
-    return _combine(mesh, [lam * unit for lam in multipliers], explicit, adjoint,
-                    w, volume_ref, c_override)
+    return _combine(mesh, mat, dtau, [lam * unit for lam in multipliers], explicit,
+                    [eps, eps], adjoint_strains, w, volume_ref, c_override)
 
 
 # ---------------------------------------------------------------------------

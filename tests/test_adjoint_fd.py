@@ -131,11 +131,11 @@ def test_mechanism_objective_dropout():
     j_star = np.array([1.0, 1.0])
     adjoints = problem.solve_adjoints(bundle, [1.0, 1.0], j_star, None)
     import molto.sensitivity as sens
-    eps, eps_out = bundle.strains[0], el.element_strains(mesh, adjoints[0])
+    eps, eps_out = bundle.strains[0], adjoints[0]
     res = sens.perturbation_mechanism(mesh, MAT, bundle.dtau, bundle.density, eps,
-                                      eps_out, np.zeros_like(eps), 0.0,
+                                      [eps_out, np.zeros_like(eps)], 0.0,
                                       problem.volume_ref, [1.0, 0.0],
-                                      1.0, mask=problem.design_mask,
+                                      j_star, mask=problem.design_mask,
                                       c_override=(1.0, 1.0))
     dtau = np.where(problem.design_mask, el.ersatz_dtau(theta, MAT), 0.0)
     mutual = dtau * el.mutual_energy_density(MAT, eps, eps_out)

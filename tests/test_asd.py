@@ -135,6 +135,15 @@ def test_mark_and_refine_midpoints():
     assert mark_and_refine(cx2, reg, 10.0) == []
 
 
+def test_mark_and_refine_reads_the_complex_edge_lengths():
+    # the refinement reads the lengths the complex holds now, as
+    # mean_edge_length does: a short edge is not refined
+    reg = register_from([((0.9, 0.1), (0.0, 1.0)), ((0.1, 0.9), (1.0, 0.0))])
+    cx = build_complex(reg, 2)
+    cx.edge_lengths = np.array([0.01])
+    assert mark_and_refine(cx, reg, 0.04) == []
+
+
 def test_mark_and_refine_triangle_barycenters():
     reg = register_from([((0.7, 0.15, 0.15), (0.0, 1.0, 1.0)),
                          ((0.15, 0.7, 0.15), (1.0, 0.0, 1.0)),

@@ -407,6 +407,24 @@ def test_cli_pareto_rejects_empty_register(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", [
+    "a,b,c",
+    # a register's header without its normalized objectives
+    "index,wstar_1,wstar_2,wfinal_1,wfinal_2,j_1,j_2,feasible_1,converged,iterations",
+], ids=["foreign", "truncated"])
+def test_cli_pareto_rejects_a_csv_that_is_not_a_register(tmp_path, capsys, header):
+    bad = tmp_path / "bad.csv"
+    width = len(header.split(","))
+    bad.write_text("\n".join([header, ",".join(["1"] * width),
+                               ",".join(["2"] * width)]) + "\n")
+    out = tmp_path / "o.csv"
+    assert cli.main(["pareto", str(bad), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and "not a register" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row, message", [
     ("1,0.5,0.5,0.5,0.5,nan,1.5,1,1,1,1,1,3", "non-finite"),
     ("1,0.5,0.5,0.5,0.5,inf,1.5,1,1,1,1,1,3", "non-finite"),

@@ -97,6 +97,8 @@ def test_tag_no_match_raises():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
     with pytest.raises(TagMatchError):
         tag_boundary(mesh, (0.5, 0.5), (0.6, 0.5), "inside")
+    with pytest.raises(InvalidArgument, match="no boundary edges tagged 'inside'"):
+        mesh.edges_with_tag("inside")
 
 
 def test_tag_corner_patches():

@@ -131,8 +131,8 @@ def test_stress_adjoints_match_per_constraint_solves():
     lams = np.array([0.8, 0.5])
     got = problem.solve_adjoints(bundle, w, j_star, lams)
     # one load and one solve per constraint, as the adjoint is defined
-    fact = bundle.facts[0]
-    for alpha, (u, lam) in enumerate(zip(bundle.states, lams)):
+    fact, u = bundle.facts[0], bundle.states[0]
+    for alpha, lam in enumerate(lams):
         stress = el.stress_aggregate(problem.mesh, problem.mat,
                                      el.element_strains(problem.mesh, u), tau,
                                      problem.stress_exponent, problem.yield_stress)
@@ -141,6 +141,7 @@ def test_stress_adjoints_match_per_constraint_solves():
         ref = fact.solve(load)
         if alpha == 1:
             ref = ref + (w[1] / j_star[1]) * u
+        ref = el.element_strains(problem.mesh, ref)
         assert np.abs(got[alpha] - ref).max() <= 1e-12 * np.abs(ref).max()
     assert not np.allclose(got[0], 0.0)
 
@@ -161,9 +162,42 @@ def test_stress_adjoints_solve_once_and_not_while_inactive(monkeypatch, multipli
     adjoints = problem.solve_adjoints(bundle, w, j_star, np.array(multipliers))
     assert len(calls) == solves
     if solves == 0:
-        u = bundle.states[0]
-        assert np.array_equal(adjoints[0], np.zeros_like(u))
-        assert np.array_equal(adjoints[1], (w[1] / j_star[1]) * u)
+        eps = bundle.strains[0]
+        assert np.array_equal(adjoints[0], np.zeros_like(eps))
+        assert np.array_equal(adjoints[1], (w[1] / j_star[1]) * eps)
+
+
+def test_mechanism_adjoints_are_one_blocked_solve(monkeypatch):
+    # both gripper adjoints share the one factorization: one solve call with
+    # the output load and the energy load as columns, equal to solving each
+    problem = make_gripper(nx=12, ny=6)
+    theta = np.random.default_rng(3).uniform(0.4, 0.95, problem.mesh.num_triangles)
+    bundle = problem.solve_states(theta)
+    j_star = problem.objectives(bundle)
+    w = np.array([0.4, 0.6])
+    shapes = []
+    real = el.FactorizedSystem.solve
+
+    def counting(self, rhs):
+        shapes.append(rhs.shape)
+        return real(self, rhs)
+
+    monkeypatch.setattr(el.FactorizedSystem, "solve", counting)
+    got = problem.solve_adjoints(bundle, w, j_star, np.array([0.3]))
+    monkeypatch.undo()
+    assert shapes == [(2 * problem.mesh.num_nodes, 2)]
+
+    # the energy load is K u without the springs, on the free rows
+    u, fact = bundle.states[0], bundle.facts[0]
+    free = fact.system.free_dofs
+    bulk = np.zeros_like(u)
+    bulk[free] = (fact.system.matrix @ u[free]
+                  - (el.spring_matrix(problem.mesh, problem.springs) @ u)[free])
+    loads = [-(w[0] / j_star[0]) * problem.output_vector, (w[1] / j_star[1]) * bulk]
+    assert len(got) == 2
+    for eps_v, load in zip(got, loads):
+        ref = el.element_strains(problem.mesh, fact.solve(load))
+        assert np.abs(eps_v - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("make", [lambda: make_lbracket(nx=10),
