@@ -188,12 +188,7 @@ class ASDResult:
     register: SolutionRegister
     pareto: list
     history: list           # (level, candidate count, mean, std)
-    edge_tolerance: float
     failures: list = field(default_factory=list)
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.history) and self.history[-1][2] <= self.edge_tolerance
 
 
 def _run_batch(problem, weights_batch, cfg: ASDConfig) -> list:
@@ -233,9 +228,12 @@ def run_asd(problem, initial_weights, cfg: ASDConfig) -> ASDResult:
         history.append((level, len(register), mean, std))
         if mean <= cfg.edge_tolerance or level >= cfg.max_levels:
             break
-        pending = mark_and_refine(complex_, register, cfg.edge_tolerance)
+        # candidate runs are deterministic: a weight that failed is known too,
+        # and a level that emits nothing new ends the refinement
+        pending = [w for w in mark_and_refine(complex_, register, cfg.edge_tolerance)
+                   if not any(same_weight(w, f.w_star) for f in failures)]
         level += 1
 
     final = pareto_filter(dedup(register.candidates, cfg.dedup_tolerance))
     return ASDResult(register=register, pareto=final, history=history,
-                     edge_tolerance=cfg.edge_tolerance, failures=failures)
+                     failures=failures)

@@ -199,7 +199,10 @@ def _cmd_pareto(args) -> int:
     kept = pareto_filter(dedup(candidates, args.tol))
     out = Path(args.out) if args.out else None
     if out:
-        write_register(kept, out)
+        try:
+            write_register(kept, out)
+        except OSError as exc:
+            raise ConfigError(f"cannot write register {out}: {exc}") from exc
         print(f"{len(kept)} of {len(candidates)} candidates kept -> {out}")
     else:
         for cand in kept:

@@ -1,9 +1,9 @@
 """Flat key = value configuration files for the benchmark problems.
 
 Every key a problem kind understands has a typed schema entry with a default
-and an optional range check. Unknown keys are rejected with their line
-number; every default that fills a missing key is reported as a warning so
-nothing is overridden silently.
+and an optional range check. Unknown keys, repeated keys and empty values
+are rejected with their line numbers; every default that fills a missing key
+is reported as a warning so nothing is overridden silently.
 """
 
 from __future__ import annotations
@@ -245,6 +245,11 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
         if "=" not in line:
             raise ConfigError(f"{source}: line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ConfigError(f"{source}: lines {lines[key]} and {lineno}: "
+                              f"key '{key}' given twice")
+        if not raw:
+            raise ConfigError(f"{source}: line {lineno}: empty value for '{key}'")
         entries[key] = raw
         lines[key] = lineno
 

@@ -136,29 +136,24 @@ def boundary_vector(mesh: Mesh, tag: str, vector) -> np.ndarray:
 
 
 def spring_matrix(mesh: Mesh, springs) -> sp.csr_matrix:
+    """The springs' stiffness: on each tagged edge of length l, the
+    consistent line element k l / 6 [[2, 1], [1, 2]] times r r^T."""
     n = 2 * mesh.num_nodes
-    if not springs:
-        return sp.csr_matrix((n, n))
-    rows, cols, vals = [], [], []
+    rows, cols, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for spec in springs:
         edges = mesh.edges_with_tag(spec.tag)
-        r = np.asarray(spec.direction, dtype=float)
-        rr = np.outer(r, r)
         delta = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-        lengths = np.hypot(delta[:, 0], delta[:, 1])
-        # 2-node line element consistent mass: l/6 * [[2,1],[1,2]]
-        for a in range(2):
-            for b in range(2):
-                w = spec.stiffness * lengths / 6.0 * (2.0 if a == b else 1.0)
-                for i in range(2):
-                    for j in range(2):
-                        rows.append(2 * edges[:, a] + i)
-                        cols.append(2 * edges[:, b] + j)
-                        vals.append(w * rr[i, j])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        line = np.array([[2.0, 1.0], [1.0, 2.0]])[:, :, None]
+        w = spec.stiffness * np.hypot(delta[:, 0], delta[:, 1]) / 6.0 * line
+        # entries (a, b, i, j, edge): component i of end a against j of end b
+        dof = 2 * edges.T[:, None, :] + np.arange(2)[:, None]  # (a, i, edge)
+        shape = (2, 2, 2, 2, len(edges))
+        rows.append(np.broadcast_to(dof[:, None, :, None], shape).ravel())
+        cols.append(np.broadcast_to(dof[None, :, None], shape).ravel())
+        rr = np.outer(spec.direction, spec.direction)
+        vals.append((w[:, :, None, None] * rr[:, :, None]).ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
 
 
 _COMPONENTS = {"both": (0, 1), "x": (0,), "y": (1,)}

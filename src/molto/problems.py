@@ -2,9 +2,11 @@
 
 Each FEM problem owns its mesh, boundary tagging, load cases (a traction
 and its supports each) and boundary springs, and the wiring between
-elasticity solves, adjoint solves, and the perturbation builders.
-All of them expose the same small interface consumed by the optimizer,
-with objectives, constraint values and multipliers as plain arrays:
+elasticity solves, adjoint solves, and the perturbation builders. The
+``FEMProblem`` constructor owns the design domain: the design mask, the
+reference volume (its area) and the level set anchors. All of them expose
+the same small interface consumed by the optimizer, with objectives,
+constraint values and multipliers as plain arrays:
 
     solve_states(theta_e) -> StateBundle
     objectives(bundle) -> J
@@ -15,11 +17,12 @@ with objectives, constraint values and multipliers as plain arrays:
 
 plus theta_elements / wave_factors / filter_forcing. Only
 ``solve_states`` sees the design's element material fraction theta; the
-``StateBundle`` it returns carries everything derived from it once (one
-state, factorization and strain field per load case), which the other four
-methods read. An adjoint enters the perturbation only through its strains,
-so ``solve_adjoints`` returns those, one field per objective. The
-multipliers are one per entry of G; the optimizer owns them and J*.
+``StateBundle`` it returns carries everything derived from it once, which
+the other four methods read. ``FEMProblem`` derives tau, dtau and one state,
+factorization and strain field per load case; a family's ``solve_states``
+adds only its own fields. An adjoint enters the perturbation only through
+its strains, so ``solve_adjoints`` returns those, one field per objective.
+The multipliers are one per entry of G; the optimizer owns them and J*.
 
 Operators that depend only on the problem (stiffness patterns, the level set
 step operator, Helmholtz factors) are built on first use and shared
@@ -70,9 +73,13 @@ class LoadCase:
 
 class FEMProblem:
     """Shared plumbing for the concrete benchmark problems: a mesh, load
-    cases and the boundary springs every case shares."""
+    cases, the boundary springs every case shares and the design domain,
+    ``design_mask`` (bool per element; None = every element). The level set
+    is held at +1 on every traction node, then at the (nodes, value) pairs
+    of ``phi_fixed``; the first value listed for a node wins."""
 
-    def __init__(self, mesh: Mesh, mat: el.MaterialParams, cases, springs=()):
+    def __init__(self, mesh: Mesh, mat: el.MaterialParams, cases, springs=(),
+                 design_mask=None, phi_fixed=()):
         if not cases:
             raise InvalidArgument("at least one load case required")
         self.mesh = mesh
@@ -81,8 +88,15 @@ class FEMProblem:
         self.springs = tuple(springs)
         self.traction_vectors = [el.boundary_vector(mesh, c.traction_tag, c.traction)
                                  for c in self.cases]
-        self.design_mask = None  # bool per element; None = everything designable
-        self.phi_fixed = None  # (nodes, values) the level set is held at
+        self.design_mask = design_mask
+        areas = mesh.element_areas if design_mask is None else mesh.element_areas[design_mask]
+        self.volume_ref = float(areas.sum())
+        pairs = [(mesh.nodes_with_tag(c.traction_tag), 1.0)
+                 for c in self.cases] + list(phi_fixed)
+        nodes = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in pairs])
+        values = np.concatenate([np.full(len(idx), float(val)) for idx, val in pairs])
+        nodes, keep = np.unique(nodes, return_index=True)
+        self.phi_fixed = (nodes, values[keep])
         self._operators = {}
         self._operators_lock = threading.Lock()
 
@@ -116,6 +130,23 @@ class FEMProblem:
                 states[k], facts[k] = u, fact
         return states, facts
 
+    def _states(self, theta_e) -> StateBundle:
+        """The design's tau and dtau, held solid (1 and 0) off the design
+        domain, and the state, factorization and strains of every load case."""
+        tau = el.ersatz_tau(theta_e, self.mat)
+        dtau = el.ersatz_dtau(theta_e, self.mat)
+        if self.design_mask is not None:
+            tau = np.where(self.design_mask, tau, 1.0)
+            dtau = np.where(self.design_mask, dtau, 0.0)
+        states, facts = self._solve_cases(tau)
+        return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
+                           strains=[el.element_strains(self.mesh, u) for u in states])
+
+    def _volume_constraint(self, bundle, fraction) -> np.ndarray:
+        """G = V(theta) / V0 - fraction, V taken over the design domain."""
+        vol = sens.volume_integral(self.mesh, bundle.theta, self.design_mask)
+        return np.array([vol / self.volume_ref - fraction])
+
     def wave_factors(self, wave_speed, damping, ds) -> levelset.WaveFactors:
         """The level set step operator, with the level set held at the
         problem's prescribed values on its prescribed nodes."""
@@ -132,30 +163,8 @@ class FEMProblem:
     def theta_elements(self, phi: np.ndarray, width: float) -> np.ndarray:
         return element_means(self.mesh, el.heaviside(phi, width))
 
-    def _material(self, theta_e: np.ndarray):
-        """tau and dtau of the design, held solid (1 and 0) off the design
-        domain."""
-        tau = el.ersatz_tau(theta_e, self.mat)
-        dtau = el.ersatz_dtau(theta_e, self.mat)
-        if self.design_mask is not None:
-            tau = np.where(self.design_mask, tau, 1.0)
-            dtau = np.where(self.design_mask, dtau, 0.0)
-        return tau, dtau
-
     def initial_phi(self) -> np.ndarray:
         return np.ones(self.mesh.num_nodes)
-
-    def _set_phi_dirichlet(self, extra):
-        """Hold the level set at +1 on every case's traction nodes, then at
-        the values of ``extra``, a list of (node array, value); on nodes
-        listed more than once the first value wins (traction anchors beat
-        void walls)."""
-        pairs = [(self.mesh.nodes_with_tag(c.traction_tag), 1.0)
-                 for c in self.cases] + extra
-        nodes = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in pairs])
-        values = np.concatenate([np.full(len(idx), float(val)) for idx, val in pairs])
-        nodes, keep = np.unique(nodes, return_index=True)
-        self.phi_fixed = (nodes, values[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +176,20 @@ class ComplianceProblem(FEMProblem):
     def __init__(self, mesh, mat, cases, volume_fraction):
         super().__init__(mesh, mat, cases)
         self.volume_fraction = float(volume_fraction)
-        self.volume_ref = mesh.total_area
-        self._set_phi_dirichlet([])
 
     @property
     def num_objectives(self) -> int:
         return len(self.cases)
 
     def solve_states(self, theta_e) -> StateBundle:
-        tau, dtau = self._material(theta_e)
-        states, facts = self._solve_cases(tau)
-        return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
-                           strains=[el.element_strains(self.mesh, u) for u in states])
+        return self._states(theta_e)
 
     def objectives(self, bundle) -> np.ndarray:
         return np.array([tvec @ u for u, tvec in zip(bundle.states,
                                                      self.traction_vectors)])
 
     def constraint_values(self, bundle) -> np.ndarray:
-        vol = sens.volume_integral(self.mesh, bundle.theta, self.design_mask)
-        return np.array([vol / self.volume_ref - self.volume_fraction])
+        return self._volume_constraint(bundle, self.volume_fraction)
 
     def solve_adjoints(self, bundle, w, j_star, multipliers):
         # mean compliance is self-adjoint: v_a = (w_a / J*_a) u_a
@@ -261,39 +264,33 @@ class MechanismProblem(FEMProblem):
 
     def __init__(self, mesh, mat, *, traction, spring_in, spring_out,
                  dir_in, dir_out, volume_fraction, solid_box):
-        supports = (el.FixedBoundary("clamp", "both"),
-                    el.FixedBoundary("symmetry", "y"))
-        super().__init__(mesh, mat, [LoadCase("input", traction, supports)],
-                         springs=(el.Spring("input", spring_in, dir_in),
-                                  el.Spring("output", spring_out, dir_out)))
-        self.volume_fraction = float(volume_fraction)
-        self.output_vector = el.boundary_vector(mesh, "output", dir_out)
-        self._spring_matrix = el.spring_matrix(mesh, self.springs)
-
         (x0, y0), (x1, y1) = solid_box
         cent = mesh.nodes[mesh.triangles].mean(axis=1)
         solid = ((cent[:, 0] >= x0) & (cent[:, 0] <= x1)
                  & (cent[:, 1] >= y0) & (cent[:, 1] <= y1))
-        self.design_mask = ~solid
-        self.volume_ref = float(mesh.element_areas[self.design_mask].sum())
-        solid_nodes = np.unique(mesh.triangles[solid])
-        self._set_phi_dirichlet([(solid_nodes, 1.0)])
+        supports = (el.FixedBoundary("clamp", "both"),
+                    el.FixedBoundary("symmetry", "y"))
+        super().__init__(mesh, mat, [LoadCase("input", traction, supports)],
+                         springs=(el.Spring("input", spring_in, dir_in),
+                                  el.Spring("output", spring_out, dir_out)),
+                         design_mask=~solid,
+                         phi_fixed=[(np.unique(mesh.triangles[solid]), 1.0)])
+        self.volume_fraction = float(volume_fraction)
+        self.output_vector = el.boundary_vector(mesh, "output", dir_out)
+        self._spring_matrix = el.spring_matrix(mesh, self.springs)
 
     def solve_states(self, theta_e) -> StateBundle:
-        tau, dtau = self._material(theta_e)
-        states, facts = self._solve_cases(tau)
-        eps = el.element_strains(self.mesh, states[0])
-        return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
-                           strains=[eps],
-                           density=el.mutual_energy_density(self.mat, eps, eps))
+        bundle = self._states(theta_e)
+        eps = bundle.strains[0]
+        bundle.density = el.mutual_energy_density(self.mat, eps, eps)
+        return bundle
 
     def objectives(self, bundle) -> np.ndarray:
         energy = sens.strain_energy(self.mesh, bundle.density, bundle.tau)
         return np.array([-(self.output_vector @ bundle.states[0]), energy])
 
     def constraint_values(self, bundle) -> np.ndarray:
-        vol = sens.volume_integral(self.mesh, bundle.theta, self.design_mask)
-        return np.array([vol / self.volume_ref - self.volume_fraction])
+        return self._volume_constraint(bundle, self.volume_fraction)
 
     def solve_adjoints(self, bundle, w, j_star, multipliers):
         u, fact = bundle.states[0], bundle.facts[0]
@@ -344,27 +341,22 @@ class StressVolumeProblem(FEMProblem):
     def __init__(self, mesh, mat, *, traction, stress_exponent, yield_stress,
                  stress_limit, filter_eta=1e-4, filter_gamma=2.0):
         clamp = (el.FixedBoundary("clamp", "both"),)
-        super().__init__(mesh, mat, [LoadCase("traction", traction, clamp)])
+        super().__init__(mesh, mat, [LoadCase("traction", traction, clamp)],
+                         phi_fixed=[(mesh.nodes_with_tag("void_a"), -1.0),
+                                    (mesh.nodes_with_tag("void_b"), -1.0)])
         self.stress_exponent = float(stress_exponent)
         self.yield_stress = float(yield_stress)
         self.stress_limit = float(stress_limit)
         self.filter_eta = float(filter_eta)
         self.filter_gamma = float(filter_gamma)
-        self.volume_ref = mesh.total_area
-        self._set_phi_dirichlet([
-            (mesh.nodes_with_tag("void_a"), -1.0),
-            (mesh.nodes_with_tag("void_b"), -1.0),
-        ])
 
     def solve_states(self, theta_e) -> StateBundle:
-        tau, dtau = self._material(theta_e)
-        states, facts = self._solve_cases(tau)
-        eps = el.element_strains(self.mesh, states[0])
-        stress = el.stress_aggregate(self.mesh, self.mat, eps, tau,
-                                     self.stress_exponent, self.yield_stress)
-        return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
-                           strains=[eps], stress=stress,
-                           density=el.mutual_energy_density(self.mat, eps, eps))
+        bundle = self._states(theta_e)
+        eps = bundle.strains[0]
+        bundle.stress = el.stress_aggregate(self.mesh, self.mat, eps, bundle.tau,
+                                            self.stress_exponent, self.yield_stress)
+        bundle.density = el.mutual_energy_density(self.mat, eps, eps)
+        return bundle
 
     def objectives(self, bundle) -> np.ndarray:
         j1 = sens.volume_integral(self.mesh, bundle.theta)

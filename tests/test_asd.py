@@ -290,3 +290,25 @@ def test_failed_candidates_stay_out_of_register():
     assert cand.failed and "SolverFailure" in cand.error
     with pytest.raises(RuntimeError):
         run_asd(bad, [(0.9, 0.1), (0.1, 0.9)], ASDConfig(run=RunConfig()))
+
+
+def test_failed_weight_runs_once_per_sweep(monkeypatch):
+    import molto.asd as asd
+    real = asd.run_candidate
+    runs = []
+
+    def failing_at_half(problem, w_star, cfg):
+        runs.append(tuple(w_star))
+        if np.allclose(w_star, (0.5, 0.5)):
+            cand = real(_ExplodingSurrogate(2), w_star, cfg)
+            assert cand.failed
+            return cand
+        return real(problem, w_star, cfg)
+
+    monkeypatch.setattr(asd, "run_candidate", failing_at_half)
+    cfg = ASDConfig(edge_tolerance=0.05, max_levels=4, run=RunConfig())
+    result = run_asd(SurrogateProblem(2), [(0.9, 0.1), (0.1, 0.9)], cfg)
+    assert sum(np.allclose(w, (0.5, 0.5)) for w in runs) == 1
+    assert len(result.failures) == 1
+    # the failed midpoint was the only emission, so its level ends the sweep
+    assert [row[:2] for row in result.history] == [(0, 2), (1, 2)]

@@ -239,14 +239,19 @@ def test_cli_rejects_window_above_max_iterations(tmp_path, capsys):
     ("surrogate3", "0.15 0.70 0.15 ;", "0.70 0.15 0.15 ;",
      "weights_init repeats the vector (0.7, 0.15, 0.15)"),
     ("lbracket", "cut = 0.6", "cut = 1.2", "cut must satisfy 0 < cut < outer"),
+    ("surrogate2", "jobs = 1", "jobs = 1\nedge_tolerance = 0.5",
+     "lines 4 and 8: key 'edge_tolerance' given twice"),
+    ("surrogate2", "out_dir = molto_out/surrogate2", "out_dir =",
+     "line 8: empty value for 'out_dir'"),
 ], ids=["lbracket_nx", "gripper_dir_in", "weight_clamp", "weights_too_few",
-        "weights_repeated", "lbracket_cut"])
+        "weights_repeated", "lbracket_cut", "key_repeated", "out_dir_empty"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_configs_the_problem_rejects(tmp_path, capsys, name, old, new,
                                                 message, command):
-    # each value passes the schema's type check; the problem, the weight
-    # clamp's real range or the refinement loop's rules for the initial
-    # weights reject it before any candidate runs
+    # each value passes the schema's type check; the parser's rules for
+    # repeated keys and empty values, the problem, the weight clamp's real
+    # range or the refinement loop's rules for the initial weights reject it
+    # before any candidate runs
     text = bundled_text(name)
     assert old in text
     cfg = tmp_path / "bad.cfg"
@@ -331,6 +336,8 @@ def _exit_code(argv):
     ["pareto", "{register}", "--tol", "-1"],
     ["pareto", "{missing}"],
     ["pareto", "{empty}"],
+    ["pareto", "{register}", "--out", "{tmp}/missing_dir/x.csv"],
+    ["pareto", "{register}", "--out", "{tmp}"],
 ])
 def test_cli_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     out = tmp_path / "out"
@@ -342,7 +349,7 @@ def test_cli_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, argv):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     paths = {"cfg": cfg, "register": register, "missing": tmp_path / "none.csv",
-             "empty": empty}
+             "empty": empty, "tmp": tmp_path}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.strip() and "Traceback" not in captured.err

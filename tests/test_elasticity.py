@@ -285,6 +285,25 @@ def test_assembled_matrix_symmetry_with_springs():
     assert (asym.max() if asym.size else 0.0) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("start, end, direction", [
+    ((0.0, 0.0), (0.0, 0.5), (0.6, 0.8)),
+    ((0.25, 0.5), (1.0, 0.5), (0.0, -1.0)),
+], ids=["left_edge", "top_part"])
+def test_spring_energy_of_a_translated_edge(start, end, direction):
+    # a straight edge of length L moved rigidly by d stores
+    # d^T S d = k L (r . d)^2, however it is split into elements
+    mesh = build_rect_mesh(1.0, 0.5, 8, 4, crossed=True)
+    mesh = tag_boundary(mesh, start, end, "spring")
+    k, d = 7.5, np.array([0.3, -1.1])
+    u = np.zeros(2 * mesh.num_nodes)
+    nodes = mesh.nodes_with_tag("spring")
+    u[2 * nodes], u[2 * nodes + 1] = d
+    stiffness = el.spring_matrix(mesh, (el.Spring("spring", k, direction),))
+    length = math.dist(start, end)
+    assert u @ (stiffness @ u) == pytest.approx(k * length * np.dot(direction, d) ** 2,
+                                                rel=1e-12)
+
+
 def test_spring_validation():
     with pytest.raises(InvalidArgument):
         el.Spring("a", 1.0, (1.0, 1.0))

@@ -9,7 +9,8 @@ import molto.elasticity as el
 import molto.levelset as ls
 import molto.sensitivity as sens
 from molto.optimizer import RunConfig, run_candidate
-from molto.problems import make_clamped_tri, make_girder, make_gripper, make_lbracket
+from molto.problems import (MechanismProblem, StressVolumeProblem, make_clamped_tri,
+                            make_girder, make_gripper, make_lbracket)
 
 
 def test_concurrent_solves_build_one_pattern(monkeypatch):
@@ -291,3 +292,40 @@ def test_each_load_case_is_one_state_solve(make, groups):
     for a, case_a in enumerate(problem.cases):
         for b, case_b in enumerate(problem.cases):
             assert (facts[a] is facts[b]) == (case_a.supports == case_b.supports)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_girder(nx=12, ny=6),
+    lambda: make_clamped_tri(nx=12, ny=6),
+    lambda: make_gripper(nx=20, ny=10),
+    lambda: make_lbracket(nx=10),
+], ids=["girder", "clamped_tri", "gripper", "lbracket"])
+def test_each_family_owns_its_design_domain(make):
+    problem = make()
+    mesh = problem.mesh
+    mask = problem.design_mask
+    design = np.ones(mesh.num_triangles, dtype=bool) if mask is None else mask
+    assert problem.volume_ref == pytest.approx(mesh.element_areas[design].sum(),
+                                               rel=1e-14)
+    expected = {}
+    for case in problem.cases:
+        expected.update({n: 1.0 for n in mesh.nodes_with_tag(case.traction_tag)})
+    if isinstance(problem, MechanismProblem):
+        # the solid jaw tip above the output face, held solid
+        cent = mesh.nodes[mesh.triangles].mean(axis=1)
+        jaw = (cent[:, 0] >= 0.95) & (cent[:, 1] <= 0.05)
+        assert jaw.any() and np.array_equal(design, ~jaw)
+        for n in np.unique(mesh.triangles[jaw]):
+            expected.setdefault(n, 1.0)
+    else:
+        assert mask is None
+    if isinstance(problem, StressVolumeProblem):
+        walls = np.union1d(mesh.nodes_with_tag("void_a"), mesh.nodes_with_tag("void_b"))
+        # a traction node on a void wall stays +1
+        assert np.intersect1d(walls, list(expected)).size > 0
+        for n in walls:
+            expected.setdefault(n, -1.0)
+    nodes, values = problem.phi_fixed
+    assert len(np.unique(nodes)) == len(nodes)
+    assert dict(zip(nodes.tolist(), values.tolist())) == {
+        int(n): v for n, v in expected.items()}
