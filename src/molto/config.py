@@ -121,7 +121,6 @@ _LBRACKET_ARGS = {
 class ProblemConfig:
     kind: str
     values: dict = field(default_factory=dict)
-    applied_defaults: list = field(default_factory=list, compare=False)
 
     def run_config(self) -> RunConfig:
         return RunConfig(**{k: self.values[k] for k in _RUN_KEYS if k in self.values})
@@ -261,7 +260,7 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
                           f"kind '{kind}' (choose from {', '.join(KINDS)})")
     schema = KINDS[kind].schema
 
-    values, applied_defaults = {}, []
+    values = {}
     for key, raw in entries.items():
         if key not in schema:
             raise ConfigError(f"{source}: line {lines[key]}: unknown key "
@@ -277,11 +276,9 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
             if default is None:
                 raise ConfigError(f"{source}: missing required key '{key}'")
             values[key] = default
-            applied_defaults.append(key)
             warnings.warn(f"{source}: using default {key} = {default}")
 
-    config = ProblemConfig(kind=kind, values=values,
-                           applied_defaults=applied_defaults)
+    config = ProblemConfig(kind=kind, values=values)
     _validate(config)
     return config
 
@@ -294,16 +291,3 @@ def load_config(path) -> ProblemConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=str(path))
 
-
-def serialize_config(config: ProblemConfig) -> str:
-    out = [f"problem = {config.kind}"]
-    for key in KINDS[config.kind].schema:
-        value = config.values[key]
-        if key == "weights_init":
-            rendered = " ; ".join(" ".join(repr(c) for c in w) for w in value)
-        elif isinstance(value, tuple):
-            rendered = " ".join(repr(c) for c in value)
-        else:
-            rendered = repr(value) if isinstance(value, float) else str(value)
-        out.append(f"{key} = {rendered}")
-    return "\n".join(out) + "\n"

@@ -335,16 +335,22 @@ class FactorizedSystem:
         rel = np.linalg.norm(self.system.matrix @ x_cols - f_cols, axis=0) / scale
         for j in np.flatnonzero(rel > 1e-9):
             x_cols[:, j], rel_j = self._cg_fallback(f_cols[:, j], x_cols[:, j], scale[j])
-            if rel_j > 1e-9:
+            if not rel_j <= 1e-9:
                 raise SolverFailure(f"relative residual {rel_j:.3e} exceeds 1e-9")
         u = np.zeros(rhs.shape, order="F")
         u[free] = x
         return u
 
-    def _cg_fallback(self, f, x0, scale):
-        matrix = self.system.matrix
-        x, info = spla.cg(matrix, f, x0=x0, rtol=1e-12, maxiter=5000)
-        return x, np.linalg.norm(matrix @ x - f) / scale
+    def _cg_fallback(self, f, x, scale):
+        """Refine the column ``x`` of the load ``f`` on the LU factors: two
+        steps x += LU^-1 r, each residual r = f - K x formed in extended
+        precision (Higham, Accuracy and Stability of Numerical Algorithms,
+        ch. 12). Returns x and its relative residual. The method keeps the
+        name under which the benchmark traces it."""
+        matrix = self.system.matrix.astype(np.longdouble)
+        for _ in range(2):
+            x = x + self._lu.solve((f - matrix @ x).astype(float))
+        return x, float(np.linalg.norm(f - matrix @ x) / scale)
 
 
 # ---------------------------------------------------------------------------

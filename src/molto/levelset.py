@@ -57,8 +57,8 @@ def assemble_wave(mesh: Mesh, wave_speed) -> WaveMatrices:
 class WaveFactors:
     """The step operator (1 + B*ds) M + ds^2 K with its constants: the
     matrices, the damping B, the step ds and the prescribed nodes and values.
-    Its free-node block is LU-factorized; ``coupling`` is its block from the
-    prescribed to the free nodes."""
+    Its free-node block is LU-factorized; ``lift`` is what the prescribed
+    values contribute to the free rows of a step."""
 
     matrices: WaveMatrices
     damping: float
@@ -66,7 +66,7 @@ class WaveFactors:
     fixed_nodes: np.ndarray
     fixed_values: np.ndarray
     free: np.ndarray
-    coupling: sp.csr_matrix
+    lift: np.ndarray
     lu: object = field(repr=False)
 
 
@@ -87,7 +87,7 @@ def factorize(matrices: WaveMatrices, damping: float, ds: float,
     free = np.setdiff1d(np.arange(a.shape[0]), nodes)
     return WaveFactors(matrices=matrices, damping=float(damping), ds=float(ds),
                        fixed_nodes=nodes, fixed_values=values, free=free,
-                       coupling=a[free][:, nodes].tocsr(),
+                       lift=a[free][:, nodes] @ values,
                        lu=spla.splu(a[free][:, free].tocsc()))
 
 
@@ -136,12 +136,8 @@ def step(state: LevelSetState, forcing: np.ndarray) -> np.ndarray:
     rhs_field = (-forcing * state.width * ds ** 2
                  + (2.0 + b_ds) * state.phi - state.phi_prev)
     rhs = factors.matrices.mass @ rhs_field
-    rhs_free = rhs[factors.free]
-    if factors.fixed_nodes.size:
-        rhs_free = rhs_free - factors.coupling @ factors.fixed_values
-
     phi_new = np.empty_like(state.phi)
-    phi_new[factors.free] = factors.lu.solve(rhs_free)
+    phi_new[factors.free] = factors.lu.solve(rhs[factors.free] - factors.lift)
     phi_new[factors.fixed_nodes] = factors.fixed_values
     if not np.all(np.isfinite(phi_new)):
         raise SolverFailure("level set update produced non-finite values")

@@ -392,11 +392,25 @@ def _full_residual(mesh, tau, springs, system, u, load):
     return residual
 
 
+def _counted_fallbacks(monkeypatch):
+    """The loads handed to ``_cg_fallback``, one column per call."""
+    calls = []
+    real = el.FactorizedSystem._cg_fallback
+
+    def counted(self, f, x, scale):
+        calls.append(f.copy())
+        return real(self, f, x, scale)
+
+    monkeypatch.setattr(el.FactorizedSystem, "_cg_fallback", counted)
+    return calls
+
+
 def test_residual_gate_and_fallback(monkeypatch):
     # the LU of a design 1e-6 away solves a slightly wrong system, so the
     # residual lies far above the 1e-9 gate and far below 1: the gate must
-    # see it and hand over to CG, which recovers the solution; a CG that
-    # makes no progress must end in SolverFailure
+    # see it and refine on the factors, which recovers the solution; the LU
+    # of a design far from the assembled one cannot be refined to the gate
+    # in two steps and must end in SolverFailure
     mesh = build_rect_mesh(1.0, 0.5, 8, 4)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 0.5), "left")
     mesh = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
@@ -407,53 +421,50 @@ def test_residual_gate_and_fallback(monkeypatch):
     load = el.boundary_vector(mesh, "top", (0.3, -1.0))
     rng = np.random.default_rng(4)
     tau = rng.uniform(0.1, 1.0, mesh.num_triangles)
-    other = tau * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    near = tau * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    far = rng.uniform(0.1, 1.0, mesh.num_triangles)
     system = el.assemble_state(mesh, tau, MAT, springs, bcs)
     fact = el.FactorizedSystem(system)
-    fact._lu = el.FactorizedSystem(el.assemble_state(mesh, other, MAT, springs, bcs))._lu
+    fact._lu = el.FactorizedSystem(el.assemble_state(mesh, near, MAT, springs, bcs))._lu
 
-    calls = []
-    real_cg = spla.cg
-
-    def counted_cg(*args, **kwargs):
-        calls.append(1)
-        return real_cg(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "cg", counted_cg)
+    calls = _counted_fallbacks(monkeypatch)
     u = fact.solve(load)
     assert len(calls) == 1
     residual = _full_residual(mesh, tau, springs, system, u, load)
     assert np.linalg.norm(residual) / np.linalg.norm(load[system.free_dofs]) <= 1e-9
 
-    monkeypatch.setattr(spla, "cg", lambda a, b, x0=None, **kwargs: (x0, 1))
+    fact._lu = el.FactorizedSystem(el.assemble_state(mesh, far, MAT, springs, bcs))._lu
     with pytest.raises(SolverFailure, match=r"relative residual .* exceeds 1e-9"):
         fact.solve(load)
+    assert len(calls) == 2
 
 
 def test_blocked_solve_falls_back_per_column(monkeypatch):
     # a 2-column solve whose LU is off for column 0 only: that column alone
-    # goes to CG, both end within the gate, and a CG that makes no progress
-    # fails with the single-column message
+    # is refined, both end within the gate, and refinement on the LU of a
+    # design far from the assembled one fails with the single-column message
     mesh, system, load = _patch_problem(8, 8)
     fact = el.FactorizedSystem(system)
     exact = fact._lu
+    bcs = [el.FixedBoundary("left", "x"), el.FixedBoundary("bottom", "y")]
+    tau_far = np.random.default_rng(5).uniform(0.1, 1.0, mesh.num_triangles)
+    far = el.FactorizedSystem(el.assemble_state(mesh, tau_far, MAT, (), bcs))._lu
 
     class SkewedLU:
+        # the blocked solve skews column 0; a refinement solve (one column)
+        # goes to ``refine``
+        refine = exact
+
         def solve(self, f):
+            if f.ndim == 1:
+                return self.refine.solve(f)
             x = exact.solve(f)
             x[:, 0] *= 1.0 + 1e-6
             return x
 
     fact._lu = SkewedLU()
     loads = np.column_stack([load, np.roll(load, 2)])
-    fallbacks = []
-    real_fallback = el.FactorizedSystem._cg_fallback
-
-    def counted_fallback(self, f, x0, scale):
-        fallbacks.append(f.copy())
-        return real_fallback(self, f, x0, scale)
-
-    monkeypatch.setattr(el.FactorizedSystem, "_cg_fallback", counted_fallback)
+    fallbacks = _counted_fallbacks(monkeypatch)
     u = fact.solve(loads)
     assert len(fallbacks) == 1
     assert np.array_equal(fallbacks[0], load[system.free_dofs])
@@ -463,9 +474,10 @@ def test_blocked_solve_falls_back_per_column(monkeypatch):
         assert (np.linalg.norm(residual)
                 <= 1e-9 * np.linalg.norm(loads[system.free_dofs, j]))
 
-    monkeypatch.setattr(spla, "cg", lambda a, b, x0=None, **kwargs: (x0, 1))
+    fact._lu.refine = far
     with pytest.raises(SolverFailure, match=r"^relative residual .* exceeds 1e-9$"):
         fact.solve(loads)
+    assert len(fallbacks) == 2
 
 
 def test_pattern_order_keeps_mmd_fill():

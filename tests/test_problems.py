@@ -1,6 +1,8 @@
+import dataclasses
 import sys
 import threading
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import molto.elasticity as el
 import molto.levelset as ls
 import molto.sensitivity as sens
+from molto.config import parse_config
 from molto.optimizer import RunConfig, run_candidate
 from molto.problems import (MechanismProblem, StressVolumeProblem, make_clamped_tri,
                             make_girder, make_gripper, make_lbracket)
@@ -329,3 +332,26 @@ def test_each_family_owns_its_design_domain(make):
     assert len(np.unique(nodes)) == len(nodes)
     assert dict(zip(nodes.tolist(), values.tolist())) == {
         int(n): v for n, v in expected.items()}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here, so the "
+                           "refinement residual gains no precision")
+def test_bundled_clamped_tri_refines_past_the_gate(monkeypatch):
+    # the reference clamped_tri constants reach, at iteration 86 of weight
+    # (0.70, 0.15, 0.15), a design whose LU solve lands just above the 1e-9
+    # gate; refinement on the factors must bring it back within the gate
+    text = resources.files("molto.configs").joinpath("clamped_tri.cfg").read_text()
+    config = parse_config(text, source="clamped_tri")
+    run = dataclasses.replace(config.run_config(), max_iterations=100)
+    refined = []
+    real = el.FactorizedSystem._cg_fallback
+
+    def counted(self, f, x, scale):
+        refined.append(1)
+        return real(self, f, x, scale)
+
+    monkeypatch.setattr(el.FactorizedSystem, "_cg_fallback", counted)
+    cand = run_candidate(config.build_problem(), (0.70, 0.15, 0.15), run)
+    assert not cand.failed, cand.error
+    assert len(refined) >= 1
