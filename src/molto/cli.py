@@ -77,38 +77,38 @@ def write_register(candidates, path) -> None:
 def read_register(path) -> list:
     candidates = []
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read register {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        m = sum(1 for name in header if name.startswith("wstar_"))
-        n_g = sum(1 for name in header if name.startswith("feasible_"))
-        if m < 1 or header != _register_header(m, n_g):
-            raise ConfigError(f"{path}: not a register (unexpected header)")
-        for row in reader:
-            vals = row[1:]
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} columns, the header has {len(header)}")
-                w_star = tuple(float(v) for v in vals[0:m])
-                w_final = tuple(float(v) for v in vals[m:2 * m])
-                objectives = tuple(float(v) for v in vals[2 * m:3 * m])
-                normalized = tuple(float(v) for v in vals[3 * m:4 * m])
-                feasible = tuple(bool(int(v)) for v in vals[4 * m:4 * m + n_g])
-                converged = bool(int(vals[4 * m + n_g]))
-                iterations = int(vals[4 * m + n_g + 1])
-            except (ValueError, IndexError) as exc:
-                raise ConfigError(f"{path}: line {reader.line_num}: "
-                                  f"malformed row ({exc})") from exc
-            if not np.all(np.isfinite(objectives)):
-                raise ConfigError(f"{path}: line {reader.line_num}: "
-                                  "non-finite objective")
-            candidates.append(SolutionCandidate(
-                w_star=w_star, w_final=w_final, objectives=objectives,
-                normalized=normalized, feasible=feasible, converged=converged,
-                iterations=iterations))
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    m = sum(1 for name in header if name.startswith("wstar_"))
+    n_g = sum(1 for name in header if name.startswith("feasible_"))
+    if m < 1 or header != _register_header(m, n_g):
+        raise ConfigError(f"{path}: not a register (unexpected header)")
+    for row in reader:
+        vals = row[1:]
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} columns, the header has {len(header)}")
+            w_star = tuple(float(v) for v in vals[0:m])
+            w_final = tuple(float(v) for v in vals[m:2 * m])
+            objectives = tuple(float(v) for v in vals[2 * m:3 * m])
+            normalized = tuple(float(v) for v in vals[3 * m:4 * m])
+            feasible = tuple(bool(int(v)) for v in vals[4 * m:4 * m + n_g])
+            converged = bool(int(vals[4 * m + n_g]))
+            iterations = int(vals[4 * m + n_g + 1])
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{path}: line {reader.line_num}: "
+                              f"malformed row ({exc})") from exc
+        if not np.all(np.isfinite(objectives)):
+            raise ConfigError(f"{path}: line {reader.line_num}: "
+                              "non-finite objective")
+        candidates.append(SolutionCandidate(
+            w_star=w_star, w_final=w_final, objectives=objectives,
+            normalized=normalized, feasible=feasible, converged=converged,
+            iterations=iterations))
     return candidates
 
 

@@ -285,9 +285,9 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
 
 def load_config(path) -> ProblemConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=str(path))
 

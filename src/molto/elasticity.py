@@ -219,7 +219,8 @@ class StiffnessPattern:
     Built once per (mesh, material, springs, supports): the free DOFs in
     elimination order, the CSC sparsity pattern over them, one sparse map
     from the element stiffness tau_e to the CSC values, and the summed
-    spring entries, so ``assemble`` is one sparse product plus the springs.
+    spring entries, so ``assemble_state`` is one sparse product plus the
+    springs.
 
     The elimination order is the MMD ordering of K + K^T that SuperLU finds
     for the solid operator. It depends only on the pattern, so it is found
@@ -290,25 +291,15 @@ class StiffnessPattern:
                                   shape=(nnz, mesh.num_triangles))
         self._shape = (m, m)
 
-    def assemble(self, tau_e: np.ndarray) -> SparseSystem:
-        data = self._map @ np.asarray(tau_e, dtype=float)
-        if self._spring_data is not None:
-            data += self._spring_data
-        return SparseSystem(sp.csc_matrix((data, self._indices, self._indptr),
-                                          shape=self._shape), self.free_dofs)
 
-
-def assemble_state(mesh: Mesh, tau_e: np.ndarray, mat: MaterialParams,
-                   springs, bcs,
-                   pattern: StiffnessPattern | None = None) -> SparseSystem:
-    """Assemble the tau-scaled stiffness plus the boundary springs.
-
-    ``pattern`` must have been built from the same mesh, material, springs
-    and supports; without one, a pattern is built for this call.
-    """
-    if pattern is None:
-        pattern = StiffnessPattern(mesh, mat, springs, bcs)
-    return pattern.assemble(tau_e)
+def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> SparseSystem:
+    """The tau-scaled stiffness plus the boundary springs, on the pattern's
+    free DOFs: one sparse product plus the summed spring entries."""
+    data = pattern._map @ np.asarray(tau_e, dtype=float)
+    if pattern._spring_data is not None:
+        data += pattern._spring_data
+    return SparseSystem(sp.csc_matrix((data, pattern._indices, pattern._indptr),
+                                      shape=pattern._shape), pattern.free_dofs)
 
 
 class FactorizedSystem:

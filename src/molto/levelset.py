@@ -71,18 +71,15 @@ class WaveFactors:
 
 
 def factorize(matrices: WaveMatrices, damping: float, ds: float,
-              dirichlet=None) -> WaveFactors:
+              dirichlet) -> WaveFactors:
     """Factorize the step operator with the level set prescribed on
-    ``dirichlet`` = (nodes, values); None prescribes no node."""
+    ``dirichlet`` = (nodes, values); an empty pair prescribes no node."""
     if damping < 0.0:
         raise InvalidArgument("damping must be non-negative")
     if ds <= 0.0:
         raise InvalidArgument("step size must be positive")
-    if dirichlet is None:
-        nodes, values = np.empty(0, dtype=np.int64), np.empty(0)
-    else:
-        nodes = np.asarray(dirichlet[0], dtype=np.int64)
-        values = np.asarray(dirichlet[1], dtype=float)
+    nodes = np.asarray(dirichlet[0], dtype=np.int64)
+    values = np.asarray(dirichlet[1], dtype=float)
     a = (1.0 + damping * ds) * matrices.mass + ds ** 2 * matrices.stiffness
     free = np.setdiff1d(np.arange(a.shape[0]), nodes)
     return WaveFactors(matrices=matrices, damping=float(damping), ds=float(ds),

@@ -74,9 +74,10 @@ class LoadCase:
 class FEMProblem:
     """Shared plumbing for the concrete benchmark problems: a mesh, load
     cases, the boundary springs every case shares and the design domain,
-    ``design_mask`` (bool per element; None = every element). The level set
-    is held at +1 on every traction node, then at the (nodes, value) pairs
-    of ``phi_fixed``; the first value listed for a node wins."""
+    ``design_mask`` (bool per element; every element unless the family fixes
+    a region). The level set is held at +1 on every traction node, then at
+    the (nodes, value) pairs of ``phi_fixed``; the first value listed for a
+    node wins."""
 
     def __init__(self, mesh: Mesh, mat: el.MaterialParams, cases, springs=(),
                  design_mask=None, phi_fixed=()):
@@ -88,9 +89,9 @@ class FEMProblem:
         self.springs = tuple(springs)
         self.traction_vectors = [el.boundary_vector(mesh, c.traction_tag, c.traction)
                                  for c in self.cases]
-        self.design_mask = design_mask
-        areas = mesh.element_areas if design_mask is None else mesh.element_areas[design_mask]
-        self.volume_ref = float(areas.sum())
+        self.design_mask = (np.ones(mesh.num_triangles, dtype=bool) if design_mask is None
+                            else np.asarray(design_mask, dtype=bool))
+        self.volume_ref = float(mesh.element_areas[self.design_mask].sum())
         pairs = [(mesh.nodes_with_tag(c.traction_tag), 1.0)
                  for c in self.cases] + list(phi_fixed)
         nodes = np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in pairs])
@@ -123,8 +124,7 @@ class FEMProblem:
             pattern = self._operator(
                 ("stiffness", supports),
                 lambda: el.StiffnessPattern(self.mesh, self.mat, self.springs, supports))
-            fact = el.FactorizedSystem(el.assemble_state(
-                self.mesh, tau, self.mat, self.springs, supports, pattern=pattern))
+            fact = el.FactorizedSystem(el.assemble_state(pattern, tau))
             solved = fact.solve(np.column_stack([self.traction_vectors[k] for k in members]))
             for k, u in zip(members, solved.T):
                 states[k], facts[k] = u, fact
@@ -133,11 +133,8 @@ class FEMProblem:
     def _states(self, theta_e) -> StateBundle:
         """The design's tau and dtau, held solid (1 and 0) off the design
         domain, and the state, factorization and strains of every load case."""
-        tau = el.ersatz_tau(theta_e, self.mat)
-        dtau = el.ersatz_dtau(theta_e, self.mat)
-        if self.design_mask is not None:
-            tau = np.where(self.design_mask, tau, 1.0)
-            dtau = np.where(self.design_mask, dtau, 0.0)
+        tau = np.where(self.design_mask, el.ersatz_tau(theta_e, self.mat), 1.0)
+        dtau = np.where(self.design_mask, el.ersatz_dtau(theta_e, self.mat), 0.0)
         states, facts = self._solve_cases(tau)
         return StateBundle(theta_e, tau, dtau, states=states, facts=facts,
                            strains=[el.element_strains(self.mesh, u) for u in states])
@@ -359,7 +356,7 @@ class StressVolumeProblem(FEMProblem):
         return bundle
 
     def objectives(self, bundle) -> np.ndarray:
-        j1 = sens.volume_integral(self.mesh, bundle.theta)
+        j1 = sens.volume_integral(self.mesh, bundle.theta, self.design_mask)
         j2 = sens.strain_energy(self.mesh, bundle.density, bundle.tau)
         return np.array([j1, j2])
 
@@ -393,10 +390,8 @@ class StressVolumeProblem(FEMProblem):
 
     def filter_forcing(self, forcing):
         eta = self.filter_eta
-        operator = None
-        if eta > 0.0:
-            operator = self._operator(
-                "helmholtz", lambda: sens.helmholtz_operator(self.mesh, eta))
+        operator = self._operator(
+            "helmholtz", lambda: sens.helmholtz_operator(self.mesh, eta))
         return sens.helmholtz_filter(forcing, eta, self.filter_gamma, self.mesh,
                                      operator)
 

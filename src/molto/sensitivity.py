@@ -49,11 +49,9 @@ def reference_values(j) -> np.ndarray:
     return j_star
 
 
-def volume_integral(mesh: Mesh, theta_e: np.ndarray, mask=None) -> float:
-    areas = mesh.element_areas
-    if mask is not None:
-        return float(np.sum(theta_e[mask] * areas[mask]))
-    return float(np.sum(theta_e * areas))
+def volume_integral(mesh: Mesh, theta_e: np.ndarray, mask: np.ndarray) -> float:
+    """integral theta over the elements of the design domain ``mask``."""
+    return float(np.sum(theta_e[mask] * mesh.element_areas[mask]))
 
 
 def strain_energy(mesh: Mesh, density: np.ndarray, tau_e: np.ndarray) -> float:
@@ -112,39 +110,33 @@ def _combine(mesh: Mesh, mat: el.MaterialParams, dtau, constraint, explicit,
                               total=element_to_nodes(mesh, total_e))
 
 
-def _masked_constant(value, mesh, mask):
-    """A constant field, zero on non-design elements."""
-    if mask is None:
-        return np.full(mesh.num_triangles, value)
-    return np.where(mask, value, 0.0)
-
-
 def perturbation_compliance(mesh: Mesh, mat: el.MaterialParams, dtau,
                             strains, adjoint_strains, multiplier: float,
-                            volume_ref: float, w, mask=None,
+                            volume_ref: float, w, mask: np.ndarray,
                             c_override=None) -> PerturbationResult:
     """k_a = lambda / (m V0) and e_a = 0 for each of the m load cases.
 
-    ``dtau`` is zero off the design domain ``mask``. The strains are those of
-    the m states and of their adjoints, which carry their w_a / J*_a scaling.
-    The shared volume multiplier is split evenly over the m load cases.
+    ``dtau`` and k_a are zero off the design domain ``mask``. The strains are
+    those of the m states and of their adjoints, which carry their w_a / J*_a
+    scaling. The shared volume multiplier is split evenly over the m load
+    cases.
     """
     m = len(strains)
-    pressure = _masked_constant(multiplier / (m * volume_ref), mesh, mask)
+    pressure = np.where(mask, multiplier / (m * volume_ref), 0.0)
     return _combine(mesh, mat, dtau, [pressure] * m, [0.0] * m, strains,
                     adjoint_strains, w, volume_ref, c_override)
 
 
 def perturbation_mechanism(mesh: Mesh, mat: el.MaterialParams, dtau, density,
                            eps, adjoint_strains, multiplier: float,
-                           volume_ref: float, w, j_star, mask=None,
+                           volume_ref: float, w, j_star, mask: np.ndarray,
                            c_override=None) -> PerturbationResult:
     """Output displacement and strain energy sharing a volume constraint,
     k_a = lambda / (2 V0); the energy objective has the explicit self-term
     e_2 = (w2 / 2 J*2) dtau * density, with density = C eps(u) : eps(u) of
     the one state, whose strains are ``eps``; both adjoints, whose strains
     are ``adjoint_strains``, pair with that state."""
-    pressure = _masked_constant(multiplier / (2.0 * volume_ref), mesh, mask)
+    pressure = np.where(mask, multiplier / (2.0 * volume_ref), 0.0)
     self2 = (w[1] / (2.0 * j_star[1])) * dtau * density
     return _combine(mesh, mat, dtau, [pressure, pressure], [0.0, self2], [eps, eps],
                     adjoint_strains, w, volume_ref, c_override)
@@ -153,7 +145,7 @@ def perturbation_mechanism(mesh: Mesh, mat: el.MaterialParams, dtau, density,
 def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
                                density, eps, adjoint_strains,
                                stress: el.StressAggregate, multipliers,
-                               volume_ref: float, w, j_star, mask=None,
+                               volume_ref: float, w, j_star, mask: np.ndarray,
                                c_override=None) -> PerturbationResult:
     """Volume and strain energy with one stress constraint per objective, all
     on the aggregate ``stress`` of the one state, whose strains are ``eps``
@@ -167,7 +159,7 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
     p, total = stress.exponent, stress.total
     unit = (total ** (1.0 / p - 1.0) * stress.peak / (p * volume_ref) * stress.rel ** p * dtau
             if total > 0.0 else np.zeros(mesh.num_triangles))
-    explicit = [_masked_constant(w[0] / j_star[0], mesh, mask),
+    explicit = [np.where(mask, w[0] / j_star[0], 0.0),
                 (w[1] / (2.0 * j_star[1])) * dtau * density]
     return _combine(mesh, mat, dtau, [lam * unit for lam in multipliers], explicit,
                     [eps, eps], adjoint_strains, w, volume_ref, c_override)
@@ -184,14 +176,13 @@ def helmholtz_operator(mesh: Mesh, eta: float):
 
 
 def helmholtz_filter(forcing: np.ndarray, eta: float, gamma: float,
-                     mesh: Mesh, operator=None) -> np.ndarray:
+                     mesh: Mesh, operator) -> np.ndarray:
     """Solve (eta * K + M_L) F_bar = M_L * arsinh(gamma F) / gamma.
 
     The lumped mass matrix keeps the discrete maximum principle, so the
     output max-norm never exceeds arsinh(gamma |F|_max) / gamma. With
     eta = 0 this reduces to the pointwise scaled field. ``operator`` must
-    come from ``helmholtz_operator(mesh, eta)``; without one, it is built
-    for this call.
+    come from ``helmholtz_operator(mesh, eta)``.
     """
     if eta < 0.0:
         raise InvalidArgument("filter length parameter must be non-negative")
@@ -200,6 +191,4 @@ def helmholtz_filter(forcing: np.ndarray, eta: float, gamma: float,
     scaled = np.arcsinh(gamma * np.asarray(forcing, dtype=float)) / gamma
     if eta == 0.0:
         return scaled
-    if operator is None:
-        operator = helmholtz_operator(mesh, eta)
     return operator.solve(mesh.node_areas * scaled)

@@ -99,9 +99,9 @@ def test_c4_fem_verification():
     mesh = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "right")
     load = el.boundary_vector(mesh, "right", (1.0, 0.0))
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, (),
-                               [el.FixedBoundary("left", "x"),
-                                el.FixedBoundary("bottom", "y")])
+    pattern = el.StiffnessPattern(mesh, mat, (), [el.FixedBoundary("left", "x"),
+                                                  el.FixedBoundary("bottom", "y")])
+    system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
     u = el.FactorizedSystem(system).solve(load)
     eps = np.linalg.solve(el.plane_strain_matrix(mat), [1.0, 0.0, 0.0])
     exact = np.column_stack([eps[0] * mesh.nodes[:, 0],
@@ -120,8 +120,8 @@ def test_c4_fem_verification():
     beam = tag_boundary(beam, (0.0, 0.0), (0.0, height), "root")
     beam = tag_boundary(beam, (length, 0.0), (length, height), "tip")
     p = 1e-3
-    beam_sys = el.assemble_state(beam, np.ones(beam.num_triangles), beam_mat, (),
-                                 [el.FixedBoundary("root", "both")])
+    beam_pattern = el.StiffnessPattern(beam, beam_mat, (), [el.FixedBoundary("root", "both")])
+    beam_sys = el.assemble_state(beam_pattern, np.ones(beam.num_triangles))
     u_beam = el.FactorizedSystem(beam_sys).solve(
         el.boundary_vector(beam, "tip", (0.0, -p / height)))
     tip = beam.nodes_with_tag("tip")
@@ -147,7 +147,7 @@ def test_c5_sensitivity_adjoint_oracle():
 
 def test_c6_levelset_free_decay():
     mesh = build_rect_mesh(1.0, 1.0, 16, 16)
-    factors = levelset.factorize(levelset.assemble_wave(mesh, 0.2), 0.5, 1.0)
+    factors = levelset.factorize(levelset.assemble_wave(mesh, 0.2), 0.5, 1.0, ((), ()))
     rng = np.random.default_rng(42)
     bump = (0.5 * np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
             + 0.1 * rng.uniform(-1.0, 1.0, mesh.num_nodes))
@@ -177,17 +177,19 @@ def test_c7_helmholtz_filter():
     mesh = build_rect_mesh(1.0, 0.5, 12, 6, crossed=True)
     gamma = 2.0
     const = np.full(mesh.num_nodes, 10.0)
-    out = sens.helmholtz_filter(const, 1e-3, gamma, mesh)
+    operator = sens.helmholtz_operator(mesh, 1e-3)
+    out = sens.helmholtz_filter(const, 1e-3, gamma, mesh, operator)
     assert np.abs(out - math.asinh(gamma * 10.0) / gamma).max() <= 1e-8
 
     rng = np.random.default_rng(17)
     f = rng.normal(0.0, 2.0, mesh.num_nodes)
-    assert np.allclose(sens.helmholtz_filter(f, 0.0, gamma, mesh),
+    assert np.allclose(sens.helmholtz_filter(f, 0.0, gamma, mesh,
+                                             sens.helmholtz_operator(mesh, 0.0)),
                        np.arcsinh(gamma * f) / gamma, atol=1e-15)
 
     for _ in range(100):
         f = rng.normal(0.0, 3.0, mesh.num_nodes)
-        out = sens.helmholtz_filter(f, 1e-3, gamma, mesh)
+        out = sens.helmholtz_filter(f, 1e-3, gamma, mesh, operator)
         bound = math.asinh(gamma * np.abs(f).max()) / gamma
         assert np.abs(out).max() <= bound + 1e-12
     _report("7 Helmholtz filter")

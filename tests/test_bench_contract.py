@@ -1,10 +1,15 @@
 """The benchmark's tracing wrappers look up names in the program; each one
 must resolve the way ``bench/tracing.py``'s ``install`` resolves it."""
 
+import functools
 import importlib
 import importlib.util
+import re
 import sys
+from importlib import resources
 from pathlib import Path
+
+import molto.cli as cli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -31,3 +36,49 @@ def test_every_traced_name_resolves(monkeypatch):
         if not found:
             missing.append(f"{module_name}.{cls_name or ''}.{attr}")
     assert missing == []
+
+
+def _capped(name, **values):
+    """The bundled config ``name`` with each given key's value replaced."""
+    text = resources.files("molto.configs").joinpath(f"{name}.cfg").read_text()
+    for key, value in values.items():
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1, key
+    return text
+
+
+def test_every_traced_name_is_called(monkeypatch, tmp_path):
+    # a name that resolves but that the program no longer calls would read 0
+    # in the per-layer table without any warning
+    called, names = set(), set()
+
+    def counted(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, cls_name, attr, name in _load_tracing(monkeypatch).WRAPS:
+        owner = importlib.import_module(module_name)
+        if cls_name is not None:
+            owner = getattr(owner, cls_name)
+            fn = owner.__dict__[attr]
+        else:
+            fn = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, counted(fn, name))
+        names.add(name)
+
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    sweeps = {
+        "girder_desk": _capped("girder_desk", nx=12, ny=6, max_iterations=5,
+                               max_levels=0),
+        "lbracket": _capped("lbracket", nx=10, max_iterations=5, max_levels=1,
+                            jobs=2),
+    }
+    for name, text in sweeps.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+    # the refinement on the LU factors runs only when a solve misses the gate
+    assert names - called - {"elasticity.cg_fallback"} == set()

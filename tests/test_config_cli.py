@@ -442,6 +442,25 @@ def test_cli_pareto_rejects_bad_rows(tmp_path, capsys, row, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "pareto"])
+def test_cli_rejects_input_that_is_not_utf8(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "out"
+    monkeypatch.setenv(cli.OUTPUT_ENV, str(out))
+    if command == "pareto":
+        bad = tmp_path / "register.csv"
+        cli.write_register([_candidate((1.0, 2.0))], bad)
+    else:
+        bad = tmp_path / "s.cfg"
+        bad.write_text(bundled_text("surrogate2"))
+    # a byte that no UTF-8 text contains, in a comment line
+    bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+    assert cli.main([command, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert str(bad) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _candidate(objectives):
     from molto.optimizer import SolutionCandidate
     return SolutionCandidate(w_star=(0.5, 0.5), w_final=(0.5, 0.5),

@@ -94,8 +94,8 @@ def test_stiffness_matches_independent_quadrature():
         oracle = _independent_element_stiffness(mesh.nodes[mesh.triangles[t]], dmat)
         assert np.allclose(blocks[t], oracle, atol=1e-7)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
-    system = el.assemble_state(mesh, np.ones(2), mat, (),
-                               [el.FixedBoundary("left", "both")])
+    pattern = el.StiffnessPattern(mesh, mat, (), [el.FixedBoundary("left", "both")])
+    system = el.assemble_state(pattern, np.ones(2))
     dense = system.matrix.toarray()
     assert np.allclose(dense, dense.T, atol=1e-14)
 
@@ -113,9 +113,9 @@ def test_stiffness_linear_in_tau():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
     bcs = [el.FixedBoundary("left", "both")]
-    solid = el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, (), bcs)
-    scaled = el.assemble_state(mesh, np.full(mesh.num_triangles, MAT.floor), MAT,
-                               (), bcs)
+    pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
+    solid = el.assemble_state(pattern, np.ones(mesh.num_triangles))
+    scaled = el.assemble_state(pattern, np.full(mesh.num_triangles, MAT.floor))
     assert np.allclose(scaled.matrix.toarray(), MAT.floor * solid.matrix.toarray(),
                        atol=1e-15)
 
@@ -148,8 +148,8 @@ def test_cached_assembly_matches_coo_reference():
     rng = np.random.default_rng(21)
     tau_a = rng.uniform(MAT.floor, 1.0, mesh.num_triangles)
     tau_b = rng.uniform(MAT.floor, 1.0, mesh.num_triangles)
-    a = el.assemble_state(mesh, tau_a, MAT, springs, bcs, pattern=pattern)
-    b = el.assemble_state(mesh, tau_b, MAT, springs, bcs, pattern=pattern)
+    a = el.assemble_state(pattern, tau_a)
+    b = el.assemble_state(pattern, tau_b)
 
     expected_fixed = (set(2 * mesh.nodes_with_tag("left"))
                       | set(2 * mesh.nodes_with_tag("bottom") + 1) | {2 * corner + 1})
@@ -167,7 +167,7 @@ def test_cached_assembly_matches_coo_reference():
 def test_no_constraints_raises():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     with pytest.raises(SingularSystemError):
-        el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, (), [])
+        el.assemble_state(el.StiffnessPattern(mesh, MAT, (), []), np.ones(mesh.num_triangles))
 
 
 def _patch_problem(nx=4, ny=4, mat=MAT):
@@ -177,8 +177,8 @@ def _patch_problem(nx=4, ny=4, mat=MAT):
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 1.0), "right")
     load = el.boundary_vector(mesh, "right", (1.0, 0.0))
     bcs = [el.FixedBoundary("left", "x"), el.FixedBoundary("bottom", "y")]
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, (), bcs)
-    return mesh, system, load
+    pattern = el.StiffnessPattern(mesh, mat, (), bcs)
+    return mesh, el.assemble_state(pattern, np.ones(mesh.num_triangles)), load
 
 
 def test_patch_test_uniform_strain():
@@ -212,8 +212,8 @@ def test_cantilever_beam_oracle():
     mesh = tag_boundary(mesh, (length, 0.0), (length, height), "tip")
     p = 1e-3
     load = el.boundary_vector(mesh, "tip", (0.0, -p / height))
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), mat, (),
-                               [el.FixedBoundary("root", "both")])
+    pattern = el.StiffnessPattern(mesh, mat, (), [el.FixedBoundary("root", "both")])
+    system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
     u = el.FactorizedSystem(system).solve(load)
     tip_nodes = mesh.nodes_with_tag("tip")
     deflection = -np.mean(u[2 * tip_nodes + 1])
@@ -242,7 +242,7 @@ def test_compliance_monotone_in_tau():
     tau = rng.uniform(0.2, 0.9, mesh.num_triangles)
 
     def compliance(t):
-        system = el.assemble_state(mesh, t, MAT, (), bcs)
+        system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), t)
         return float(load @ el.FactorizedSystem(system).solve(load))
 
     base = compliance(tau)
@@ -261,8 +261,8 @@ def test_gripper_adjoint_reciprocity():
     load = el.boundary_vector(mesh, "input", (1.0, 0.0))
     springs = (el.Spring("input", 10.0, (1.0, 0.0)),
                el.Spring("output", 1.0, (0.0, -1.0)))
-    system = el.assemble_state(mesh, np.ones(mesh.num_triangles), MAT, springs,
-                               [el.FixedBoundary("clamp", "both")])
+    pattern = el.StiffnessPattern(mesh, MAT, springs, [el.FixedBoundary("clamp", "both")])
+    system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
     fact = el.FactorizedSystem(system)
     u = fact.solve(load)
     out_vec = el.boundary_vector(mesh, "output", (0.0, -1.0))
@@ -279,7 +279,8 @@ def test_assembled_matrix_symmetry_with_springs():
     rng = np.random.default_rng(8)
     tau = rng.uniform(1e-3, 1.0, mesh.num_triangles)
     springs = (el.Spring("out", 50.0, (0.6, 0.8)),)
-    system = el.assemble_state(mesh, tau, MAT, springs, [el.FixedBoundary("clamp", "both")])
+    pattern = el.StiffnessPattern(mesh, MAT, springs, [el.FixedBoundary("clamp", "both")])
+    system = el.assemble_state(pattern, tau)
     asym = np.abs((system.matrix - system.matrix.T).data)
     scale = np.abs(system.matrix.data).max()
     assert (asym.max() if asym.size else 0.0) <= 1e-12 * scale
@@ -423,9 +424,10 @@ def test_residual_gate_and_fallback(monkeypatch):
     tau = rng.uniform(0.1, 1.0, mesh.num_triangles)
     near = tau * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, mesh.num_triangles))
     far = rng.uniform(0.1, 1.0, mesh.num_triangles)
-    system = el.assemble_state(mesh, tau, MAT, springs, bcs)
+    pattern = el.StiffnessPattern(mesh, MAT, springs, bcs)
+    system = el.assemble_state(pattern, tau)
     fact = el.FactorizedSystem(system)
-    fact._lu = el.FactorizedSystem(el.assemble_state(mesh, near, MAT, springs, bcs))._lu
+    fact._lu = el.FactorizedSystem(el.assemble_state(pattern, near))._lu
 
     calls = _counted_fallbacks(monkeypatch)
     u = fact.solve(load)
@@ -433,7 +435,7 @@ def test_residual_gate_and_fallback(monkeypatch):
     residual = _full_residual(mesh, tau, springs, system, u, load)
     assert np.linalg.norm(residual) / np.linalg.norm(load[system.free_dofs]) <= 1e-9
 
-    fact._lu = el.FactorizedSystem(el.assemble_state(mesh, far, MAT, springs, bcs))._lu
+    fact._lu = el.FactorizedSystem(el.assemble_state(pattern, far))._lu
     with pytest.raises(SolverFailure, match=r"relative residual .* exceeds 1e-9"):
         fact.solve(load)
     assert len(calls) == 2
@@ -448,7 +450,8 @@ def test_blocked_solve_falls_back_per_column(monkeypatch):
     exact = fact._lu
     bcs = [el.FixedBoundary("left", "x"), el.FixedBoundary("bottom", "y")]
     tau_far = np.random.default_rng(5).uniform(0.1, 1.0, mesh.num_triangles)
-    far = el.FactorizedSystem(el.assemble_state(mesh, tau_far, MAT, (), bcs))._lu
+    pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
+    far = el.FactorizedSystem(el.assemble_state(pattern, tau_far))._lu
 
     class SkewedLU:
         # the blocked solve skews column 0; a refinement solve (one column)
@@ -490,7 +493,7 @@ def test_pattern_order_keeps_mmd_fill():
            el.PointConstraint(mesh.nearest_node(0.0, 0.0), 0))
     tau = el.ersatz_tau(np.random.default_rng(6).uniform(0.0, 1.0, mesh.num_triangles),
                         MAT)
-    system = el.assemble_state(mesh, tau, MAT, (), bcs)
+    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), tau)
     ascending = np.argsort(system.free_dofs)
     reference = spla.splu(system.matrix[ascending][:, ascending].tocsc(),
                           permc_spec="MMD_AT_PLUS_A")

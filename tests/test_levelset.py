@@ -54,7 +54,7 @@ def test_wave_speed_validation():
     ls.assemble_wave(mesh, np.array([[0.2, 0.0], [0.0, 0.1]]))
 
 
-def _state(mesh, phi0, phi_prev, damping=0.5, dirichlet=None, speed=0.2):
+def _state(mesh, phi0, phi_prev, damping=0.5, dirichlet=((), ()), speed=0.2):
     factors = ls.factorize(ls.assemble_wave(mesh, speed), damping, 1.0, dirichlet)
     return ls.initialize(mesh, phi0, phi_prev, factors, width=1.0)
 

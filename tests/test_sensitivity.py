@@ -29,7 +29,8 @@ def _strains(mesh, fields):
 def test_volume_objective():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     theta = np.ones(mesh.num_triangles)
-    assert sens.volume_integral(mesh, theta) == pytest.approx(1.0, abs=1e-14)
+    every = np.ones(mesh.num_triangles, dtype=bool)
+    assert sens.volume_integral(mesh, theta, every) == pytest.approx(1.0, abs=1e-14)
     mask = np.zeros(mesh.num_triangles, dtype=bool)
     mask[:3] = True
     assert sens.volume_integral(mesh, theta, mask) == pytest.approx(
@@ -128,7 +129,8 @@ def test_perturbation_zero_states_pure_pressure():
     zero = el.element_strains(mesh, np.zeros(2 * mesh.num_nodes))
     result = sens.perturbation_compliance(mesh, MAT, el.ersatz_dtau(theta, MAT),
                                           [zero, zero],
-                                          [zero, zero], 4.0, 1.0, [0.5, 0.5])
+                                          [zero, zero], 4.0, 1.0, [0.5, 0.5],
+                                          problem.design_mask)
     assert np.allclose(result.total_elem, 4.0, atol=1e-12)
     assert np.allclose(result.total, 4.0, atol=1e-12)
 
@@ -140,7 +142,7 @@ def test_perturbation_sum_identity():
     j = problem.objectives(bundle)
     adj = problem.solve_adjoints(bundle, [1.0], j, None)
     result = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
-                                          adj, 0.8, 1.0, [1.0])
+                                          adj, 0.8, 1.0, [1.0], problem.design_mask)
     assert np.allclose(result.total_elem, np.sum(result.f_alpha_elem, axis=0),
                        atol=1e-15)
     nodal = [element_to_nodes(mesh, f) for f in result.f_alpha_elem]
@@ -157,7 +159,7 @@ def test_perturbation_sign_without_constraint():
     j = problem.objectives(bundle)
     adj = problem.solve_adjoints(bundle, [1.0], j, None)
     result = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
-                                          adj, 0.0, 1.0, [1.0])
+                                          adj, 0.0, 1.0, [1.0], problem.design_mask)
     assert np.all(result.total_elem <= 1e-15)
 
 
@@ -171,7 +173,7 @@ def test_perturbation_traction_scaling():
         adj = [(1.0 / 1.0) * u for u in bundle.states]  # unscaled adjoints
         res = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
                                            _strains(mesh, adj), 0.0, 1.0, [1.0],
-                                           c_override=[1.0])
+                                           problem.design_mask, c_override=[1.0])
         results.append(res.total_elem)
     assert np.allclose(results[1], 4.0 * results[0], rtol=1e-9)
 
@@ -185,7 +187,8 @@ def test_perturbation_mirror_symmetry():
     j = problem.objectives(bundle)
     adj = problem.solve_adjoints(bundle, [0.5, 0.5], j, None)
     result = sens.perturbation_compliance(mesh, MAT, bundle.dtau, bundle.strains,
-                                          adj, 0.0, mesh.total_area, [0.5, 0.5])
+                                          adj, 0.0, mesh.total_area, [0.5, 0.5],
+                                          problem.design_mask)
     f1, f2 = result.f_alpha_elem
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
     mirrored = np.column_stack([1.0 - cent[:, 0], cent[:, 1]])
@@ -199,7 +202,8 @@ def test_perturbation_mirror_symmetry():
 def test_helmholtz_constant_field():
     mesh = build_rect_mesh(1.0, 1.0, 6, 6)
     const = np.full(mesh.num_nodes, 10.0)
-    out = sens.helmholtz_filter(const, 1e-3, 2.0, mesh)
+    out = sens.helmholtz_filter(const, 1e-3, 2.0, mesh,
+                                sens.helmholtz_operator(mesh, 1e-3))
     expected = math.asinh(20.0) / 2.0
     assert np.abs(out - expected).max() < 1e-8
     assert expected == pytest.approx(1.8447519344944527, abs=1e-12)
@@ -209,7 +213,7 @@ def test_helmholtz_eta_zero_pointwise():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
     rng = np.random.default_rng(12)
     f = rng.normal(0.0, 2.0, mesh.num_nodes)
-    out = sens.helmholtz_filter(f, 0.0, 3.0, mesh)
+    out = sens.helmholtz_filter(f, 0.0, 3.0, mesh, sens.helmholtz_operator(mesh, 0.0))
     assert np.allclose(out, np.arcsinh(3.0 * f) / 3.0, atol=1e-15)
 
 
@@ -217,9 +221,10 @@ def test_helmholtz_max_norm_bound():
     mesh = build_rect_mesh(1.0, 0.5, 12, 6, crossed=True)
     rng = np.random.default_rng(100)
     gamma = 2.0
+    operator = sens.helmholtz_operator(mesh, 1e-3)
     for _ in range(100):
         f = rng.normal(0.0, 3.0, mesh.num_nodes)
-        out = sens.helmholtz_filter(f, 1e-3, gamma, mesh)
+        out = sens.helmholtz_filter(f, 1e-3, gamma, mesh, operator)
         bound = math.asinh(gamma * np.abs(f).max()) / gamma
         assert np.abs(out).max() <= bound + 1e-12
 
@@ -227,7 +232,8 @@ def test_helmholtz_max_norm_bound():
 def test_helmholtz_monotone_in_gamma_for_constants():
     mesh = build_rect_mesh(1.0, 1.0, 3, 3)
     c = 5.0
-    values = [sens.helmholtz_filter(np.full(mesh.num_nodes, c), 0.0, g, mesh)[0]
+    operator = sens.helmholtz_operator(mesh, 0.0)
+    values = [sens.helmholtz_filter(np.full(mesh.num_nodes, c), 0.0, g, mesh, operator)[0]
               for g in (0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -235,10 +241,11 @@ def test_helmholtz_monotone_in_gamma_for_constants():
 def test_helmholtz_validation():
     mesh = build_rect_mesh(1.0, 1.0, 2, 2)
     f = np.zeros(mesh.num_nodes)
+    operator = sens.helmholtz_operator(mesh, 1.0)
     with pytest.raises(InvalidArgument):
-        sens.helmholtz_filter(f, -1.0, 1.0, mesh)
+        sens.helmholtz_filter(f, -1.0, 1.0, mesh, operator)
     with pytest.raises(InvalidArgument):
-        sens.helmholtz_filter(f, 1.0, 0.0, mesh)
+        sens.helmholtz_filter(f, 1.0, 0.0, mesh, operator)
 
 
 @pytest.mark.parametrize("multipliers", [(0.8, 0.5), (0.0, 0.7), (0.6, 0.0)])
@@ -261,7 +268,8 @@ def test_stress_terms_follow_each_multiplier(multipliers):
         return sens.perturbation_stress_volume(
             mesh, MAT, el.ersatz_dtau(theta, MAT), density, eps,
             _strains(mesh, adjoints), stress, lams, v0,
-            [0.4, 0.6], [1.0, 2.0], c_override=(1.0, 1.0)).f_alpha_elem
+            [0.4, 0.6], [1.0, 2.0], np.ones(mesh.num_triangles, dtype=bool),
+            c_override=(1.0, 1.0)).f_alpha_elem
 
     ratio_p = (stress.vm / f_y) ** p
     agg_int = np.sum(ratio_p * tau * mesh.element_areas)
