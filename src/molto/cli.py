@@ -77,7 +77,7 @@ def write_register(candidates, path) -> None:
 def read_register(path) -> list:
     candidates = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read register {path}: {exc}") from exc

@@ -285,7 +285,7 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
 
 def load_config(path) -> ProblemConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

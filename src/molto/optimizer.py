@@ -1,9 +1,16 @@
 """Inner loop: evolve one solution candidate for a fixed reference weight.
 
-Per iteration the weights advance one oscillator step, the state and adjoint
-problems are solved on the current design, the multipliers are updated, and
-the aggregated perturbation forces one level set step. The loop exits on a
-windowed stationarity test or at the iteration cap.
+Per iteration the weights advance one oscillator step, the state problem is
+solved when the design has changed, the adjoint problems are solved on the
+current design, the multipliers are updated, and the aggregated perturbation
+forces one level set step. The loop exits on a windowed stationarity test or
+at the iteration cap.
+
+The state bundle, factorizations included, is a deterministic function of
+the element material fraction theta, so an iteration whose theta equals the
+previous one bit for bit keeps the previous bundle, with unchanged results.
+That happens while the level set sits on its clamp, as it does for the
+first iterations from the solid start.
 """
 
 from __future__ import annotations
@@ -128,6 +135,7 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
     history_rows = []
     converged = False
     iterations = 0
+    bundle = None
 
     for s in range(cfg.max_iterations + 1):
         if s > 0:
@@ -137,8 +145,9 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
             weights.step(wstate, fq)
             w_now = wstate.weights
 
-        bundle = problem.solve_states(
-            problem.theta_elements(lstate.phi, cfg.interface_width))
+        theta = problem.theta_elements(lstate.phi, cfg.interface_width)
+        if bundle is None or not np.array_equal(theta, bundle.theta):
+            bundle = problem.solve_states(theta)
         j_now = problem.objectives(bundle)
         g_now = problem.constraint_values(bundle)
         if j_star is None:

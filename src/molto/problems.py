@@ -18,11 +18,13 @@ constraint values and multipliers as plain arrays:
 plus theta_elements / wave_factors / filter_forcing. Only
 ``solve_states`` sees the design's element material fraction theta; the
 ``StateBundle`` it returns carries everything derived from it once, which
-the other four methods read. ``FEMProblem`` derives tau, dtau and one state,
-factorization and strain field per load case; a family's ``solve_states``
-adds only its own fields. An adjoint enters the perturbation only through
-its strains, so ``solve_adjoints`` returns those, one field per objective.
-The multipliers are one per entry of G; the optimizer owns them and J*.
+the other four methods read. A bundle is read-only, its arrays and theta
+included, so the optimizer can keep it while theta stays the same.
+``FEMProblem`` derives tau, dtau and one state, factorization and strain
+field per load case; a family's ``solve_states`` adds only its own fields.
+An adjoint enters the perturbation only through its strains, so
+``solve_adjoints`` returns those, one field per objective. The multipliers
+are one per entry of G; the optimizer owns them and J*.
 
 Operators that depend only on the problem (stiffness patterns, the level set
 step operator, Helmholtz factors) are built on first use and shared
@@ -60,6 +62,19 @@ class StateBundle:
     strains: list  # element strains per load case
     stress: el.StressAggregate | None = None  # stress family only
     density: np.ndarray | None = None  # eps(u):C:eps(u); mechanism and stress
+
+    def freeze(self) -> StateBundle:
+        """Make every array the bundle holds read-only, theta included, and
+        return the bundle: a bundle outlives the iteration that derived it, so
+        a write into it raises instead of changing a later iteration's state."""
+        held = [self.theta, self.tau, self.dtau, *self.states, *self.strains,
+                self.density]
+        if self.stress is not None:
+            held += vars(self.stress).values()
+        for a in held:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return self
 
 
 @dataclass
@@ -179,7 +194,7 @@ class ComplianceProblem(FEMProblem):
         return len(self.cases)
 
     def solve_states(self, theta_e) -> StateBundle:
-        return self._states(theta_e)
+        return self._states(theta_e).freeze()
 
     def objectives(self, bundle) -> np.ndarray:
         return np.array([tvec @ u for u, tvec in zip(bundle.states,
@@ -280,7 +295,7 @@ class MechanismProblem(FEMProblem):
         bundle = self._states(theta_e)
         eps = bundle.strains[0]
         bundle.density = el.mutual_energy_density(self.mat, eps, eps)
-        return bundle
+        return bundle.freeze()
 
     def objectives(self, bundle) -> np.ndarray:
         energy = sens.strain_energy(self.mesh, bundle.density, bundle.tau)
@@ -353,7 +368,7 @@ class StressVolumeProblem(FEMProblem):
         bundle.stress = el.stress_aggregate(self.mesh, self.mat, eps, bundle.tau,
                                             self.stress_exponent, self.yield_stress)
         bundle.density = el.mutual_energy_density(self.mat, eps, eps)
-        return bundle
+        return bundle.freeze()
 
     def objectives(self, bundle) -> np.ndarray:
         j1 = sens.volume_integral(self.mesh, bundle.theta, self.design_mask)

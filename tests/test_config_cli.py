@@ -395,6 +395,27 @@ def test_cli_pareto_offline(tmp_path, monkeypatch, capsys):
     assert len(kept) >= 8
 
 
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte order mark, as some Windows editors write it
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_cli_validate_accepts_a_byte_order_mark(tmp_path, capsys, name):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_bytes(BOM + bundled_text(name).encode("utf-8"))
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
+def test_cli_pareto_reads_a_register_with_a_byte_order_mark(tmp_path, capsys):
+    register = tmp_path / "register.csv"
+    cli.write_register([_candidate((1.0, 2.0)), _candidate((2.0, 1.0)),
+                        _candidate((3.0, 3.0))], register)
+    register.write_bytes(BOM + register.read_bytes())
+    out = tmp_path / "filtered.csv"
+    assert cli.main(["pareto", str(register), "--out", str(out)]) == 0
+    assert [c.objectives for c in cli.read_register(out)] == [(1.0, 2.0), (2.0, 1.0)]
+
+
 def test_cli_pareto_rejects_empty_register(tmp_path, capsys):
     register = tmp_path / "register.csv"
     cli.write_register([_candidate((1.0, 2.0))], register)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import molto.elasticity as el
 from molto.errors import SolverFailure
 from molto.mesh import build_rect_mesh
 from molto.optimizer import RunConfig, run_candidate, stationarity
@@ -96,3 +97,65 @@ def test_prioritized_objective_improves_more():
     cand = run_candidate(problem, (0.9, 0.1), RunConfig())
     assert not cand.failed
     assert cand.normalized[0] <= cand.normalized[1]
+
+
+def _desk_girder_recording_theta(monkeypatch, nudge_at=None):
+    """A small girder (RunConfig's defaults are the desk constants) whose
+    theta of every iteration is recorded; at iteration ``nudge_at`` the
+    first entry of theta is moved down by one ulp."""
+    from molto.problems import make_girder
+    problem = make_girder(nx=16, ny=8)
+    theta_elements = problem.theta_elements
+    thetas = []
+
+    def recording(phi, width):
+        theta = theta_elements(phi, width)
+        if len(thetas) == nudge_at:
+            theta[0] = np.nextafter(theta[0], 0.0)
+        thetas.append(theta)
+        return theta
+
+    monkeypatch.setattr(problem, "theta_elements", recording)
+    return problem, thetas
+
+
+def test_state_is_derived_once_per_distinct_design(monkeypatch):
+    # from the solid start the level set sits on its clamp, so theta repeats
+    # bit for bit; an iteration that repeats theta keeps the previous
+    # iteration's factorized state
+    problem, thetas = _desk_girder_recording_theta(monkeypatch)
+    factorizations = []
+    factorize = el.FactorizedSystem.__init__
+
+    def counting(self, system):
+        factorizations.append(system)
+        factorize(self, system)
+
+    monkeypatch.setattr(el.FactorizedSystem, "__init__", counting)
+    cand = run_candidate(problem, (0.5, 0.5), RunConfig(max_iterations=30))
+    assert not cand.failed and len(thetas) == cand.iterations + 1
+    changes = sum(not np.array_equal(a, b) for a, b in zip(thetas, thetas[1:]))
+    # the girder's two load cases share one factorization
+    assert len(factorizations) == 1 + changes
+    assert len(factorizations) < cand.iterations + 1
+    assert np.array_equal(thetas[0], thetas[1])  # the clamped prefix
+
+
+def test_a_one_ulp_change_of_theta_derives_the_state_again(monkeypatch):
+    problem, thetas = _desk_girder_recording_theta(monkeypatch, nudge_at=2)
+    solved = []
+    solve_states = problem.solve_states
+
+    def recording(theta):
+        solved.append(theta)
+        return solve_states(theta)
+
+    monkeypatch.setattr(problem, "solve_states", recording)
+    cand = run_candidate(problem, (0.5, 0.5), RunConfig(max_iterations=5))
+    assert not cand.failed
+    # s = 0 derives the state, s = 1 repeats theta, s = 2 is one ulp off it,
+    # s = 3 is back on it, s = 4 and 5 repeat it
+    assert len(solved) == 3
+    assert all(t is thetas[s] for s, t in zip((0, 2, 3), solved))
+    assert solved[1][0] == np.nextafter(solved[0][0], 0.0)
+    assert np.array_equal(solved[0], solved[2])

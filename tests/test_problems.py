@@ -266,6 +266,17 @@ def test_load_cases_sharing_supports_are_one_blocked_solve(monkeypatch):
         assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_state_bundle_is_read_only():
+    problem = make_lbracket(nx=10)
+    bundle = problem.solve_states(np.full(problem.mesh.num_triangles, 0.7))
+    held = [bundle.theta, bundle.tau, bundle.dtau, bundle.density, *bundle.states,
+            *bundle.strains, bundle.stress.deviator, bundle.stress.vm,
+            bundle.stress.rel]
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 @pytest.mark.parametrize("make, groups", [
     (lambda: make_girder(nx=12, ny=6), [0, 0]),
     (lambda: make_clamped_tri(nx=12, ny=6), [0, 1, 0]),
