@@ -1,4 +1,4 @@
-"""Command line interface: run, validate, pareto, surrogate.
+"""Command line interface: run, surrogate, validate, pareto.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
 """
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asd import dedup, normalize_objectives, pareto_filter, run_asd
+from .asd import ASDConfig, dedup, normalize_objectives, pareto_filter, run_asd
 from .config import load_config
 from .errors import ConfigError, MoltoError
 from .mesh import Mesh
@@ -65,13 +65,17 @@ def _register_header(m: int, n_feasible: int) -> list:
             + ["converged", "iterations"])
 
 
-def write_register(candidates, path) -> None:
-    first = candidates[0]
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_register_header(len(first.objectives), len(first.feasible)))
-        for i, cand in enumerate(candidates):
-            writer.writerow(_candidate_row(i, cand))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_register(candidates, path) -> None:
+    first = candidates[0]
+    _write_csv(path, _register_header(len(first.objectives), len(first.feasible)),
+               (_candidate_row(i, cand) for i, cand in enumerate(candidates)))
 
 
 def read_register(path) -> list:
@@ -96,9 +100,9 @@ def read_register(path) -> list:
             w_final = tuple(float(v) for v in vals[m:2 * m])
             objectives = tuple(float(v) for v in vals[2 * m:3 * m])
             normalized = tuple(float(v) for v in vals[3 * m:4 * m])
-            feasible = tuple(bool(int(v)) for v in vals[4 * m:4 * m + n_g])
-            converged = bool(int(vals[4 * m + n_g]))
-            iterations = int(vals[4 * m + n_g + 1])
+            *flags, iterations = (int(v) for v in vals[4 * m:])
+            if not set(flags) <= {0, 1} or iterations < 0:
+                raise ValueError("flags must be 0 or 1, iterations non-negative")
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{path}: line {reader.line_num}: "
                               f"malformed row ({exc})") from exc
@@ -107,8 +111,8 @@ def read_register(path) -> list:
                               "non-finite objective")
         candidates.append(SolutionCandidate(
             w_star=w_star, w_final=w_final, objectives=objectives,
-            normalized=normalized, feasible=feasible, converged=converged,
-            iterations=iterations))
+            normalized=normalized, feasible=tuple(map(bool, flags[:-1])),
+            converged=bool(flags[-1]), iterations=iterations))
     return candidates
 
 
@@ -116,30 +120,21 @@ def _write_outputs(result, out_dir: Path, problem) -> None:
     candidates = result.register.candidates
     write_register(candidates, out_dir / "register.csv")
 
-    with open(out_dir / "levels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "candidates", "mean_edge", "std_edge"])
-        writer.writerows(result.history)
-
-    with open(out_dir / "failures.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"wstar_{a + 1}" for a in range(problem.num_objectives)]
-                        + ["error"])
-        for cand in result.failures:
-            writer.writerow([*cand.w_star, cand.error])
+    _write_csv(out_dir / "levels.csv",
+               ["level", "candidates", "mean_edge", "std_edge"], result.history)
+    _write_csv(out_dir / "failures.csv",
+               [f"wstar_{a + 1}" for a in range(problem.num_objectives)] + ["error"],
+               ([*cand.w_star, cand.error] for cand in result.failures))
 
     for k, cand in enumerate(candidates):
         if cand.history:
             m = len(cand.objectives)
             n_g = len(cand.history[0][2])
-            with open(out_dir / f"candidate_{k}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iteration"]
-                                + [f"j_{a + 1}" for a in range(m)]
-                                + [f"g_{a + 1}" for a in range(n_g)]
-                                + [f"w_{a + 1}" for a in range(m)])
-                for s, j, g, w in cand.history:
-                    writer.writerow([s, *j, *g, *w])
+            _write_csv(out_dir / f"candidate_{k}.csv",
+                       ["iteration"] + [f"j_{a + 1}" for a in range(m)]
+                       + [f"g_{a + 1}" for a in range(n_g)]
+                       + [f"w_{a + 1}" for a in range(m)],
+                       ([s, *j, *g, *w] for s, j, g, w in cand.history))
         if cand.phi is not None:
             export_field(cand.phi, problem.mesh, out_dir / f"candidate_{k}_final.dat")
 
@@ -147,12 +142,10 @@ def _write_outputs(result, out_dir: Path, problem) -> None:
     if pareto:
         m = len(pareto[0].objectives)
         coords = normalize_objectives(np.array([c.objectives for c in pareto]))
-        with open(out_dir / "pareto.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"j_{a + 1}" for a in range(m)]
-                            + [f"jhat_{a + 1}" for a in range(m)])
-            for cand, coord in zip(pareto, coords):
-                writer.writerow(list(cand.objectives) + list(coord))
+        _write_csv(out_dir / "pareto.csv", [f"j_{a + 1}" for a in range(m)]
+                   + [f"jhat_{a + 1}" for a in range(m)],
+                   (list(cand.objectives) + list(coord)
+                    for cand, coord in zip(pareto, coords)))
 
 
 def _cmd_validate(args) -> int:
@@ -234,24 +227,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "adaptive simplex refinement of the Pareto frontier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the full refinement loop")
-    run.add_argument("config")
-    run.add_argument("--jobs", type=_JOBS, default=None)
-    run.add_argument("--out", default=None)
+    for name, text in (("run", "run the full refinement loop"),
+                       ("surrogate", "run the refinement loop on an analytic mapping")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("config")
+        cmd.add_argument("--jobs", type=_JOBS, default=None)
+        cmd.add_argument("--out", default=None)
 
     val = sub.add_parser("validate", help="check a configuration file")
     val.add_argument("config")
 
     par = sub.add_parser("pareto", help="re-filter a register CSV offline")
     par.add_argument("register")
-    par.add_argument("--tol", type=_TOL, default=1e-3)
+    par.add_argument("--tol", type=_TOL, default=ASDConfig.dedup_tolerance)
     par.add_argument("--out", default=None)
-
-    sur = sub.add_parser("surrogate",
-                         help="run the refinement loop on an analytic mapping")
-    sur.add_argument("config")
-    sur.add_argument("--jobs", type=_JOBS, default=None)
-    sur.add_argument("--out", default=None)
     return parser
 
 

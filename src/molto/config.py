@@ -1,9 +1,11 @@
 """Flat key = value configuration files for the benchmark problems.
 
-Every key a problem kind understands has a typed schema entry with a default
-and an optional range check. Unknown keys, repeated keys and empty values
-are rejected with their line numbers; every default that fills a missing key
-is reported as a warning so nothing is overridden silently.
+Every key has one entry in ``_RULES``, its range rule. Its default, and with
+it its type, is read from the object that takes the key: ``RunConfig``,
+``MaterialParams``, ``ASDConfig`` or the problem kind's factory. Unknown
+keys, repeated keys and empty values are rejected with their line numbers;
+every default that fills a missing key is reported as a warning so nothing
+is overridden silently.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import inspect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from . import problems
@@ -32,89 +34,49 @@ def _nonneg(v):
     return v >= 0
 
 
-def _defaults_of(defaults, entries):
-    """key -> (type tag, validator) entries, defaulting to ``defaults[key]``."""
-    return {key: (tag, defaults[key], validator)
-            for key, (tag, validator) in entries.items()}
-
-
-# key -> (type tag, default, validator or None)
-_RUN_KEYS = _defaults_of(vars(RunConfig()), {
-    "max_iterations": ("int", _positive),
-    "window": ("int", lambda v: v >= 2),
-    "tol_objective": ("float", _positive),
-    "tol_constraint": ("float", _positive),
-    "wave_speed": ("float", _positive),
-    "wave_damping": ("float", _nonneg),
-    "interface_width": ("float", _positive),
-    "step_size": ("float", _positive),
-    "weight_inertia": ("float", _positive),
-    "weight_damping": ("float", _positive),
-    "weight_stiffness": ("float", _positive),
-    "weight_clamp": ("float", lambda v: 0.0 < v < 0.5),
-    "weight_ratio": ("float", _nonneg),
-    "penalty": ("float", _positive),
-    "multiplier_init": ("float", _nonneg),
-})
+# key -> range rule, or None where every value of the key's type is admitted;
+# a kind's keys are listed (and their defaults warned) in this order
+_RULES = {
+    # RunConfig
+    "max_iterations": _positive, "window": lambda v: v >= 2,
+    "tol_objective": _positive, "tol_constraint": _positive,
+    "wave_speed": _positive, "wave_damping": _nonneg,
+    "interface_width": _positive, "step_size": _positive,
+    "weight_inertia": _positive, "weight_damping": _positive,
+    "weight_stiffness": _positive, "weight_clamp": lambda v: 0.0 < v < 0.5,
+    "weight_ratio": _nonneg, "penalty": _positive, "multiplier_init": _nonneg,
+    # MaterialParams
+    "young": _positive, "poisson": lambda v: 0.0 <= v < 0.5,
+    "ersatz_exponent": lambda v: v > 1.0, "ersatz_floor": _fraction,
+    # ASDConfig, then the sweep's own keys
+    "edge_tolerance": _positive, "max_levels": _nonneg,
+    "dedup_tolerance": _nonneg, "jobs": _positive,
+    "out_dir": None, "weights_init": None,
+    # problem factory keywords
+    "traction": _positive, "length": _positive, "nx": _positive, "ny": _positive,
+    "outer": _positive, "cut": _positive, "volume_fraction": _fraction,
+    "spring_in": _nonneg, "spring_out": _nonneg, "dir_in": None, "dir_out": None,
+    "stress_exponent": lambda v: v >= 1.0, "yield_stress": _positive,
+    "stress_limit": _positive, "filter_eta": _nonneg, "filter_gamma": _positive,
+}
 
 # config key -> MaterialParams field
 _MATERIAL_FIELDS = {"young": "young", "poisson": "poisson",
                     "ersatz_exponent": "exponent", "ersatz_floor": "floor"}
 
-_MATERIAL_KEYS = _defaults_of(
-    {key: getattr(MaterialParams(), name) for key, name in _MATERIAL_FIELDS.items()}, {
-        "young": ("float", _positive),
-        "poisson": ("float", lambda v: 0.0 <= v < 0.5),
-        "ersatz_exponent": ("float", lambda v: v > 1.0),
-        "ersatz_floor": ("float", _fraction),
-    })
 
-_ASD_FIELDS = _defaults_of(vars(ASDConfig()), {
-    "edge_tolerance": ("float", _positive),
-    "max_levels": ("int", _nonneg),
-    "dedup_tolerance": ("float", _nonneg),
-    "jobs": ("int", _positive),
-})
+def _keys(defaults: dict) -> dict:
+    """The entries of ``defaults`` that are config keys, in ``_RULES`` order."""
+    return {key: defaults[key] for key in _RULES if key in defaults}
 
-_ASD_KEYS = {
-    **_ASD_FIELDS,
-    "out_dir": ("str", "molto_out", None),
-    "weights_init": ("weights", None, None),
-}
 
-_FEM_COMMON = {**_RUN_KEYS, **_MATERIAL_KEYS, **_ASD_KEYS}
-
-# factory keyword -> (type tag, validator); the defaults are the factory's
-_BEAM_ARGS = {
-    "traction": ("float", _positive),
-    "length": ("float", _positive),
-    "nx": ("int", _positive),
-    "ny": ("int", _positive),
-    "volume_fraction": ("float", _fraction),
-}
-
-_GRIPPER_ARGS = {
-    "traction": ("float", _positive),
-    "nx": ("int", _positive),
-    "ny": ("int", _positive),
-    "volume_fraction": ("float", _fraction),
-    "spring_in": ("float", _nonneg),
-    "spring_out": ("float", _nonneg),
-    "dir_in": ("vector", None),
-    "dir_out": ("vector", None),
-}
-
-_LBRACKET_ARGS = {
-    "traction": ("float", _positive),
-    "nx": ("int", _positive),
-    "outer": ("float", _positive),
-    "cut": ("float", _positive),
-    "stress_exponent": ("float", lambda v: v >= 1.0),
-    "yield_stress": ("float", _positive),
-    "stress_limit": ("float", _positive),
-    "filter_eta": ("float", _nonneg),
-    "filter_gamma": ("float", _positive),
-}
+# key -> default; weights_init has none and must be given
+_SWEEP_KEYS = _keys({**vars(ASDConfig()), "out_dir": "molto_out",
+                     "weights_init": None})
+_FEM_KEYS = _keys({**vars(RunConfig()),
+                   **{key: getattr(MaterialParams(), name)
+                      for key, name in _MATERIAL_FIELDS.items()},
+                   **_SWEEP_KEYS})
 
 
 @dataclass
@@ -122,12 +84,15 @@ class ProblemConfig:
     kind: str
     values: dict = field(default_factory=dict)
 
+    def _fields_of(self, cls) -> dict:
+        return {f.name: self.values[f.name] for f in fields(cls)
+                if f.name in self.values}
+
     def run_config(self) -> RunConfig:
-        return RunConfig(**{k: self.values[k] for k in _RUN_KEYS if k in self.values})
+        return RunConfig(**self._fields_of(RunConfig))
 
     def asd_config(self) -> ASDConfig:
-        return ASDConfig(**{k: self.values[k] for k in _ASD_FIELDS},
-                         run=self.run_config())
+        return ASDConfig(**self._fields_of(ASDConfig), run=self.run_config())
 
     def initial_weights(self):
         return [tuple(w) for w in self.values["weights_init"]]
@@ -138,43 +103,46 @@ class ProblemConfig:
 
     def build_problem(self):
         """The problem this configuration describes; a value the schema
-        admits but the problem rejects is a configuration error too."""
+        admits but the problem rejects is a configuration error too, and so
+        are initial weights of another dimension than its objective count."""
         try:
-            return KINDS[self.kind].build(self)
+            problem = KINDS[self.kind].build(self)
         except (InvalidArgument, TagMatchError) as exc:
             raise ConfigError(f"{self.kind}: {exc}") from exc
-
-
-def _surrogate(c: ProblemConfig):
-    return problems.SurrogateProblem(len(c.initial_weights()[0]))
+        m = len(self.values["weights_init"][0])
+        if problem.num_objectives != m:
+            raise ConfigError(f"{self.kind} requires {problem.num_objectives} "
+                              f"objectives, weights_init has {m}")
+        return problem
 
 
 @dataclass(frozen=True)
 class Kind:
-    """What a problem kind is: its keys, objective count and factory."""
+    """What a problem kind is: its keys with their defaults, and its factory."""
 
-    schema: dict
-    num_objectives: int | None  # None: as many as weights_init gives
+    keys: dict
     build: Callable[[ProblemConfig], object]
 
 
-def _fem_kind(make, args, m) -> Kind:
-    """The kind built by ``make``: its keys are the common ones plus the
-    factory keywords ``args``, each defaulting to the factory's default."""
-    defaults = {k: p.default for k, p in inspect.signature(make).parameters.items()}
+def _fem_kind(make) -> Kind:
+    """The kind built by ``make``: its keys are the common ones plus each
+    factory keyword that has a rule, defaulting to the factory's default."""
+    params = inspect.signature(make).parameters
+    args = _keys({name: p.default for name, p in params.items()})
 
     def build(c: ProblemConfig):
         return make(**{key: c.values[key] for key in args}, mat=c.material())
 
-    return Kind({**_FEM_COMMON, **_defaults_of(defaults, args)}, m, build)
+    return Kind(_keys({**_FEM_KEYS, **args}), build)
 
 
 KINDS = {
-    "girder": _fem_kind(problems.make_girder, _BEAM_ARGS, 2),
-    "gripper": _fem_kind(problems.make_gripper, _GRIPPER_ARGS, 2),
-    "lbracket": _fem_kind(problems.make_lbracket, _LBRACKET_ARGS, 2),
-    "clamped_tri": _fem_kind(problems.make_clamped_tri, _BEAM_ARGS, 3),
-    "surrogate": Kind(_ASD_KEYS, None, _surrogate),
+    "girder": _fem_kind(problems.make_girder),
+    "gripper": _fem_kind(problems.make_gripper),
+    "lbracket": _fem_kind(problems.make_lbracket),
+    "clamped_tri": _fem_kind(problems.make_clamped_tri),
+    "surrogate": Kind(_SWEEP_KEYS, lambda c: problems.SurrogateProblem(
+        len(c.initial_weights()[0]))),
 }
 
 
@@ -185,28 +153,28 @@ def _finite(raw) -> float:
     return value
 
 
-def _parse_value(kind_tag, raw, key, lineno):
+def _parse_value(key, default, raw, lineno):
+    """``raw`` read as the type of ``default``; ``weights_init``, which has no
+    default, is a ``;``-separated list of vectors."""
     try:
-        if kind_tag == "int":
-            return int(raw)
-        if kind_tag == "float":
-            return _finite(raw)
-        if kind_tag == "str":
-            return raw
-        if kind_tag == "vector":
-            parts = tuple(_finite(p) for p in raw.split())
-            if len(parts) != 2:
-                raise ValueError("expected two components")
-            return parts
-        if kind_tag == "weights":
+        if key == "weights_init":
             vectors = [tuple(_finite(p) for p in g.split())
                        for g in raw.split(";") if g.strip()]
             if not vectors:
                 raise ValueError("no weight vectors given")
             return vectors
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return _finite(raw)
+        if isinstance(default, tuple):
+            parts = tuple(_finite(p) for p in raw.split())
+            if len(parts) != 2:
+                raise ValueError("expected two components")
+            return parts
+        return raw
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: cannot parse '{key}': {exc}") from exc
-    raise ConfigError(f"unknown schema type {kind_tag}")
 
 
 def _validate(config: ProblemConfig):
@@ -218,10 +186,6 @@ def _validate(config: ProblemConfig):
     for w in weights:
         if abs(sum(w) - 1.0) > 1e-9 or any(c <= 0.0 or c >= 1.0 for c in w):
             raise ConfigError(f"weights_init vector {w} is not in the open simplex")
-    expected = KINDS[config.kind].num_objectives
-    if expected is not None and m != expected:
-        raise ConfigError(f"{config.kind} requires {expected} "
-                          f"objectives, weights_init has {m}")
     # the refinement loop's own rules, checked before any candidate runs
     if len(weights) < m:
         raise ConfigError(f"weights_init has {len(weights)} vectors, "
@@ -258,20 +222,20 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
     if kind not in KINDS:
         raise ConfigError(f"{source}: line {lines['problem']}: unknown problem "
                           f"kind '{kind}' (choose from {', '.join(KINDS)})")
-    schema = KINDS[kind].schema
+    keys = KINDS[kind].keys
 
     values = {}
     for key, raw in entries.items():
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(f"{source}: line {lines[key]}: unknown key "
                               f"'{key}' for problem '{kind}'")
-        tag, _, validator = schema[key]
-        value = _parse_value(tag, raw, key, lines[key])
-        if validator is not None and not validator(value):
+        value = _parse_value(key, keys[key], raw, lines[key])
+        rule = _RULES[key]
+        if rule is not None and not rule(value):
             raise ConfigError(f"{source}: line {lines[key]}: value {raw!r} "
                               f"out of range for '{key}'")
         values[key] = value
-    for key, (tag, default, _) in schema.items():
+    for key, default in keys.items():
         if key not in values:
             if default is None:
                 raise ConfigError(f"{source}: missing required key '{key}'")

@@ -26,8 +26,8 @@ from .problems import SurrogateProblem
 
 @dataclass
 class RunConfig:
-    """Every numerical knob of one candidate run; the defaults are the
-    configuration schema's."""
+    """Every numerical knob of one candidate run; the configuration reads
+    each key's default, and with it its type, from here."""
 
     max_iterations: int = 800
     window: int = 5

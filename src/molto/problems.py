@@ -351,7 +351,7 @@ class StressVolumeProblem(FEMProblem):
     num_objectives = 2
 
     def __init__(self, mesh, mat, *, traction, stress_exponent, yield_stress,
-                 stress_limit, filter_eta=1e-4, filter_gamma=2.0):
+                 stress_limit, filter_eta, filter_gamma):
         clamp = (el.FixedBoundary("clamp", "both"),)
         super().__init__(mesh, mat, [LoadCase("traction", traction, clamp)],
                          phi_fixed=[(mesh.nodes_with_tag("void_a"), -1.0),

@@ -46,7 +46,7 @@ def tiny_stress_volume(yield_stress=42.0):
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "traction")
     return StressVolumeProblem(mesh, MAT, traction=(0.0, -0.3),
                                stress_exponent=5.0, yield_stress=yield_stress,
-                               stress_limit=0.05)
+                               stress_limit=0.05, filter_eta=1e-4, filter_gamma=2.0)
 
 
 def weighted_value(problem, theta_e, w, j_star, lams):

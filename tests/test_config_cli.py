@@ -7,7 +7,7 @@ import pytest
 
 import molto.asd as asd
 import molto.cli as cli
-from molto.config import load_config, parse_config
+from molto.config import _RULES, KINDS, _parse_value, load_config, parse_config
 from molto.errors import ConfigError
 from molto.mesh import build_rect_mesh
 
@@ -105,6 +105,21 @@ def test_volume_fraction_reaches_beam_problems():
         text = text.replace("nx = 60", "nx = 6").replace("ny = 30", "ny = 3")
         problem = parse_config(text, source=name).build_problem()
         assert problem.volume_fraction == 0.2, name
+
+
+def test_every_rule_is_a_key_and_every_default_reads_back():
+    # each rule belongs to some kind, and each default, written as config
+    # text, reads back as itself: a key's type is its default's
+    assert set(_RULES) == {key for kind in KINDS.values() for key in kind.keys}
+    for name, kind in KINDS.items():
+        for key, default in kind.keys.items():
+            if key == "weights_init":
+                assert default is None
+                continue
+            text = (" ".join(map(str, default)) if isinstance(default, tuple)
+                    else str(default))
+            value = _parse_value(key, default, text, 1)
+            assert type(value) is type(default) and value == default, (name, key)
 
 
 def test_unknown_key_rejected_with_location():
@@ -235,8 +250,12 @@ def test_cli_rejects_window_above_max_iterations(tmp_path, capsys):
      "lines 4 and 8: key 'edge_tolerance' given twice"),
     ("surrogate2", "out_dir = molto_out/surrogate2", "out_dir =",
      "line 8: empty value for 'out_dir'"),
+    ("girder_desk", "weights_init = 0.9 0.1 ; 0.1 0.9",
+     "weights_init = 0.8 0.1 0.1 ; 0.1 0.8 0.1 ; 0.1 0.1 0.8",
+     "girder requires 2 objectives, weights_init has 3"),
 ], ids=["lbracket_nx", "gripper_dir_in", "weight_clamp", "weights_too_few",
-        "weights_repeated", "lbracket_cut", "key_repeated", "out_dir_empty"])
+        "weights_repeated", "lbracket_cut", "key_repeated", "out_dir_empty",
+        "weights_dimension"])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_cli_rejects_configs_the_problem_rejects(tmp_path, capsys, name, old, new,
                                                 message, command):
@@ -450,6 +469,9 @@ def test_cli_pareto_rejects_a_csv_that_is_not_a_register(tmp_path, capsys, heade
     ("1,0.5,0.5,0.5,0.5,inf,1.5,1,1,1,1,1,3", "non-finite"),
     ("1,0.5,0.5,0.5,0.5,abc,1.5,1,1,1,1,1,3", "malformed"),
     ("1,0.5,0.5", "malformed"),
+    ("1,0.5,0.5,0.5,0.5,1.0,2.0,1,1,7,1,1,3", "malformed"),
+    ("1,0.5,0.5,0.5,0.5,1.0,2.0,1,1,1,1,-3,3", "malformed"),
+    ("1,0.5,0.5,0.5,0.5,1.0,2.0,1,1,1,1,1,-12", "malformed"),
 ])
 def test_cli_pareto_rejects_bad_rows(tmp_path, capsys, row, message):
     register = tmp_path / "register.csv"

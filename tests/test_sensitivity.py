@@ -85,7 +85,8 @@ def test_constraint_values():
     mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "traction")
     stressed = StressVolumeProblem(mesh, MAT, traction=(0.0, -0.3),
                                    stress_exponent=5.0, yield_stress=42.0,
-                                   stress_limit=0.05)
+                                   stress_limit=0.05, filter_eta=1e-4,
+                                   filter_gamma=2.0)
     bundle = stressed.solve_states(np.ones(mesh.num_triangles))
     agg = el.stress_aggregate(mesh, MAT, el.element_strains(mesh, bundle.states[0]),
                               bundle.tau, 5.0, 42.0).value
