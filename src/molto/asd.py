@@ -23,32 +23,45 @@ from .optimizer import RunConfig, SolutionCandidate, run_candidate
 WEIGHT_DEDUP_TOL = 1e-9
 
 
-def same_weight(a, b) -> bool:
-    """Whether two reference weights agree to WEIGHT_DEDUP_TOL in every
-    component, so they name the same candidate."""
-    return np.allclose(a, b, rtol=0.0, atol=WEIGHT_DEDUP_TOL)
+def same_weight(a, b):
+    """Whether reference weights agree to WEIGHT_DEDUP_TOL in every
+    component, so they name the same candidate; broadcast over rows, so one
+    weight is asked against a whole (n, m) array at once."""
+    return np.all(np.abs(np.subtract(a, b)) <= WEIGHT_DEDUP_TOL, axis=-1)
+
+
+def dominates(a, b):
+    """Componentwise a <= b with at least one strict inequality; broadcast
+    over rows like same_weight."""
+    return np.all(np.less_equal(a, b), axis=-1) & np.any(np.less(a, b), axis=-1)
 
 
 @dataclass
 class SolutionRegister:
-    """Stored candidates plus per-objective normalization bounds."""
+    """Stored candidates; row k of the (n, m) weight and objective arrays
+    holds candidate k's reference weight and objective vector."""
 
     candidates: list = field(default_factory=list)
+    weights: np.ndarray = field(init=False, default_factory=lambda: np.empty((0, 0)))
+    objectives: np.ndarray = field(init=False, default_factory=lambda: np.empty((0, 0)))
 
     def __len__(self):
         return len(self.candidates)
 
     def add(self, candidate: SolutionCandidate) -> None:
-        for existing in self.candidates:
-            if same_weight(existing.w_star, candidate.w_star):
-                raise InvalidArgument("duplicate reference weight in register")
+        w, j = candidate.w_star, candidate.objectives
+        held = self.weights.reshape(-1, len(w))
+        if same_weight(w, held).any():
+            raise InvalidArgument("duplicate reference weight in register")
         self.candidates.append(candidate)
+        self.weights = np.vstack([held, w])
+        self.objectives = np.vstack([self.objectives.reshape(-1, len(j)), j])
 
     def weight_array(self) -> np.ndarray:
-        return np.array([c.w_star for c in self.candidates])
+        return self.weights
 
     def objective_array(self) -> np.ndarray:
-        return np.array([c.objectives for c in self.candidates])
+        return self.objectives
 
 
 def normalize_objectives(objectives: np.ndarray) -> np.ndarray:
@@ -69,11 +82,6 @@ class SimplexComplex:
     edge_lengths: np.ndarray   # normalized objective-space lengths
 
 
-def _fan_triangulation(order: np.ndarray, m: int) -> list:
-    return [tuple(int(order[k]) for k in (0, i, i + 1))
-            for i in range(1, len(order) - 1)]
-
-
 def build_complex(register: SolutionRegister, m: int) -> SimplexComplex:
     """Path graph for two objectives; Delaunay over the first m-1 weight
     coordinates otherwise (lexicographic fan fallback on degeneracy)."""
@@ -83,28 +91,24 @@ def build_complex(register: SolutionRegister, m: int) -> SimplexComplex:
     wpts = register.weight_array()
     if m == 2:
         order = np.argsort(wpts[:, 0], kind="stable")
-        simplices = [(int(order[i]), int(order[i + 1])) for i in range(n - 1)]
+        verts = np.column_stack([order[:-1], order[1:]])
     else:
         chart = wpts[:, : m - 1]
         try:
-            tri = Delaunay(chart)
-            simplices = [tuple(int(v) for v in s) for s in tri.simplices]
+            verts = Delaunay(chart).simplices
         except QhullError:
             warnings.warn("degenerate weight set; falling back to a "
                           "lexicographic fan triangulation")
             order = np.lexsort(chart.T[::-1])
-            simplices = _fan_triangulation(order, m)
+            verts = np.column_stack([np.full(n - 2, order[0]), order[1:-1], order[2:]])
 
-    pairs = set()
-    for simplex in simplices:
-        verts = sorted(simplex)
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                pairs.add((verts[i], verts[j]))
-    edges = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    slots = np.transpose(np.triu_indices(verts.shape[1], 1))  # (P, 2) vertex pairs
+    ends = np.sort(verts.astype(np.int64), axis=1)[:, slots]
+    edges = np.unique(ends.reshape(-1, 2), axis=0)
     coords = normalize_objectives(register.objective_array())
     lengths = np.linalg.norm(coords[edges[:, 0]] - coords[edges[:, 1]], axis=1)
-    return SimplexComplex(simplices=simplices, edges=edges, edge_lengths=lengths)
+    return SimplexComplex(simplices=[tuple(s) for s in verts.tolist()],
+                          edges=edges, edge_lengths=lengths)
 
 
 def mean_edge_length(complex_: SimplexComplex):
@@ -116,46 +120,32 @@ def mean_edge_length(complex_: SimplexComplex):
 
 
 def mark_and_refine(complex_: SimplexComplex, register: SolutionRegister,
-                    edge_tolerance: float) -> list:
-    """New reference weights: edge midpoints of every poor simplex."""
-    length = {(int(a), int(b)): float(l)
-              for (a, b), l in zip(complex_.edges, complex_.edge_lengths)}
-    poor = []
-    for simplex in complex_.simplices:
-        longest = max(length[min(i, j), max(i, j)]
-                      for k, i in enumerate(simplex) for j in simplex[k + 1:])
-        poor.append(longest > edge_tolerance)
+                    edge_tolerance: float, known=()) -> list:
+    """New reference weights: the edge midpoints of every poor simplex (one
+    whose longest edge exceeds the tolerance), in simplex order. A midpoint
+    is dropped if it names a weight already held, in ``known`` (weights run
+    before, such as failures) or emitted before it."""
+    verts = np.array(complex_.simplices)
+    first, second = np.triu_indices(verts.shape[1], 1)
+    a, b = verts[:, first], verts[:, second]
+    length = np.zeros((len(register),) * 2)
+    length[tuple(complex_.edges.T)] = complex_.edge_lengths
+    poor = (length + length.T)[a, b].max(axis=1) > edge_tolerance
 
-    existing = [np.asarray(c.w_star) for c in register.candidates]
-    emitted: list[np.ndarray] = []
-    for simplex, is_poor in zip(complex_.simplices, poor):
-        if not is_poor:
-            continue
-        for k, i in enumerate(simplex):
-            for j in simplex[k + 1:]:
-                mid = 0.5 * (np.asarray(register.candidates[i].w_star)
-                             + np.asarray(register.candidates[j].w_star))
-                known = existing + emitted
-                if not any(same_weight(mid, other) for other in known):
-                    emitted.append(mid)
+    held = register.weight_array()
+    seen = np.vstack([held, np.reshape(known, (-1, held.shape[1]))])
+    emitted = []
+    for mid in (0.5 * (held[a[poor]] + held[b[poor]])).reshape(-1, held.shape[1]):
+        if not same_weight(mid, seen).any():
+            emitted.append(mid)
+            seen = np.vstack([seen, mid])
     return emitted
-
-
-def dominates(a, b) -> bool:
-    """Componentwise a <= b with at least one strict inequality."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return bool(np.all(a <= b) and np.any(a < b))
 
 
 def pareto_filter(candidates) -> list:
     """Candidates not strictly dominated by any other (duplicates survive)."""
-    objs = [np.asarray(c.objectives) for c in candidates]
-    kept = []
-    for i, c in enumerate(candidates):
-        if not any(dominates(objs[j], objs[i]) for j in range(len(candidates)) if j != i):
-            kept.append(c)
-    return kept
+    objs = np.array([c.objectives for c in candidates], dtype=float)
+    return [c for c, j in zip(candidates, objs) if not dominates(objs, j).any()]
 
 
 def dedup(candidates, tol: float) -> list:
@@ -166,12 +156,11 @@ def dedup(candidates, tol: float) -> list:
     if not candidates:
         return []
     coords = normalize_objectives(np.array([c.objectives for c in candidates]))
-    kept, kept_coords = [], []
-    for c, x in zip(candidates, coords):
-        if all(np.linalg.norm(x - y) > tol for y in kept_coords):
-            kept.append(c)
-            kept_coords.append(x)
-    return kept
+    kept = []
+    for i, x in enumerate(coords):
+        if np.all(np.linalg.norm(coords[kept] - x, axis=1) > tol):
+            kept.append(i)
+    return [candidates[i] for i in kept]
 
 
 @dataclass
@@ -230,8 +219,8 @@ def run_asd(problem, initial_weights, cfg: ASDConfig) -> ASDResult:
             break
         # candidate runs are deterministic: a weight that failed is known too,
         # and a level that emits nothing new ends the refinement
-        pending = [w for w in mark_and_refine(complex_, register, cfg.edge_tolerance)
-                   if not any(same_weight(w, f.w_star) for f in failures)]
+        pending = mark_and_refine(complex_, register, cfg.edge_tolerance,
+                                  known=[f.w_star for f in failures])
         level += 1
 
     final = pareto_filter(dedup(register.candidates, cfg.dedup_tolerance))

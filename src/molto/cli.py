@@ -19,6 +19,7 @@ from .config import load_config
 from .errors import ConfigError, MoltoError
 from .mesh import Mesh
 from .optimizer import SolutionCandidate
+from .weights import in_open_simplex
 
 OUTPUT_ENV = "MOLTO_OUTPUT_DIR"
 
@@ -96,13 +97,13 @@ def read_register(path) -> list:
         try:
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} columns, the header has {len(header)}")
-            w_star = tuple(float(v) for v in vals[0:m])
-            w_final = tuple(float(v) for v in vals[m:2 * m])
-            objectives = tuple(float(v) for v in vals[2 * m:3 * m])
-            normalized = tuple(float(v) for v in vals[3 * m:4 * m])
+            w_star, w_final, objectives, normalized = (
+                tuple(map(float, vals[k * m:(k + 1) * m])) for k in range(4))
             *flags, iterations = (int(v) for v in vals[4 * m:])
-            if not set(flags) <= {0, 1} or iterations < 0:
-                raise ValueError("flags must be 0 or 1, iterations non-negative")
+            if not set(flags) <= {0, 1} or min(int(row[0]), iterations) < 0:
+                raise ValueError("flags must be 0 or 1, index and iterations >= 0")
+            if not (in_open_simplex(w_star) and in_open_simplex(w_final)):
+                raise ValueError("wstar and wfinal must lie in the open simplex")
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{path}: line {reader.line_num}: "
                               f"malformed row ({exc})") from exc

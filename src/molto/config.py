@@ -21,6 +21,7 @@ from .asd import ASDConfig, same_weight
 from .elasticity import MaterialParams
 from .errors import ConfigError, InvalidArgument, TagMatchError
 from .optimizer import RunConfig
+from .weights import in_open_simplex
 
 def _positive(v):
     return v > 0
@@ -184,15 +185,15 @@ def _validate(config: ProblemConfig):
     if any(len(w) != m for w in weights):
         raise ConfigError("weights_init vectors have inconsistent dimensions")
     for w in weights:
-        if abs(sum(w) - 1.0) > 1e-9 or any(c <= 0.0 or c >= 1.0 for c in w):
+        if not in_open_simplex(w):
             raise ConfigError(f"weights_init vector {w} is not in the open simplex")
     # the refinement loop's own rules, checked before any candidate runs
     if len(weights) < m:
         raise ConfigError(f"weights_init has {len(weights)} vectors, "
                           f"{m} objectives need at least {m}")
-    for i, w in enumerate(weights):
-        if any(same_weight(w, other) for other in weights[:i]):
-            raise ConfigError(f"weights_init repeats the vector {w}")
+    for i in range(1, len(weights)):
+        if same_weight(weights[i], weights[:i]).any():
+            raise ConfigError(f"weights_init repeats the vector {weights[i]}")
     if "window" in v and v["max_iterations"] < v["window"]:
         raise ConfigError(f"max_iterations ({v['max_iterations']}) must be at "
                           f"least window ({v['window']})")

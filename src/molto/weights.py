@@ -15,6 +15,13 @@ import numpy as np
 from .errors import InvalidArgument
 
 
+def in_open_simplex(w) -> bool:
+    """The rule for a reference weight of two or more objectives: every
+    component in (0, 1), summing to one within 1e-9."""
+    w = np.asarray(w, dtype=float).ravel()
+    return bool(np.all((w > 0.0) & (w < 1.0)) and abs(w.sum() - 1.0) <= 1e-9)
+
+
 def stick_to_weights(q) -> np.ndarray:
     """Map free coordinates to simplex weights.
 
@@ -40,11 +47,9 @@ def weights_to_stick(w) -> np.ndarray:
         if abs(w[0] - 1.0) > 1e-12:
             raise InvalidArgument("a single weight must equal one")
         return np.empty(0)
-    if w.min() <= 0.0 or w.max() >= 1.0:
-        raise InvalidArgument("weights must lie strictly inside the simplex")
+    if not in_open_simplex(w):
+        raise InvalidArgument(f"weights {tuple(w.tolist())} are not in the open simplex")
     tails = np.cumsum(w[::-1])[::-1]  # tails[u] = sum_{v >= u} w_v
-    if np.any(tails[1:] <= 0.0):
-        raise InvalidArgument("weight tail sums must be positive")
     return tails[1:] / tails[:-1]
 
 

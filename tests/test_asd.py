@@ -312,3 +312,55 @@ def test_failed_weight_runs_once_per_sweep(monkeypatch):
     assert len(result.failures) == 1
     # the failed midpoint was the only emission, so its level ends the sweep
     assert [row[:2] for row in result.history] == [(0, 2), (1, 2)]
+
+
+def _refine_by_pairs(cx, reg, tol, known=()):
+    # the pair-at-a-time rule: every vertex pair of every poor simplex, in
+    # simplex order, against everything held, known or emitted before
+    length = {(int(a), int(b)): l for (a, b), l in zip(cx.edges, cx.edge_lengths)}
+    seen = [np.asarray(c.w_star) for c in reg.candidates] + [np.asarray(w) for w in known]
+    emitted = []
+    for simplex in cx.simplices:
+        pairs = [(i, j) for k, i in enumerate(simplex) for j in simplex[k + 1:]]
+        if max(length[min(i, j), max(i, j)] for i, j in pairs) <= tol:
+            continue
+        for i, j in pairs:
+            mid = 0.5 * (np.asarray(reg.candidates[i].w_star)
+                         + np.asarray(reg.candidates[j].w_star))
+            if not any(np.allclose(mid, o, rtol=0.0, atol=1e-9) for o in seen + emitted):
+                emitted.append(mid)
+    return emitted
+
+
+def _dedup_by_pairs(cands, tol):
+    coords = normalize_objectives(np.array([c.objectives for c in cands]))
+    kept = []
+    for i, x in enumerate(coords):
+        if all(np.linalg.norm(x - coords[k]) > tol for k in kept):
+            kept.append(i)
+    return [cands[i] for i in kept]
+
+
+# three weights, one the midpoint of two, are collinear: the fan fallback
+@pytest.mark.filterwarnings("ignore:degenerate weight set")
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 3), st.integers(3, 25))
+def test_array_bookkeeping_matches_pair_loops(seed, m, n):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(m), size=n)
+    weights[-1] = 0.5 * (weights[0] + weights[1])   # a midpoint already held
+    # objectives on a coarse grid, so dedup meets ties at tolerance 0.2
+    reg = register_from([(w, rng.integers(0, 5, m) / 4.0) for w in weights])
+    cx = build_complex(reg, m)
+    pairs = {(min(i, j), max(i, j)) for s in cx.simplices
+             for k, i in enumerate(s) for j in s[k + 1:]}
+    assert cx.edges.tolist() == sorted(map(list, pairs))
+    known = [0.5 * (weights[1] + weights[2])]
+    for args in ((), (known,)):
+        got = mark_and_refine(cx, reg, 0.3, *args)
+        want = _refine_by_pairs(cx, reg, 0.3, *args)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for tol in (0.0, 0.2, 0.5):
+        assert ([id(c) for c in dedup(reg.candidates, tol)]
+                == [id(c) for c in _dedup_by_pairs(reg.candidates, tol)])

@@ -472,6 +472,14 @@ def test_cli_pareto_rejects_a_csv_that_is_not_a_register(tmp_path, capsys, heade
     ("1,0.5,0.5,0.5,0.5,1.0,2.0,1,1,7,1,1,3", "malformed"),
     ("1,0.5,0.5,0.5,0.5,1.0,2.0,1,1,1,1,-3,3", "malformed"),
     ("1,0.5,0.5,0.5,0.5,1.0,2.0,1,1,1,1,1,-12", "malformed"),
+    ("abc,-5,6,0.5,0.5,1.0,2.0,1,1,1,1,1,3", "malformed"),
+    ("abc,0.5,0.5,0.5,0.5,1.0,2.0,1,1,1,1,1,3", "malformed"),
+    ("-1,0.5,0.5,0.5,0.5,1.0,2.0,1,1,1,1,1,3", "malformed"),
+    ("1.5,0.5,0.5,0.5,0.5,1.0,2.0,1,1,1,1,1,3", "malformed"),
+    ("1,-5,6,0.5,0.5,1.0,2.0,1,1,1,1,1,3", "open simplex"),
+    ("1,0.5,0.6,0.5,0.5,1.0,2.0,1,1,1,1,1,3", "open simplex"),
+    ("1,0.5,0.5,1.0,0.0,1.0,2.0,1,1,1,1,1,3", "open simplex"),
+    ("1,0.5,0.5,0.5,nan,1.0,2.0,1,1,1,1,1,3", "open simplex"),
 ])
 def test_cli_pareto_rejects_bad_rows(tmp_path, capsys, row, message):
     register = tmp_path / "register.csv"

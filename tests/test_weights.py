@@ -41,6 +41,29 @@ def test_domain_validation():
         wt.weights_to_stick([1.0, 0.0])
 
 
+def test_weights_off_the_unit_sum_are_rejected():
+    # every component in (0, 1) is not enough: the components must also sum
+    # to one, or the oscillator would run at the rescaled weight while the
+    # register recorded the given one
+    assert wt.in_open_simplex((0.5, 0.5))
+    assert wt.in_open_simplex((0.5, 0.5 + 5e-10))
+    for w in [(0.5, 0.6), (0.3, 0.3, 0.3), (0.5, 0.5 + 2e-9),
+              (1.5, -0.5), (1.0,), (0.5, np.nan)]:
+        assert not wt.in_open_simplex(w)
+    with pytest.raises(InvalidArgument, match="open simplex"):
+        wt.weights_to_stick((0.5, 0.6))
+    from molto.optimizer import RunConfig, run_candidate
+    from molto.problems import make_girder
+    cand = run_candidate(make_girder(nx=8, ny=4), (0.5, 0.6),
+                         RunConfig(max_iterations=5))
+    assert cand.failed and "open simplex" in cand.error
+    assert cand.iterations == 0 and not cand.history
+    # the simplex of one objective is the point w = (1,), its own rule
+    assert wt.weights_to_stick([1.0]).shape == (0,)
+    with pytest.raises(InvalidArgument):
+        wt.weights_to_stick([0.9])
+
+
 def test_single_objective_degenerate():
     assert np.allclose(wt.stick_to_weights([]), [1.0])
     jac = wt.stick_jacobian([])
