@@ -7,10 +7,13 @@ free DOFs only: states are zero on the fixed DOFs, whose rows carry the
 reactions and are never solved for.
 
 What depends only on the sparsity pattern is done once per support set by
-``StiffnessPattern``: it numbers the free DOFs in a fill-reducing elimination
-order, so each factorization keeps that order, and it maps the element
-stiffness straight to the values of the CSC matrix. ``FactorizedSystem.solve``
-takes one load or several as columns, and checks each column on its own.
+``StiffnessPattern``: it picks the nodes that are condensed out of every
+factorization (the cell centres of a crossed mesh), numbers the other free
+DOFs so that the condensed operator is banded, maps the element stiffness
+straight to the values of the CSC matrix, and maps those values to LAPACK's
+band storage. ``FactorizedSystem`` factorizes with a banded Cholesky
+(``CondensedCholesky``); its ``solve`` takes one load or several as columns,
+and checks each column on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import InvalidArgument, SingularSystemError, SolverFailure
 from .mesh import Mesh
@@ -119,6 +122,7 @@ class SparseSystem:
 
     matrix: sp.csc_matrix
     free_dofs: np.ndarray
+    pattern: StiffnessPattern
 
 
 def boundary_vector(mesh: Mesh, tag: str, vector) -> np.ndarray:
@@ -200,11 +204,6 @@ def _element_dofs(mesh: Mesh) -> np.ndarray:
     return dofs
 
 
-# The operator is symmetric positive definite: a symmetric fill-reducing
-# ordering of A + A^T keeps the factors well below COLAMD's fill.
-_ORDERING = "MMD_AT_PLUS_A"
-
-
 def _csc_structure(keys: np.ndarray, m: int):
     """CSC ``indices`` and ``indptr`` of the sorted column-major keys
     ``col * m + row`` of an m x m pattern."""
@@ -213,19 +212,45 @@ def _csc_structure(keys: np.ndarray, m: int):
     return (keys % m).astype(np.int32), indptr
 
 
+def _mesh_edges(mesh: Mesh) -> np.ndarray:
+    """Every edge of the mesh once, as ascending node pairs, (E, 2)."""
+    tri = mesh.triangles.astype(np.int64)
+    pairs = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    keys = np.unique(pairs[:, 0] * mesh.num_nodes + pairs[:, 1])
+    return np.column_stack([keys // mesh.num_nodes, keys % mesh.num_nodes])
+
+
+def _condensed_nodes(mesh: Mesh, edges: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Which nodes the factorization condenses out, bool per node: interior
+    nodes with exactly four neighbours and both DOFs free (``free`` is bool
+    per DOF), and of two adjacent such nodes only the lower-numbered one.
+    On a crossed mesh these are the cell centres; a two-triangle mesh has
+    none. Springs act on boundary edges, so no condensed node carries one."""
+    condensed = np.bincount(edges.ravel(), minlength=mesh.num_nodes) == 4
+    condensed[mesh.boundary_edges] = False
+    condensed &= free[0::2] & free[1::2]
+    condensed[edges[condensed[edges[:, 0]] & condensed[edges[:, 1]], 1]] = False
+    return condensed
+
+
 class StiffnessPattern:
     """The design-independent part of the constrained stiffness operator.
 
     Built once per (mesh, material, springs, supports): the free DOFs in
     elimination order, the CSC sparsity pattern over them, one sparse map
-    from the element stiffness tau_e to the CSC values, and the summed
-    spring entries, so ``assemble_state`` is one sparse product plus the
-    springs.
+    from the element stiffness tau_e to the CSC values, the summed spring
+    entries, and the index arrays that take the CSC values to the banded
+    Cholesky factor, so ``assemble_state`` is one sparse product plus the
+    springs and a factorization is a few gathers and one LAPACK call.
 
-    The elimination order is the MMD ordering of K + K^T that SuperLU finds
-    for the solid operator. It depends only on the pattern, so it is found
-    once here and every ``FactorizedSystem`` factorizes in the given order.
-    Entries that touch a fixed DOF are dropped.
+    Each condensed node (``condensed``, ascending) couples only to its four
+    neighbours, so its two DOFs are eliminated exactly, node by node
+    (static condensation). The other free DOFs come first, numbered by
+    coordinate along the longer side of the bounding box, then along the
+    shorter side, then by component; on a structured grid that keeps the
+    condensed operator, corner-to-corner fill included, in a thin band. The
+    condensed pairs follow, node by node. Entries that touch a fixed DOF
+    are dropped.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
@@ -238,10 +263,18 @@ class StiffnessPattern:
 
         free = np.ones(n, dtype=bool)
         free[fixed] = False
-        free_dofs = np.flatnonzero(free)
-        m = free_dofs.size
+        edges = _mesh_edges(mesh)
+        condensed = _condensed_nodes(mesh, edges, free)
+        self.condensed = centres = np.flatnonzero(condensed)
+        kept = np.flatnonzero(free & ~np.repeat(condensed, 2))
+        major = int(np.ptp(mesh.nodes[:, 1]) > np.ptp(mesh.nodes[:, 0]))
+        xy = mesh.nodes[kept // 2]
+        kept = kept[np.lexsort((kept % 2, xy[:, 1 - major], xy[:, major]))]
+        self.free_dofs = np.concatenate([kept, (2 * centres[:, None] + [0, 1]).ravel()])
+        m, r = self.free_dofs.size, kept.size
         renumber = np.full(n, m, dtype=np.int64)
-        renumber[free_dofs] = np.arange(m)
+        renumber[self.free_dofs] = np.arange(m)
+
         rows = renumber[np.concatenate([np.repeat(dofs, 6, axis=1).ravel(), springs.row])]
         cols = renumber[np.concatenate([np.tile(dofs, (1, 6)).ravel(), springs.col])]
         # column-major keys sort into CSC order with sorted row indices; the
@@ -251,45 +284,69 @@ class StiffnessPattern:
         keys, scatter = np.unique(keys, return_inverse=True)
         nnz = int(np.searchsorted(keys, m * m))
         keys = keys[:nnz]
+        self._indices, self._indptr = _csc_structure(keys, m)
+        self._shape = (m, m)
         num_blocks = 36 * mesh.num_triangles
-        # the blocks are computed only now, which keeps them out of the
-        # unique's peak memory
-        blocks = element_stiffness_blocks(mesh, mat).reshape(-1, 36)
-        solid = np.bincount(scatter[:num_blocks], weights=blocks.ravel(),
-                            minlength=nnz)[:nnz]
-        spring_data = None
+        self._spring_data = None
         if springs.nnz:
-            spring_data = np.bincount(scatter[num_blocks:], weights=springs.data,
-                                      minlength=nnz)[:nnz]
-            solid += spring_data
-
-        # order once, on the solid operator in ascending free-DOF numbering:
-        # SuperLU eliminates its column argsort(perm_c)[i] i-th, so DOF j of
-        # this numbering becomes DOF perm_c[j] of the ordered one
-        solid = sp.csc_matrix((solid, *_csc_structure(keys, m)), shape=(m, m))
-        perm_c = spla.splu(solid, permc_spec=_ORDERING).perm_c.astype(np.int64)
-        del solid
-        self.free_dofs = free_dofs[np.argsort(perm_c)]
-
-        # renumber the pattern into that order; key k lands at CSC position
-        # rank[k] of the ordered operator
-        ordered = perm_c[keys // m] * m + perm_c[keys % m]
-        order = np.argsort(ordered)
-        self._indices, self._indptr = _csc_structure(ordered[order], m)
-        rank = np.empty(nnz, dtype=np.int32)
-        rank[order] = np.arange(nnz, dtype=np.int32)
-        self._spring_data = None if spring_data is None else spring_data[order]
+            self._spring_data = np.bincount(scatter[num_blocks:], weights=springs.data,
+                                            minlength=nnz)[:nnz]
 
         # column t of the map holds element t's block entries at their CSC
         # positions, so map @ tau_e sums each value over its elements in
         # ascending order
         scatter = scatter[:num_blocks].reshape(-1, 36)
-        kept = scatter < nnz
+        inside = scatter < nnz
         columns = np.zeros(mesh.num_triangles + 1, dtype=np.int32)
-        np.cumsum(kept.sum(axis=1), out=columns[1:])
-        self._map = sp.csc_matrix((blocks[kept], rank[scatter[kept]], columns),
+        np.cumsum(inside.sum(axis=1), out=columns[1:])
+        # the blocks are computed only now, which keeps them out of the
+        # unique's peak memory
+        blocks = element_stiffness_blocks(mesh, mat).reshape(-1, 36)
+        self._map = sp.csc_matrix((blocks[inside], scatter[inside], columns),
                                   shape=(nnz, mesh.num_triangles))
-        self._shape = (m, m)
+
+        # the four neighbours of each condensed node, and their DOFs in the
+        # kept numbering (r where fixed)
+        ends = edges[condensed[edges].any(axis=1)]
+        centre_end = condensed[ends[:, 0]]
+        owner = np.where(centre_end, ends[:, 0], ends[:, 1])
+        other = np.where(centre_end, ends[:, 1], ends[:, 0])
+        neighbours = other[np.lexsort((other, owner))].reshape(-1, 4)
+        corners = renumber[2 * neighbours[:, :, None] + [0, 1]].reshape(-1, 8)
+        corners[corners >= m] = r
+        # CSC positions of each condensed 2x2 block and of its 2x8 coupling
+        # B to the corners (row: the condensed DOF; nnz, one past the values,
+        # where the corner is fixed), and the CSR structure of the coupling
+        # on the kept DOFs, (2c, r)
+        own = r + 2 * np.arange(centres.size)[:, None] + [0, 1]
+        self._block_pos = np.searchsorted(keys, own[:, None, :] * m + own[:, :, None])
+        valid = np.broadcast_to((corners < r)[:, None, :], (centres.size, 2, 8))
+        self._coupling_pos = np.where(
+            valid, np.searchsorted(keys, corners[:, None, :] * m + own[:, :, None]), nnz)
+        self._coupling_valid = valid.ravel()
+        self._coupling_indices = np.broadcast_to(corners[:, None, :], valid.shape)[valid]
+        self._coupling_indptr = np.zeros(own.size + 1, dtype=np.int64)
+        np.cumsum(valid.reshape(-1, 8).sum(axis=1), out=self._coupling_indptr[1:])
+
+        # LAPACK's upper band storage of the condensed operator, column-major
+        # (kd + 1, r): entry (i, j), i <= j, sits at j * (kd + 1) + kd + i - j.
+        # ``_to_band`` takes the CSC values followed by each condensed node's
+        # 8x8 fill B^T D^-1 B to the band: it adds the upper kept-kept values
+        # and subtracts the fill.
+        row, col = keys % m, keys // m
+        upper = (col < r) & (row <= col)
+        i, j = (np.broadcast_to(a, (centres.size, 8, 8))
+                for a in (corners[:, :, None], corners[:, None, :]))
+        fill = (i <= j) & (j < r)
+        row = np.concatenate([row[upper], i[fill]])
+        col = np.concatenate([col[upper], j[fill]])
+        kd = int(np.max(col - row, initial=0))
+        self._band_shape = (kd + 1, r)
+        self._to_band = sp.csr_matrix(
+            (np.repeat([1.0, -1.0], [np.count_nonzero(upper), np.count_nonzero(fill)]),
+             (col * (kd + 1) + kd + row - col,
+              np.concatenate([np.flatnonzero(upper), nnz + np.flatnonzero(fill)]))),
+            shape=((kd + 1) * r, nnz + fill.size))
 
 
 def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> SparseSystem:
@@ -299,17 +356,64 @@ def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> SparseSystem
     if pattern._spring_data is not None:
         data += pattern._spring_data
     return SparseSystem(sp.csc_matrix((data, pattern._indices, pattern._indptr),
-                                      shape=pattern._shape), pattern.free_dofs)
+                                      shape=pattern._shape), pattern.free_dofs, pattern)
+
+
+class CondensedCholesky:
+    """Banded Cholesky factor of an operator assembled on ``pattern``, with
+    the pattern's condensed nodes eliminated exactly.
+
+    With the kept DOFs first, K = [[A, B^T], [B, D]], D block diagonal with
+    one 2x2 block per condensed node. The factor holds D^-1, W = D^-1 B and
+    the Cholesky factor U^T U of the Schur complement S = A - B^T W, which
+    is symmetric positive definite and banded (LAPACK ``dpbtrf``; George &
+    Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
+    A and D are read from their upper triangles, so the factored operator
+    is exactly symmetric. Raises ``SolverFailure`` on a pivot that is not
+    positive or a factor that is not finite."""
+
+    def __init__(self, pattern: StiffnessPattern, data: np.ndarray):
+        d00, d01, d11 = (data[pattern._block_pos[:, i, j]] for i, j in ((0, 0), (0, 1), (1, 1)))
+        det = d00 * d11 - d01 * d01
+        if not np.all((d00 > 0.0) & (det > 0.0)):
+            raise SolverFailure("elastic operator is not positive definite "
+                                "(a condensed 2x2 block)")
+        dinv = np.stack([d11, -d01, -d01, d00], axis=1).reshape(-1, 2, 2) / det[:, None, None]
+        b = np.append(data, 0.0)[pattern._coupling_pos]
+        w = dinv @ b
+        band = pattern._to_band @ np.concatenate([data, (np.swapaxes(b, 1, 2) @ w).ravel()])
+        factor, info = lapack.dpbtrf(band.reshape(pattern._band_shape, order="F"),
+                                     overwrite_ab=1)
+        if info != 0 or not all(np.isfinite(a).all() for a in (factor, dinv, w)):
+            raise SolverFailure("elastic operator is not positive definite "
+                                f"(banded Cholesky info {info})")
+        self._factor, self._dinv = factor, dinv
+        self._w = sp.csr_matrix((w.ravel()[pattern._coupling_valid],
+                                 pattern._coupling_indices, pattern._coupling_indptr),
+                                shape=(w.shape[0] * 2, factor.shape[1]))
+        self.nnz = factor.size + dinv.size + self._w.nnz
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """K^-1 f for a vector of length n or an (n, k) block: condense the
+        load, solve the banded system, back-substitute the condensed DOFs."""
+        r = self._factor.shape[1]
+        cols = f.reshape(f.shape[0], -1)
+        fc = cols[r:]
+        x = cols[:r] - self._w.T @ fc
+        if r:   # LAPACK rejects an empty system
+            x, _ = lapack.dpbtrs(self._factor, x)
+        xc = (self._dinv @ fc.reshape(-1, 2, fc.shape[1])).reshape(fc.shape) - self._w @ x
+        return np.concatenate([x, xc]).reshape(f.shape)
 
 
 class FactorizedSystem:
-    """LU factorization of the constrained operator, reusable across
-    right-hand sides (state plus adjoint solves). The operator comes from a
-    ``StiffnessPattern``, whose DOFs are already in elimination order."""
+    """Factorization of the constrained operator, reusable across
+    right-hand sides (state plus adjoint solves): a ``CondensedCholesky``
+    on the operator's ``StiffnessPattern``."""
 
     def __init__(self, system: SparseSystem):
         self.system = system
-        self._lu = spla.splu(system.matrix, permc_spec="NATURAL")
+        self._lu = CondensedCholesky(system.pattern, system.matrix.data)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The displacement of the load ``rhs``, zero on the fixed DOFs; its
@@ -333,8 +437,8 @@ class FactorizedSystem:
         return u
 
     def _cg_fallback(self, f, x, scale):
-        """Refine the column ``x`` of the load ``f`` on the LU factors: two
-        steps x += LU^-1 r, each residual r = f - K x formed in extended
+        """Refine the column ``x`` of the load ``f`` on the factors: two
+        steps x += K^-1 r, each residual r = f - K x formed in extended
         precision (Higham, Accuracy and Stability of Numerical Algorithms,
         ch. 12). Returns x and its relative residual. The method keeps the
         name under which the benchmark traces it."""

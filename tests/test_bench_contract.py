@@ -80,5 +80,5 @@ def test_every_traced_name_is_called(monkeypatch, tmp_path):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
-    # the refinement on the LU factors runs only when a solve misses the gate
+    # the refinement on the factors runs only when a solve misses the gate
     assert names - called - {"elasticity.cg_fallback"} == set()

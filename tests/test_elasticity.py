@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
 from molto.errors import InvalidArgument, SingularSystemError, SolverFailure
-from molto.mesh import build_rect_mesh, tag_boundary
+from molto.mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
+from molto.optimizer import RunConfig, run_candidate
+from molto.problems import ComplianceProblem, LoadCase
 
 MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=3.0, floor=1e-3)
 
@@ -407,11 +411,11 @@ def _counted_fallbacks(monkeypatch):
 
 
 def test_residual_gate_and_fallback(monkeypatch):
-    # the LU of a design 1e-6 away solves a slightly wrong system, so the
+    # the factor of a design 1e-6 away solves a slightly wrong system, so the
     # residual lies far above the 1e-9 gate and far below 1: the gate must
-    # see it and refine on the factors, which recovers the solution; the LU
-    # of a design far from the assembled one cannot be refined to the gate
-    # in two steps and must end in SolverFailure
+    # see it and refine on the factors, which recovers the solution; the
+    # factor of a design far from the assembled one cannot be refined to the
+    # gate in two steps and must end in SolverFailure
     mesh = build_rect_mesh(1.0, 0.5, 8, 4)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 0.5), "left")
     mesh = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
@@ -442,9 +446,10 @@ def test_residual_gate_and_fallback(monkeypatch):
 
 
 def test_blocked_solve_falls_back_per_column(monkeypatch):
-    # a 2-column solve whose LU is off for column 0 only: that column alone
-    # is refined, both end within the gate, and refinement on the LU of a
-    # design far from the assembled one fails with the single-column message
+    # a 2-column solve whose factor is off for column 0 only: that column
+    # alone is refined, both end within the gate, and refinement on the
+    # factor of a design far from the assembled one fails with the
+    # single-column message
     mesh, system, load = _patch_problem(8, 8)
     fact = el.FactorizedSystem(system)
     exact = fact._lu
@@ -483,22 +488,162 @@ def test_blocked_solve_falls_back_per_column(monkeypatch):
     assert len(fallbacks) == 2
 
 
-def test_pattern_order_keeps_mmd_fill():
-    # the pattern's elimination order, factorized as given, fills no more
-    # than SuperLU's own MMD ordering of the same operator in ascending order
-    mesh = build_rect_mesh(1.0, 0.5, 40, 20, crossed=True)
+def _rollers(nx=40, ny=20):
+    """A crossed 1 x 0.5 rectangle on two vertical rollers and one point
+    constraint, the supports of the girder."""
+    mesh = build_rect_mesh(1.0, 0.5, nx, ny, crossed=True)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.05, 0.0), "left")
     mesh = tag_boundary(mesh, (0.95, 0.0), (1.0, 0.0), "right")
+    mesh = tag_boundary(mesh, (0.2, 0.5), (0.3, 0.5), "load")
     bcs = (el.FixedBoundary("left", "y"), el.FixedBoundary("right", "y"),
            el.PointConstraint(mesh.nearest_node(0.0, 0.0), 0))
+    return mesh, (), bcs, el.boundary_vector(mesh, "load", (0.0, -1.0))
+
+
+def _lshape():
+    mesh = build_lshape_mesh(1.0, 0.4, 0.05)
+    mesh = tag_boundary(mesh, (0.0, 1.0), (0.6, 1.0), "clamp")
+    mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.6), "load")
+    return (mesh, (), [el.FixedBoundary("clamp", "both")],
+            el.boundary_vector(mesh, "load", (0.0, -1.0)))
+
+
+def _springs(crossed=True):
+    mesh = build_rect_mesh(1.0, 0.5, 20, 10, crossed=crossed)
+    mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 0.5), "input")
+    mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "output")
+    mesh = tag_boundary(mesh, (0.0, 0.5), (0.5, 0.5), "clamp")
+    springs = (el.Spring("input", 10.0, (1.0, 0.0)), el.Spring("output", 1.0, (0.6, -0.8)))
+    return (mesh, springs, [el.FixedBoundary("clamp", "both")],
+            el.boundary_vector(mesh, "input", (1.0, 0.0)))
+
+
+def _two_columns():
+    mesh, springs, bcs, load = _rollers(16, 8)
+    return mesh, springs, bcs, np.column_stack([load, np.roll(load, 7)])
+
+
+def _clamped_cell():
+    """One crossed cell clamped all round: only its centre is free, so
+    nothing is left once it is condensed."""
+    mesh = build_rect_mesh(1.0, 1.0, 1, 1, crossed=True)
+    for start, end in (((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)),
+                       ((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.0))):
+        mesh = tag_boundary(mesh, start, end, "clamp")
+    load = np.zeros(2 * mesh.num_nodes)
+    load[-2:] = (0.5, -1.0)
+    return mesh, (), [el.FixedBoundary("clamp", "both")], load
+
+
+def test_condensed_factor_fills_no_more_than_mmd():
+    # the banded factor of the condensed operator stores no more entries than
+    # the L + U of SuperLU under its MMD ordering of the same operator
+    mesh, _, bcs, _ = _rollers()
     tau = el.ersatz_tau(np.random.default_rng(6).uniform(0.0, 1.0, mesh.num_triangles),
                         MAT)
     system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), tau)
     ascending = np.argsort(system.free_dofs)
     reference = spla.splu(system.matrix[ascending][:, ascending].tocsc(),
                           permc_spec="MMD_AT_PLUS_A")
-    fill = el.FactorizedSystem(system)._lu.nnz
-    assert abs(fill - reference.nnz) <= 0.01 * reference.nnz
+    assert el.FactorizedSystem(system)._lu.nnz <= reference.nnz
+
+
+@pytest.mark.parametrize("build", [
+    _rollers, _lshape, _springs, lambda: _springs(crossed=False), _two_columns, _clamped_cell,
+], ids=["rollers", "lshape", "springs", "two_triangle", "two_columns", "clamped_cell"])
+def test_condensed_solve_matches_superlu(build, capfd):
+    mesh, springs, bcs, load = build()
+    tau = el.ersatz_tau(np.random.default_rng(9).uniform(0.0, 1.0, mesh.num_triangles),
+                        MAT)
+    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, springs, bcs), tau)
+    f = load[system.free_dofs]
+    reference = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A").solve(f)
+    x = el.FactorizedSystem(system)._lu.solve(f)
+    assert x.shape == f.shape
+    assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+    assert capfd.readouterr() == ("", "")   # LAPACK prints bad arguments
+
+
+@pytest.mark.parametrize("build", [_rollers, _lshape, _springs],
+                         ids=["rollers", "lshape", "springs"])
+def test_crossed_meshes_condense_one_node_per_cell(build):
+    # every triangle of a crossed mesh has its cell's centre as a vertex, so
+    # one condensed vertex per triangle and one per four triangles is one
+    # per cell; a node with a fixed DOF or on a spring edge is never condensed
+    mesh, springs, bcs, _ = build()
+    pattern = el.StiffnessPattern(mesh, MAT, springs, bcs)
+    per_triangle = np.isin(mesh.triangles, pattern.condensed).sum(axis=1)
+    assert np.all(per_triangle == 1)
+    assert 4 * pattern.condensed.size == mesh.num_triangles
+    fixed = np.setdiff1d(np.arange(2 * mesh.num_nodes), pattern.free_dofs)
+    assert np.intersect1d(pattern.condensed, fixed // 2).size == 0
+    for spring in springs:
+        assert np.intersect1d(pattern.condensed, mesh.nodes_with_tag(spring.tag)).size == 0
+
+
+def test_condensation_skips_fixed_nodes_and_two_triangle_meshes():
+    mesh, _, bcs, _ = _rollers(8, 4)
+    centre = mesh.nearest_node(0.5625, 0.1875)
+    pinned = el.StiffnessPattern(mesh, MAT, (), [*bcs, el.PointConstraint(centre, 1)])
+    assert pinned.condensed.size == 8 * 4 - 1 and centre not in pinned.condensed
+    assert el.StiffnessPattern(build_rect_mesh(1.0, 0.5, 8, 4), MAT, (),
+                               [el.PointConstraint(0, 0)]).condensed.size == 0
+
+
+def test_adjacent_condensable_nodes_keep_the_lower_one():
+    # interior nodes 0 and 1 both have exactly four neighbours and share an
+    # edge: only node 0 is condensed
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [2.0, 0.0],
+                      [0.5, -1.0]])
+    triangles = np.array([[0, 3, 2], [0, 1, 3], [0, 5, 1], [0, 2, 5], [1, 4, 3],
+                          [1, 5, 4]], dtype=np.int32)
+    boundary = np.array([[2, 3], [3, 4], [4, 5], [2, 5]], dtype=np.int32)
+    mesh = Mesh(nodes, triangles, boundary, np.array(["edge"] * 4, dtype=object), 1.0)
+    pattern = el.StiffnessPattern(mesh, MAT, (), [el.FixedBoundary("edge", "both")])
+    assert pattern.condensed.tolist() == [0]
+    system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
+    load = np.zeros(2 * mesh.num_nodes)
+    load[[0, 3]] = (1.0, -2.0)
+    u = el.FactorizedSystem(system).solve(load)
+    assert np.allclose(spla.spsolve(system.matrix, load[system.free_dofs]),
+                       u[system.free_dofs], rtol=1e-12, atol=0.0)
+
+
+def _rigid_mode():
+    """An 8x4 crossed rectangle held only in x on its left edge: it can
+    still slide in y, so its operator is singular."""
+    mesh = build_rect_mesh(1.0, 0.5, 8, 4, crossed=True)
+    mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 0.5), "left")
+    mesh = tag_boundary(mesh, (1.0, 0.0), (1.0, 0.5), "right")
+    return mesh, (el.FixedBoundary("left", "x"),)
+
+
+# the factorization or the residual gate, as rounding falls
+_RIGID_FAILURE = r"(elastic operator is not positive definite|relative residual .* exceeds 1e-9)"
+
+
+@pytest.mark.parametrize("seed", [None, 3, 4, 5])
+def test_rigid_mode_ends_in_solver_failure(seed):
+    # a load along the free slide ends in SolverFailure, never in a
+    # LinAlgError, a division by zero or a non-finite displacement
+    mesh, bcs = _rigid_mode()
+    load = el.boundary_vector(mesh, "right", (0.0, -1.0))
+    tau = (np.ones(mesh.num_triangles) if seed is None else
+           el.ersatz_tau(np.random.default_rng(seed).uniform(0.0, 1.0, mesh.num_triangles),
+                         MAT))
+    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure, match=f"^{_RIGID_FAILURE}"):
+            el.FactorizedSystem(system).solve(load)
+
+
+def test_rigid_mode_fails_the_candidate():
+    mesh, bcs = _rigid_mode()
+    problem = ComplianceProblem(mesh, MAT, [LoadCase("right", (0.0, -1.0), bcs)], 0.45)
+    cand = run_candidate(problem, (1.0,), RunConfig(max_iterations=5))
+    assert cand.failed and not cand.converged
+    assert re.match(f"SolverFailure: {_RIGID_FAILURE}$", cand.error), cand.error
 
 
 def _deviator_adjoint_load_reference(mesh, mat, u, tau_e, p, yield_stress):

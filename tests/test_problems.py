@@ -349,8 +349,8 @@ def test_each_family_owns_its_design_domain(make):
                            "refinement residual gains no precision")
 def test_bundled_clamped_tri_refines_past_the_gate(monkeypatch):
     # the reference clamped_tri constants reach, at iteration 86 of weight
-    # (0.70, 0.15, 0.15), a design whose LU solve lands just above the 1e-9
-    # gate; refinement on the factors must bring it back within the gate
+    # (0.70, 0.15, 0.15), a design whose factored solve lands just above the
+    # 1e-9 gate; refinement on the factors must bring it back within the gate
     text = resources.files("molto.configs").joinpath("clamped_tri.cfg").read_text()
     config = parse_config(text, source="clamped_tri")
     run = dataclasses.replace(config.run_config(), max_iterations=100)
