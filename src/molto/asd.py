@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
 from .errors import InvalidArgument
 from .optimizer import RunConfig, SolutionCandidate, run_candidate
@@ -93,6 +92,8 @@ def build_complex(register: SolutionRegister, m: int) -> SimplexComplex:
         order = np.argsort(wpts[:, 0], kind="stable")
         verts = np.column_stack([order[:-1], order[1:]])
     else:
+        # qhull is loaded only here, so a bi-objective sweep never imports it
+        from scipy.spatial import Delaunay, QhullError
         chart = wpts[:, : m - 1]
         try:
             verts = Delaunay(chart).simplices

@@ -233,6 +233,11 @@ def _condensed_nodes(mesh: Mesh, edges: np.ndarray, free: np.ndarray) -> np.ndar
     return condensed
 
 
+def _index_dtype(bound: int):
+    """int32 for indices below ``bound`` where they fit, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 class StiffnessPattern:
     """The design-independent part of the constrained stiffness operator.
 
@@ -251,6 +256,13 @@ class StiffnessPattern:
     condensed operator, corner-to-corner fill included, in a thin band. The
     condensed pairs follow, node by node. Entries that touch a fixed DOF
     are dropped.
+
+    The pattern is built from the node pairs of the triangles and springs,
+    each standing for its 2x2 DOF entries, and every temporary is freed once
+    read, so the build's peak memory stays within about twice what the
+    pattern keeps. The band map has one row per band slot that receives a
+    value (``_band_slots``); the other slots of the (kd + 1) x r band are
+    zero.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
@@ -258,7 +270,6 @@ class StiffnessPattern:
         fixed = _fixed_dofs(mesh, bcs)
         if fixed.size == 0 and not springs:
             raise SingularSystemError("no Dirichlet, roller, or spring constraint present")
-        dofs = _element_dofs(mesh)
         springs = spring_matrix(mesh, springs).tocoo()
 
         free = np.ones(n, dtype=bool)
@@ -275,36 +286,59 @@ class StiffnessPattern:
         renumber = np.full(n, m, dtype=np.int64)
         renumber[self.free_dofs] = np.arange(m)
 
-        rows = renumber[np.concatenate([np.repeat(dofs, 6, axis=1).ravel(), springs.row])]
-        cols = renumber[np.concatenate([np.tile(dofs, (1, 6)).ravel(), springs.col])]
+        # every (row node, column node) pair of a triangle or a spring once;
+        # pair k holds the 2x2 entries between the DOFs of its two nodes
+        nodes, num_pairs = mesh.num_nodes, 9 * mesh.num_triangles
+        tri = mesh.triangles.astype(np.int64)
+        pairs, inverse = np.unique(np.concatenate([
+            (tri[:, :, None] * nodes + tri[:, None, :]).ravel(),
+            springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]),
+            return_inverse=True)
+        inverse = inverse.astype(_index_dtype(pairs.size))
+        rows = renumber[2 * (pairs // nodes)[:, None, None] + np.array([[0], [1]])]
+        cols = renumber[2 * (pairs % nodes)[:, None, None] + np.array([0, 1])]
+        del pairs
         # column-major keys sort into CSC order with sorted row indices; the
         # discarded bin m * m sorts after all of them
-        keys = np.where((rows < m) & (cols < m), cols * m + rows, m * m)
+        keys = np.where((rows < m) & (cols < m), cols * m + rows, m * m).ravel()
         del rows, cols
-        keys, scatter = np.unique(keys, return_inverse=True)
+        keys, position = np.unique(keys, return_inverse=True)
         nnz = int(np.searchsorted(keys, m * m))
         keys = keys[:nnz]
+        position = position.astype(_index_dtype(nnz + 1)).reshape(-1, 2, 2)
         self._indices, self._indptr = _csc_structure(keys, m)
         self._shape = (m, m)
-        num_blocks = 36 * mesh.num_triangles
         self._spring_data = None
         if springs.nnz:
-            self._spring_data = np.bincount(scatter[num_blocks:], weights=springs.data,
-                                            minlength=nnz)[:nnz]
+            at = position[inverse[num_pairs:], springs.row % 2, springs.col % 2]
+            self._spring_data = np.bincount(at, weights=springs.data, minlength=nnz)[:nnz]
 
-        # column t of the map holds element t's block entries at their CSC
-        # positions, so map @ tau_e sums each value over its elements in
-        # ascending order
-        scatter = scatter[:num_blocks].reshape(-1, 36)
+        # CSC position of entry (2p + i, 2q + j) of each element block: the
+        # (i, j) entry of the element's node pair (p, q); nnz where discarded
+        comp = np.arange(2)
+        scatter = position[inverse[:num_pairs].reshape(-1, 3, 1, 3, 1),
+                           comp[:, None, None], comp].reshape(-1, 36)
+        del inverse, position
         inside = scatter < nnz
+        scatter = scatter[inside]
         columns = np.zeros(mesh.num_triangles + 1, dtype=np.int32)
         np.cumsum(inside.sum(axis=1), out=columns[1:])
-        # the blocks are computed only now, which keeps them out of the
-        # unique's peak memory
+
+        self._factor_maps(edges, condensed, renumber, keys, r)
+        del keys, renumber, edges
+        # column t of the map holds element t's block entries at their CSC
+        # positions, so map @ tau_e sums each value over its elements in
+        # ascending order; the blocks are computed last, once the other
+        # temporaries are gone
         blocks = element_stiffness_blocks(mesh, mat).reshape(-1, 36)
-        self._map = sp.csc_matrix((blocks[inside], scatter[inside], columns),
+        self._map = sp.csc_matrix((blocks[inside], scatter, columns),
                                   shape=(nnz, mesh.num_triangles))
 
+    def _factor_maps(self, edges, condensed, renumber, keys, r):
+        """The index arrays of ``CondensedCholesky``: the CSC positions of
+        each condensed node's 2x2 block and 2x8 coupling, the coupling's
+        structure, and the band map of the condensed operator."""
+        m, nnz, centres = self._shape[0], keys.size, self.condensed
         # the four neighbours of each condensed node, and their DOFs in the
         # kept numbering (r where fixed)
         ends = edges[condensed[edges].any(axis=1)]
@@ -331,8 +365,8 @@ class StiffnessPattern:
         # LAPACK's upper band storage of the condensed operator, column-major
         # (kd + 1, r): entry (i, j), i <= j, sits at j * (kd + 1) + kd + i - j.
         # ``_to_band`` takes the CSC values followed by each condensed node's
-        # 8x8 fill B^T D^-1 B to the band: it adds the upper kept-kept values
-        # and subtracts the fill.
+        # 8x8 fill B^T D^-1 B to the slots ``_band_slots``: it adds the upper
+        # kept-kept value and subtracts the fill, in the order of its columns.
         row, col = keys % m, keys // m
         upper = (col < r) & (row <= col)
         i, j = (np.broadcast_to(a, (centres.size, 8, 8))
@@ -342,11 +376,19 @@ class StiffnessPattern:
         col = np.concatenate([col[upper], j[fill]])
         kd = int(np.max(col - row, initial=0))
         self._band_shape = (kd + 1, r)
+        slot = col * (kd + 1) + kd + row - col
+        del row, col
+        # the sources are ascending, so a stable sort keeps them ascending
+        # within each slot
+        order = np.argsort(slot, kind="stable")
+        slot = slot[order]
+        first = np.flatnonzero(np.diff(slot, prepend=-1))
+        self._band_slots = slot[first].astype(_index_dtype((kd + 1) * r))
+        source = np.concatenate([np.flatnonzero(upper), nnz + np.flatnonzero(fill)])
+        sign = np.repeat([1.0, -1.0], [np.count_nonzero(upper), np.count_nonzero(fill)])
         self._to_band = sp.csr_matrix(
-            (np.repeat([1.0, -1.0], [np.count_nonzero(upper), np.count_nonzero(fill)]),
-             (col * (kd + 1) + kd + row - col,
-              np.concatenate([np.flatnonzero(upper), nnz + np.flatnonzero(fill)]))),
-            shape=((kd + 1) * r, nnz + fill.size))
+            (sign[order], source[order], np.append(first, slot.size)),
+            shape=(first.size, nnz + fill.size))
 
 
 def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> SparseSystem:
@@ -369,8 +411,9 @@ class CondensedCholesky:
     is symmetric positive definite and banded (LAPACK ``dpbtrf``; George &
     Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
     A and D are read from their upper triangles, so the factored operator
-    is exactly symmetric. Raises ``SolverFailure`` on a pivot that is not
-    positive or a factor that is not finite."""
+    is exactly symmetric. The band starts at zero, and the pattern's band
+    map fills only the slots that receive a value. Raises ``SolverFailure``
+    on a pivot that is not positive or a factor that is not finite."""
 
     def __init__(self, pattern: StiffnessPattern, data: np.ndarray):
         d00, d01, d11 = (data[pattern._block_pos[:, i, j]] for i, j in ((0, 0), (0, 1), (1, 1)))
@@ -381,7 +424,9 @@ class CondensedCholesky:
         dinv = np.stack([d11, -d01, -d01, d00], axis=1).reshape(-1, 2, 2) / det[:, None, None]
         b = np.append(data, 0.0)[pattern._coupling_pos]
         w = dinv @ b
-        band = pattern._to_band @ np.concatenate([data, (np.swapaxes(b, 1, 2) @ w).ravel()])
+        band = np.zeros(np.prod(pattern._band_shape))
+        band[pattern._band_slots] = pattern._to_band @ np.concatenate(
+            [data, (np.swapaxes(b, 1, 2) @ w).ravel()])
         factor, info = lapack.dpbtrf(band.reshape(pattern._band_shape, order="F"),
                                      overwrite_ab=1)
         if info != 0 or not all(np.isfinite(a).all() for a in (factor, dinv, w)):

@@ -10,7 +10,9 @@ The state bundle, factorizations included, is a deterministic function of
 the element material fraction theta, so an iteration whose theta equals the
 previous one bit for bit keeps the previous bundle, with unchanged results.
 That happens while the level set sits on its clamp, as it does for the
-first iterations from the solid start.
+first iterations from the solid start. A changed design drops the previous
+bundle before the new one is derived, so one bundle, and one set of
+factorizations, is alive at a time.
 """
 
 from __future__ import annotations
@@ -146,7 +148,9 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
             w_now = wstate.weights
 
         theta = problem.theta_elements(lstate.phi, cfg.interface_width)
-        if bundle is None or not np.array_equal(theta, bundle.theta):
+        if bundle is not None and not np.array_equal(theta, bundle.theta):
+            bundle = None   # free its factorizations before new ones are made
+        if bundle is None:
             bundle = problem.solve_states(theta)
         j_now = problem.objectives(bundle)
         g_now = problem.constraint_values(bundle)

@@ -1,5 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -364,3 +371,49 @@ def test_array_bookkeeping_matches_pair_loops(seed, m, n):
     for tol in (0.0, 0.2, 0.5):
         assert ([id(c) for c in dedup(reg.candidates, tol)]
                 == [id(c) for c in _dedup_by_pairs(reg.candidates, tol)])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_RUN_AND_REPORT_QHULL = """
+import sys
+from molto.cli import main
+code = main(["run", sys.argv[1], "--jobs", "1", "--out", sys.argv[2]])
+print(code, "scipy.spatial" in sys.modules)
+"""
+
+
+def test_bi_objective_run_never_loads_qhull(tmp_path):
+    # qhull is imported only where m >= 3 needs a Delaunay complex, so a
+    # bi-objective run (capped as the packaged configs are in CI, through one
+    # refinement level) never pays for scipy.spatial
+    text = (SRC / "molto" / "configs" / "girder.cfg").read_text()
+    for key, value in (("nx", 10), ("ny", 5), ("max_iterations", 12), ("max_levels", 1)):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    cfg = tmp_path / "girder.cfg"
+    cfg.write_text(text)
+    env = {k: v for k, v in os.environ.items() if k != "MOLTO_OUTPUT_DIR"}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")])),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_QHULL, str(cfg),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stdout
+    assert (tmp_path / "out" / "levels.csv").read_text().count("\n") == 3
+
+
+def test_tri_objective_sweep_triangulates_through_qhull(monkeypatch):
+    calls = []
+    delaunay = scipy.spatial.Delaunay
+
+    def counted(points, *args, **kwargs):
+        calls.append(np.shape(points))
+        return delaunay(points, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counted)
+    initial = [(0.70, 0.15, 0.15), (0.15, 0.70, 0.15), (0.15, 0.15, 0.70)]
+    result = run_asd(SurrogateProblem(3), initial,
+                     ASDConfig(edge_tolerance=0.15, max_levels=2, run=RunConfig()))
+    assert len(calls) == len(result.history) == 3
+    assert calls[0] == (3, 2) and calls[-1][0] == len(result.register)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,8 @@ import molto.elasticity as el
 from molto.errors import InvalidArgument, SingularSystemError, SolverFailure
 from molto.mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.optimizer import RunConfig, run_candidate
-from molto.problems import ComplianceProblem, LoadCase
+from molto.problems import (ComplianceProblem, LoadCase, make_girder, make_gripper,
+                            make_lbracket)
 
 MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=3.0, floor=1e-3)
 
@@ -609,6 +611,84 @@ def test_adjacent_condensable_nodes_keep_the_lower_one():
                        u[system.free_dofs], rtol=1e-12, atol=0.0)
 
 
+def test_pattern_build_peaks_within_twice_what_it_keeps():
+    # the build's temporaries stay below what the pattern keeps: it keys node
+    # pairs, not DOF pairs, holds positions as int32, frees each temporary
+    # once read and maps only the band slots that receive a value
+    problem = make_girder(120, 60)
+    tracemalloc.start()
+    try:
+        pattern = el.StiffnessPattern(problem.mesh, problem.mat, problem.springs,
+                                      problem.cases[0].supports)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pattern._map.shape[1] == problem.mesh.num_triangles
+    assert peak <= 2.0 * retained, (retained, peak)
+
+
+def _full_band_map(pattern):
+    """The band map with one row per slot of the (kd + 1) x r band, built
+    from the pattern's CSC structure and coupling positions alone: the
+    upper kept-kept values enter with +1 and each condensed node's 8x8
+    fill with -1, every row summed in the order of its columns."""
+    nnz, (kd1, r) = pattern._indices.size, pattern._band_shape
+    row = pattern._indices.astype(np.int64)
+    col = np.repeat(np.arange(pattern._shape[1]), np.diff(pattern._indptr))
+    pos = pattern._coupling_pos[:, 0, :]
+    corners = np.where(pos < nnz, col[np.minimum(pos, nnz - 1)], r)
+    upper = (col < r) & (row <= col)
+    i, j = (np.broadcast_to(a, (corners.shape[0], 8, 8))
+            for a in (corners[:, :, None], corners[:, None, :]))
+    fill = (i <= j) & (j < r)
+    row = np.concatenate([row[upper], i[fill]])
+    col = np.concatenate([col[upper], j[fill]])
+    assert int(np.max(col - row, initial=0)) == kd1 - 1
+    return sp.csr_matrix(
+        (np.repeat([1.0, -1.0], [np.count_nonzero(upper), np.count_nonzero(fill)]),
+         (col * kd1 + kd1 - 1 + row - col,
+          np.concatenate([np.flatnonzero(upper), nnz + np.flatnonzero(fill)]))),
+        shape=(kd1 * r, nnz + fill.size))
+
+
+class _RecordedProduct:
+    """A matrix that remembers the vector it was last applied to."""
+
+    def __init__(self, matrix):
+        self.matrix, self.vector = matrix, None
+
+    def __matmul__(self, vector):
+        self.vector = vector.copy()
+        return self.matrix @ vector
+
+
+@pytest.mark.parametrize("build", [make_girder, make_lbracket, make_gripper])
+def test_band_matches_a_full_length_band_map(build, monkeypatch):
+    # the band map over the slots that receive a value, scattered into a
+    # zero band, hands dpbtrf the band a map over every slot gives, bit for
+    # bit, on a graded design
+    problem = build()
+    pattern = el.StiffnessPattern(problem.mesh, problem.mat, problem.springs,
+                                  problem.cases[0].supports)
+    assert pattern._band_slots.size < np.prod(pattern._band_shape)
+    pattern._to_band = recorded = _RecordedProduct(pattern._to_band)
+    received = []
+    dpbtrf = el.lapack.dpbtrf
+
+    def recorded_dpbtrf(ab, **kwargs):
+        received.append(ab.copy())
+        return dpbtrf(ab, **kwargs)
+
+    monkeypatch.setattr(el.lapack, "dpbtrf", recorded_dpbtrf)
+    tau = el.ersatz_tau(np.random.default_rng(7).uniform(0.0, 1.0, problem.mesh.num_triangles),
+                        problem.mat)
+    el.FactorizedSystem(el.assemble_state(pattern, tau))
+    reference = (_full_band_map(pattern) @ recorded.vector).reshape(pattern._band_shape,
+                                                                    order="F")
+    assert len(received) == 1
+    assert received[0].tobytes(order="F") == reference.tobytes(order="F")
+
+
 def _rigid_mode():
     """An 8x4 crossed rectangle held only in x on its left edge: it can
     still slide in y, so its operator is singular."""
@@ -618,8 +698,32 @@ def _rigid_mode():
     return mesh, (el.FixedBoundary("left", "x"),)
 
 
-# the factorization or the residual gate, as rounding falls
-_RIGID_FAILURE = r"(elastic operator is not positive definite|relative residual .* exceeds 1e-9)"
+# the factorization, whose messages end in a parenthesized detail, or the
+# residual gate, as rounding falls
+_RIGID_FAILURE = (r"(elastic operator is not positive definite \([^()]*\)"
+                  r"|relative residual .* exceeds 1e-9)")
+
+
+def test_rigid_failure_pattern_reads_both_factor_messages():
+    # the $-anchored match of a failed candidate must accept a factor
+    # failure, not only the residual gate; a pattern that ends at "definite"
+    # never did
+    old = r"(elastic operator is not positive definite|relative residual .* exceeds 1e-9)"
+    factor = ["SolverFailure: elastic operator is not positive definite "
+              "(banded Cholesky info 85)",
+              "SolverFailure: elastic operator is not positive definite "
+              "(a condensed 2x2 block)"]
+    gate = "SolverFailure: relative residual 1.2e-08 exceeds 1e-9"
+    unrelated = ["SolverFailure: factorized solve produced non-finite values",
+                 "LinAlgError: elastic operator is not positive definite (info 3)",
+                 "SolverFailure: elastic operator is not positive definite (info 3) later",
+                 "SolverFailure: relative residual 1.2e-08 exceeds 1e-8"]
+
+    def matches(pattern, text):
+        return re.match(f"SolverFailure: {pattern}$", text) is not None
+    assert not any(matches(old, text) for text in factor)
+    assert all(matches(_RIGID_FAILURE, text) for text in factor + [gate])
+    assert not any(matches(p, text) for p in (old, _RIGID_FAILURE) for text in unrelated)
 
 
 @pytest.mark.parametrize("seed", [None, 3, 4, 5])
