@@ -154,49 +154,52 @@ def _finite(raw) -> float:
     return value
 
 
-def _parse_value(key, default, raw, lineno):
+def _parse_value(key, default, raw):
     """``raw`` read as the type of ``default``; ``weights_init``, which has no
-    default, is a ``;``-separated list of vectors."""
-    try:
-        if key == "weights_init":
-            vectors = [tuple(_finite(p) for p in g.split())
-                       for g in raw.split(";") if g.strip()]
-            if not vectors:
-                raise ValueError("no weight vectors given")
-            return vectors
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return _finite(raw)
-        if isinstance(default, tuple):
-            parts = tuple(_finite(p) for p in raw.split())
-            if len(parts) != 2:
-                raise ValueError("expected two components")
-            return parts
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: cannot parse '{key}': {exc}") from exc
+    default, is a ``;``-separated list of vectors. Raises ValueError."""
+    if key == "weights_init":
+        vectors = [tuple(_finite(p) for p in g.split())
+                   for g in raw.split(";") if g.strip()]
+        if not vectors:
+            raise ValueError("no weight vectors given")
+        return vectors
+    if isinstance(default, int):
+        return int(raw)
+    if isinstance(default, float):
+        return _finite(raw)
+    if isinstance(default, tuple):
+        parts = tuple(_finite(p) for p in raw.split())
+        if len(parts) != 2:
+            raise ValueError("expected two components")
+        return parts
+    return raw
 
 
-def _validate(config: ProblemConfig):
+def _validate(config: ProblemConfig, source: str, lines: dict):
+    """The rules that relate several values; each error names the source
+    and the lines of the keys it is about."""
     v = config.values
     weights = v["weights_init"]
+    at = f"{source}: line {lines['weights_init']}"
     m = len(weights[0])
     if any(len(w) != m for w in weights):
-        raise ConfigError("weights_init vectors have inconsistent dimensions")
+        raise ConfigError(f"{at}: weights_init vectors have inconsistent dimensions")
     for w in weights:
         if not in_open_simplex(w):
-            raise ConfigError(f"weights_init vector {w} is not in the open simplex")
+            raise ConfigError(f"{at}: weights_init vector {w} is not in the open simplex")
     # the refinement loop's own rules, checked before any candidate runs
     if len(weights) < m:
-        raise ConfigError(f"weights_init has {len(weights)} vectors, "
+        raise ConfigError(f"{at}: weights_init has {len(weights)} vectors, "
                           f"{m} objectives need at least {m}")
     for i in range(1, len(weights)):
         if same_weight(weights[i], weights[:i]).any():
-            raise ConfigError(f"weights_init repeats the vector {weights[i]}")
+            raise ConfigError(f"{at}: weights_init repeats the vector {weights[i]}")
     if "window" in v and v["max_iterations"] < v["window"]:
-        raise ConfigError(f"max_iterations ({v['max_iterations']}) must be at "
-                          f"least window ({v['window']})")
+        # the defaults satisfy the rule, so at least one of the two is given
+        given = [str(lines[k]) for k in ("max_iterations", "window") if k in lines]
+        where = f"line {given[0]}" if len(given) == 1 else f"lines {' and '.join(given)}"
+        raise ConfigError(f"{source}: {where}: max_iterations ({v['max_iterations']}) "
+                          f"must be at least window ({v['window']})")
 
 
 def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
@@ -230,7 +233,11 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
         if key not in keys:
             raise ConfigError(f"{source}: line {lines[key]}: unknown key "
                               f"'{key}' for problem '{kind}'")
-        value = _parse_value(key, keys[key], raw, lines[key])
+        try:
+            value = _parse_value(key, keys[key], raw)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: line {lines[key]}: cannot parse "
+                              f"'{key}': {exc}") from exc
         rule = _RULES[key]
         if rule is not None and not rule(value):
             raise ConfigError(f"{source}: line {lines[key]}: value {raw!r} "
@@ -244,7 +251,7 @@ def parse_config(text: str, source: str = "<string>") -> ProblemConfig:
             warnings.warn(f"{source}: using default {key} = {default}")
 
     config = ProblemConfig(kind=kind, values=values)
-    _validate(config)
+    _validate(config, source, lines)
     return config
 
 
@@ -253,6 +260,6 @@ def load_config(path) -> ProblemConfig:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     return parse_config(text, source=str(path))
 

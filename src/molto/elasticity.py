@@ -190,18 +190,11 @@ def strain_displacement(mesh: Mesh) -> np.ndarray:
 
 
 def element_stiffness_blocks(mesh: Mesh, mat: MaterialParams) -> np.ndarray:
-    """Solid (tau = 1) 6x6 element stiffness matrices, (T, 6, 6)."""
+    """Solid (tau = 1) 6x6 element stiffness matrices B^T D B A, (T, 6, 6)."""
     b = strain_displacement(mesh)
-    dm = plane_strain_matrix(mat)
-    return np.einsum("tki,kl,tlj->tij", b, dm, b) * mesh.element_areas[:, None, None]
-
-
-def _element_dofs(mesh: Mesh) -> np.ndarray:
-    tri = mesh.triangles
-    dofs = np.empty((mesh.num_triangles, 6), dtype=np.int64)
-    dofs[:, 0::2] = 2 * tri
-    dofs[:, 1::2] = 2 * tri + 1
-    return dofs
+    blocks = np.swapaxes(b, 1, 2) @ plane_strain_matrix(mat) @ b
+    blocks *= mesh.element_areas[:, None, None]
+    return blocks
 
 
 def _csc_structure(keys: np.ndarray, m: int):
@@ -216,7 +209,9 @@ def _mesh_edges(mesh: Mesh) -> np.ndarray:
     """Every edge of the mesh once, as ascending node pairs, (E, 2)."""
     tri = mesh.triangles.astype(np.int64)
     pairs = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
-    keys = np.unique(pairs[:, 0] * mesh.num_nodes + pairs[:, 1])
+    # a sort and a difference, several times faster than np.unique here
+    keys = np.sort(pairs[:, 0] * mesh.num_nodes + pairs[:, 1])
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     return np.column_stack([keys // mesh.num_nodes, keys % mesh.num_nodes])
 
 
@@ -260,9 +255,9 @@ class StiffnessPattern:
     The pattern is built from the node pairs of the triangles and springs,
     each standing for its 2x2 DOF entries, and every temporary is freed once
     read, so the build's peak memory stays within about twice what the
-    pattern keeps. The band map has one row per band slot that receives a
-    value (``_band_slots``); the other slots of the (kd + 1) x r band are
-    zero.
+    pattern keeps. ``band`` forms the condensed operator's band by gathers
+    alone, over the band slots that receive a value (``_band_slots``); the
+    other slots of the (kd + 1) x r band are zero.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
@@ -295,12 +290,15 @@ class StiffnessPattern:
             springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]),
             return_inverse=True)
         inverse = inverse.astype(_index_dtype(pairs.size))
-        rows = renumber[2 * (pairs // nodes)[:, None, None] + np.array([[0], [1]])]
-        cols = renumber[2 * (pairs % nodes)[:, None, None] + np.array([0, 1])]
+        rows = [renumber.take(2 * (pairs // nodes) + i) for i in (0, 1)]
+        cols = [renumber.take(2 * (pairs % nodes) + j) for j in (0, 1)]
         del pairs
         # column-major keys sort into CSC order with sorted row indices; the
-        # discarded bin m * m sorts after all of them
-        keys = np.where((rows < m) & (cols < m), cols * m + rows, m * m).ravel()
+        # discarded bin m * m sorts after all of them. Entry (i, j) of pair
+        # k is key 4k + 2i + j; each is formed along the pairs, since numpy
+        # is slow over a short last axis
+        keys = np.stack([np.where((rows[i] < m) & (cols[j] < m), cols[j] * m + rows[i], m * m)
+                         for i in (0, 1) for j in (0, 1)], axis=1).ravel()
         del rows, cols
         keys, position = np.unique(keys, return_inverse=True)
         nnz = int(np.searchsorted(keys, m * m))
@@ -315,9 +313,9 @@ class StiffnessPattern:
 
         # CSC position of entry (2p + i, 2q + j) of each element block: the
         # (i, j) entry of the element's node pair (p, q); nnz where discarded
-        comp = np.arange(2)
-        scatter = position[inverse[:num_pairs].reshape(-1, 3, 1, 3, 1),
-                           comp[:, None, None], comp].reshape(-1, 36)
+        a, i, b, j = np.unravel_index(np.arange(36), (3, 2, 3, 2))
+        scatter = position.reshape(-1).take(
+            4 * np.take(inverse[:num_pairs].reshape(-1, 9), 3 * a + b, axis=1) + 2 * i + j)
         del inverse, position
         inside = scatter < nnz
         scatter = scatter[inside]
@@ -336,8 +334,9 @@ class StiffnessPattern:
 
     def _factor_maps(self, edges, condensed, renumber, keys, r):
         """The index arrays of ``CondensedCholesky``: the CSC positions of
-        each condensed node's 2x2 block and 2x8 coupling, the coupling's
-        structure, and the band map of the condensed operator."""
+        each condensed node's 2x2 block and 2x8 coupling, its corners in the
+        kept numbering, and the gathers that form the band of the condensed
+        operator."""
         m, nnz, centres = self._shape[0], keys.size, self.condensed
         # the four neighbours of each condensed node, and their DOFs in the
         # kept numbering (r where fixed)
@@ -350,45 +349,93 @@ class StiffnessPattern:
         corners[corners >= m] = r
         # CSC positions of each condensed 2x2 block and of its 2x8 coupling
         # B to the corners (row: the condensed DOF; nnz, one past the values,
-        # where the corner is fixed), and the CSR structure of the coupling
-        # on the kept DOFs, (2c, r)
+        # where the corner is fixed)
         own = r + 2 * np.arange(centres.size)[:, None] + [0, 1]
         self._block_pos = np.searchsorted(keys, own[:, None, :] * m + own[:, :, None])
-        valid = np.broadcast_to((corners < r)[:, None, :], (centres.size, 2, 8))
+        kept = corners < r
         self._coupling_pos = np.where(
-            valid, np.searchsorted(keys, corners[:, None, :] * m + own[:, :, None]), nnz)
-        self._coupling_valid = valid.ravel()
-        self._coupling_indices = np.broadcast_to(corners[:, None, :], valid.shape)[valid]
-        self._coupling_indptr = np.zeros(own.size + 1, dtype=np.int64)
-        np.cumsum(valid.reshape(-1, 8).sum(axis=1), out=self._coupling_indptr[1:])
+            kept[:, None, :], np.searchsorted(keys, corners[:, None, :] * m + own[:, :, None]),
+            nnz)
+        # W x gathers x at the corners; a fixed corner reads DOF 0, which its
+        # zero column of W cancels. W^T sums each corner's (c, 8) entries
+        # into its kept DOF.
+        self._corners = np.where(kept, corners, 0)
+        self._corner_sum = sp.csr_matrix(
+            (np.ones(np.count_nonzero(kept)), (corners[kept], np.flatnonzero(kept))),
+            shape=(r, corners.size))
 
-        # LAPACK's upper band storage of the condensed operator, column-major
-        # (kd + 1, r): entry (i, j), i <= j, sits at j * (kd + 1) + kd + i - j.
-        # ``_to_band`` takes the CSC values followed by each condensed node's
-        # 8x8 fill B^T D^-1 B to the slots ``_band_slots``: it adds the upper
-        # kept-kept value and subtracts the fill, in the order of its columns.
+        # LAPACK's lower band storage of the condensed operator, column-major
+        # (kd + 1, r): entry (j, i), i <= j, sits at i * (kd + 1) + j - i. The
+        # lower factorization runs in about two thirds of the upper one's
+        # time on the girder, as its updates walk down columns.
+        # ``_band_slots`` are the slots that receive a value, ascending; the
+        # upper kept-kept values are gathered into a value per slot, then
+        # each condensed node's 8x8 fill B^T D^-1 B is subtracted from its
+        # upper kept-kept entries, a slot's fills in ascending node order.
         row, col = keys % m, keys // m
-        upper = (col < r) & (row <= col)
+        upper = np.flatnonzero((col < r) & (row <= col))
+        row, col = row[upper], col[upper]
         i, j = (np.broadcast_to(a, (centres.size, 8, 8))
                 for a in (corners[:, :, None], corners[:, None, :]))
-        fill = (i <= j) & (j < r)
-        row = np.concatenate([row[upper], i[fill]])
-        col = np.concatenate([col[upper], j[fill]])
-        kd = int(np.max(col - row, initial=0))
+        fill = np.flatnonzero((i <= j) & (j < r))
+        i, j = i.ravel()[fill], j.ravel()[fill]
+        kd = int(max(np.max(col - row, initial=0), np.max(j - i, initial=0)))
         self._band_shape = (kd + 1, r)
-        slot = col * (kd + 1) + kd + row - col
-        del row, col
-        # the sources are ascending, so a stable sort keeps them ascending
-        # within each slot
-        order = np.argsort(slot, kind="stable")
-        slot = slot[order]
-        first = np.flatnonzero(np.diff(slot, prepend=-1))
-        self._band_slots = slot[first].astype(_index_dtype((kd + 1) * r))
-        source = np.concatenate([np.flatnonzero(upper), nnz + np.flatnonzero(fill)])
-        sign = np.repeat([1.0, -1.0], [np.count_nonzero(upper), np.count_nonzero(fill)])
-        self._to_band = sp.csr_matrix(
-            (sign[order], source[order], np.append(first, slot.size)),
-            shape=(first.size, nnz + fill.size))
+        # the slot of every value, then of every fill, in ascending source
+        # order; sorted by slot, then by source (a unique key, so the fast
+        # unstable sort gives the stable order), a slot's value, where it has
+        # one, comes first
+        slot = np.concatenate([row * (kd + 1) + col - row, i * (kd + 1) + j - i])
+        del row, col, i, j
+        order = np.argsort(slot * slot.size + np.arange(slot.size))
+        first = np.diff(slot[order], prepend=-1) != 0
+        self._band_slots = slot[order[first]]
+        # each source's slot among ``_band_slots`` and its rank within it
+        at, rank = np.empty_like(order), np.empty_like(order)
+        at[order] = np.cumsum(first) - 1
+        start = np.flatnonzero(first)
+        rank[order] = np.arange(order.size) - start[at[order]]
+        del slot, order, first
+        values = upper.size
+        self._band_gather = (at[:values].copy(), upper)
+        # round k holds the k-th fill of every slot that takes more than k, so
+        # no slot repeats within a round; a slot takes at most four. A round
+        # that reaches every slot is held in slot order, without its slots
+        has_value = np.zeros(start.size, dtype=np.intp)
+        has_value[at[:values]] = 1
+        at, rank = at[values:], rank[values:] - has_value[at[values:]]
+        rounds = []
+        for k in range(int(rank.max(initial=-1)) + 1):
+            mask = rank == k
+            if np.count_nonzero(mask) == start.size:
+                source = np.empty(start.size, dtype=np.intp)
+                source[at[mask]] = fill[mask]
+                rounds.append((None, source))
+            else:
+                rounds.append((at[mask], fill[mask]))
+        self._fill_rounds = tuple(rounds)
+
+    def band(self, data: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """LAPACK's lower band storage, (kd + 1, r) column-major, of the
+        condensed operator A - B^T D^-1 B, from the assembled values
+        ``data`` and each condensed node's coupling ``b`` = B and ``w`` =
+        D^-1 B, (c, 2, 8): the upper kept-kept values, less each node's fill
+        B^T W slot by slot in ascending node order, scattered into a zero
+        band. The fill is freed before the band is touched, so the two are
+        never resident together."""
+        fill = (np.swapaxes(b, 1, 2) @ w).reshape(-1)
+        values = np.zeros(self._band_slots.size)
+        at, source = self._band_gather
+        values[at] = data[source]
+        for at, source in self._fill_rounds:
+            if at is None:
+                values -= fill.take(source)
+            else:
+                values[at] -= fill.take(source)
+        del fill
+        band = np.zeros(np.prod(self._band_shape))
+        band[self._band_slots] = values
+        return band.reshape(self._band_shape, order="F")
 
 
 def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> SparseSystem:
@@ -407,12 +454,12 @@ class CondensedCholesky:
 
     With the kept DOFs first, K = [[A, B^T], [B, D]], D block diagonal with
     one 2x2 block per condensed node. The factor holds D^-1, W = D^-1 B and
-    the Cholesky factor U^T U of the Schur complement S = A - B^T W, which
+    the Cholesky factor L L^T of the Schur complement S = A - B^T W, which
     is symmetric positive definite and banded (LAPACK ``dpbtrf``; George &
     Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
     A and D are read from their upper triangles, so the factored operator
-    is exactly symmetric. The band starts at zero, and the pattern's band
-    map fills only the slots that receive a value. Raises ``SolverFailure``
+    is exactly symmetric. The band starts at zero, and the pattern's
+    ``band`` fills only the slots that receive a value. Raises ``SolverFailure``
     on a pivot that is not positive or a factor that is not finite."""
 
     def __init__(self, pattern: StiffnessPattern, data: np.ndarray):
@@ -421,34 +468,43 @@ class CondensedCholesky:
         if not np.all((d00 > 0.0) & (det > 0.0)):
             raise SolverFailure("elastic operator is not positive definite "
                                 "(a condensed 2x2 block)")
-        dinv = np.stack([d11, -d01, -d01, d00], axis=1).reshape(-1, 2, 2) / det[:, None, None]
-        b = np.append(data, 0.0)[pattern._coupling_pos]
+        dinv = (np.stack([d11, -d01, -d01, d00], axis=1) / det[:, None]).reshape(-1, 2, 2)
+        # B, zero where a corner is fixed, and W = D^-1 B, whose columns of
+        # fixed corners are thus exactly zero
+        pos = pattern._coupling_pos
+        b = np.where(pos < data.size, data.take(pos, mode="clip"), 0.0)
         w = dinv @ b
-        band = np.zeros(np.prod(pattern._band_shape))
-        band[pattern._band_slots] = pattern._to_band @ np.concatenate(
-            [data, (np.swapaxes(b, 1, 2) @ w).ravel()])
-        factor, info = lapack.dpbtrf(band.reshape(pattern._band_shape, order="F"),
-                                     overwrite_ab=1)
-        if info != 0 or not all(np.isfinite(a).all() for a in (factor, dinv, w)):
+        factor, info = lapack.dpbtrf(pattern.band(data, b, w), lower=1, overwrite_ab=1)
+        # a non-finite entry of L reaches the diagonal of its row, so the
+        # diagonal (the first row of the band) stands for the whole factor
+        if info != 0 or not all(np.isfinite(a).all() for a in (factor[0], dinv, w)):
             raise SolverFailure("elastic operator is not positive definite "
                                 f"(banded Cholesky info {info})")
-        self._factor, self._dinv = factor, dinv
-        self._w = sp.csr_matrix((w.ravel()[pattern._coupling_valid],
-                                 pattern._coupling_indices, pattern._coupling_indptr),
-                                shape=(w.shape[0] * 2, factor.shape[1]))
-        self.nnz = factor.size + dinv.size + self._w.nnz
+        self._pattern, self._factor, self._dinv, self._w = pattern, factor, dinv, w
+        # W's entries at fixed corners are structural zeros
+        self.nnz = factor.size + dinv.size + 2 * pattern._corner_sum.nnz
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """K^-1 f for a vector of length n or an (n, k) block: condense the
         load, solve the banded system, back-substitute the condensed DOFs."""
-        r = self._factor.shape[1]
+        pattern, r = self._pattern, self._factor.shape[1]
         cols = f.reshape(f.shape[0], -1)
-        fc = cols[r:]
-        x = cols[:r] - self._w.T @ fc
+        k = cols.shape[1]
+        fc = cols[r:].reshape(-1, 2, k)
+        u = np.empty_like(cols)
+        u[r:] = (self._dinv @ fc).reshape(-1, k)
         if r:   # LAPACK rejects an empty system
-            x, _ = lapack.dpbtrs(self._factor, x)
-        xc = (self._dinv @ fc.reshape(-1, 2, fc.shape[1])).reshape(fc.shape) - self._w @ x
-        return np.concatenate([x, xc]).reshape(f.shape)
+            x = np.subtract(cols[:r], pattern._corner_sum
+                            @ (np.swapaxes(self._w, 1, 2) @ fc).reshape(-1, k), order="F")
+            u[:r], _ = lapack.dpbtrs(self._factor, x, lower=1, overwrite_b=1)
+            # np.take, not fancy indexing: it copies each gathered row whole
+            u[r:] -= (self._w @ np.take(u[:r], pattern._corners, axis=0)).reshape(-1, k)
+        return u.reshape(f.shape)
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of ``a``, (n, k)."""
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
 class FactorizedSystem:
@@ -466,20 +522,20 @@ class FactorizedSystem:
         ``rhs`` is k loads, solved in one pass and each checked on its own;
         the result's columns are contiguous."""
         free = self.system.free_dofs
-        f = rhs[free]
+        f = np.take(rhs, free, axis=0).reshape(free.size, -1)
         x = self._lu.solve(f)
         if not np.all(np.isfinite(x)):
             raise SolverFailure("factorized solve produced non-finite values")
-        f_cols, x_cols = f.reshape(f.shape[0], -1), x.reshape(x.shape[0], -1)
-        scale = np.maximum(np.linalg.norm(f_cols, axis=0), 1e-30)
-        rel = np.linalg.norm(self.system.matrix @ x_cols - f_cols, axis=0) / scale
+        scale = np.maximum(_column_norms(f), 1e-30)
+        rel = _column_norms(self.system.matrix @ x - f) / scale
         for j in np.flatnonzero(rel > 1e-9):
-            x_cols[:, j], rel_j = self._cg_fallback(f_cols[:, j], x_cols[:, j], scale[j])
+            x[:, j], rel_j = self._cg_fallback(f[:, j], x[:, j], scale[j])
             if not rel_j <= 1e-9:
                 raise SolverFailure(f"relative residual {rel_j:.3e} exceeds 1e-9")
-        u = np.zeros(rhs.shape, order="F")
-        u[free] = x
-        return u
+        u = np.zeros((rhs.shape[0], x.shape[1]), order="F")
+        for j, column in enumerate(x.T):
+            u[:, j][free] = column
+        return u.reshape(rhs.shape)
 
     def _cg_fallback(self, f, x, scale):
         """Refine the column ``x`` of the load ``f`` on the factors: two
@@ -498,13 +554,7 @@ class FactorizedSystem:
 
 def element_strains(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     """Engineering strains (eps_xx, eps_yy, gamma_xy) per element."""
-    grads = mesh.grads
-    ux = u[0::2][mesh.triangles]
-    uy = u[1::2][mesh.triangles]
-    exx = np.einsum("ta,ta->t", grads[:, :, 0], ux)
-    eyy = np.einsum("ta,ta->t", grads[:, :, 1], uy)
-    gxy = np.einsum("ta,ta->t", grads[:, :, 1], ux) + np.einsum("ta,ta->t", grads[:, :, 0], uy)
-    return np.column_stack([exx, eyy, gxy])
+    return (mesh.strain_operator @ u).reshape(-1, 3)
 
 
 def element_stresses(eps: np.ndarray, mat: MaterialParams) -> np.ndarray:
@@ -578,6 +628,4 @@ def deviator_adjoint_load(mesh: Mesh, mat: MaterialParams, stress: StressAggrega
                          dev[:, 1] + nu * dev[:, 3],
                          2.0 * dev[:, 2]])
     weighted = (coef * mesh.element_areas)[:, None] * (c @ plane_strain_matrix(mat))
-    ge = np.einsum("ti,tik->tk", weighted, strain_displacement(mesh))
-    return np.bincount(_element_dofs(mesh).ravel(), weights=ge.ravel(),
-                       minlength=2 * mesh.num_nodes)
+    return mesh.strain_operator_transpose @ weighted.ravel()

@@ -1,7 +1,8 @@
 """Shared linear-triangle (P1) finite element utilities.
 
 The per-mesh geometry (shape function gradients, areas, lumped node areas)
-lives on the mesh; everything here is vectorized over elements.
+and the sparse operators built from it live on the mesh; everything here is
+vectorized over elements.
 """
 
 from __future__ import annotations
@@ -41,13 +42,10 @@ def scalar_stiffness(mesh: Mesh, coeff: np.ndarray) -> sp.csr_matrix:
 
 
 def element_means(mesh: Mesh, nodal: np.ndarray) -> np.ndarray:
-    return nodal[mesh.triangles].mean(axis=1)
+    return mesh.element_mean_operator @ nodal
 
 
 def element_to_nodes(mesh: Mesh, field_e: np.ndarray) -> np.ndarray:
     """Area-weighted projection of an element field onto nodes."""
-    num = np.zeros(mesh.num_nodes)
-    w = mesh.element_areas / 3.0
-    np.add.at(num, mesh.triangles.ravel(), np.repeat(field_e * w, 3))
-    return num / mesh.node_areas
+    return mesh.nodal_projection @ field_e
 

@@ -57,8 +57,9 @@ def assemble_wave(mesh: Mesh, wave_speed) -> WaveMatrices:
 class WaveFactors:
     """The step operator (1 + B*ds) M + ds^2 K with its constants: the
     matrices, the damping B, the step ds and the prescribed nodes and values.
-    Its free-node block is LU-factorized; ``lift`` is what the prescribed
-    values contribute to the free rows of a step."""
+    Its free-node block is LU-factorized, ordered by minimum degree on its
+    symmetric pattern; ``lift`` is what the prescribed values contribute to
+    the free rows of a step."""
 
     matrices: WaveMatrices
     damping: float
@@ -85,7 +86,8 @@ def factorize(matrices: WaveMatrices, damping: float, ds: float,
     return WaveFactors(matrices=matrices, damping=float(damping), ds=float(ds),
                        fixed_nodes=nodes, fixed_values=values, free=free,
                        lift=a[free][:, nodes] @ values,
-                       lu=spla.splu(a[free][:, free].tocsc()))
+                       lu=spla.splu(a[free][:, free].tocsc(),
+                                    permc_spec="MMD_AT_PLUS_A"))
 
 
 @dataclass

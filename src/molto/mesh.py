@@ -3,9 +3,10 @@ both cut from one grid triangulation.
 
 Meshes are immutable after construction and safe to share between concurrent
 candidate runs; the P1 geometry (shape function gradients, lumped node areas)
-is computed on first use and read-only. Boundary edges carry a single tag
-each; tagging is done by axis-aligned regions with a snapping tolerance of a
-quarter edge length.
+and the sparse operators built from it (element strains, element means,
+nodal projection) are computed on first use and read-only. Boundary edges
+carry a single tag each; tagging is done by axis-aligned regions with a
+snapping tolerance of a quarter edge length.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InvalidArgument, TagMatchError
 
@@ -80,6 +82,44 @@ class Mesh:
         areas.setflags(write=False)
         return areas
 
+    @cached_property
+    def strain_operator(self) -> sp.csr_matrix:
+        """Engineering strains (eps_xx, eps_yy, gamma_xy) of every element
+        from the nodal displacements (x, y interleaved), (3T, 2N): row
+        3t + i is strain i of element t."""
+        g, tri = self.grads, 2 * self.triangles.astype(np.int64)
+        gx, gy = g[:, :, 0], g[:, :, 1]
+        # eps_xx = gx . u_x, eps_yy = gy . u_y, gamma_xy = gy . u_x + gx . u_y
+        return _frozen(sp.csr_matrix(
+            (np.hstack([gx, gy, gy, gx]).ravel(),
+             np.hstack([tri, tri + 1, tri, tri + 1]).ravel(),
+             np.append(0, np.cumsum(np.tile([3, 3, 6], self.num_triangles)))),
+            shape=(3 * self.num_triangles, 2 * self.num_nodes)))
+
+    @cached_property
+    def strain_operator_transpose(self) -> sp.csc_matrix:
+        """The transpose of ``strain_operator``, (2N, 3T), a view of its
+        arrays: it takes a coefficient per element strain to nodal loads."""
+        return self.strain_operator.T
+
+    @cached_property
+    def element_mean_operator(self) -> sp.csr_matrix:
+        """The mean of a nodal field over each element's three nodes, (T, N)."""
+        t = self.num_triangles
+        return _frozen(sp.csr_matrix(
+            (np.full(3 * t, 1.0 / 3.0), self.triangles.ravel(), np.arange(0, 3 * t + 1, 3)),
+            shape=(t, self.num_nodes)))
+
+    @cached_property
+    def nodal_projection(self) -> sp.csr_matrix:
+        """Area-weighted projection of an element field onto the nodes, (N, T):
+        each node averages its elements, weighted by a third of their area."""
+        tri = self.triangles.ravel()
+        weights = np.repeat(self.element_areas / 3.0, 3) / self.node_areas[tri]
+        elements = np.repeat(np.arange(self.num_triangles), 3)
+        return _frozen(sp.csr_matrix((weights, (tri, elements)),
+                                     shape=(self.num_nodes, self.num_triangles)))
+
     def edges_with_tag(self, tag: str) -> np.ndarray:
         """Boundary edges carrying ``tag``; at least one must."""
         edges = self.boundary_edges[self.edge_tags == tag]
@@ -94,6 +134,14 @@ class Mesh:
     def nearest_node(self, x: float, y: float) -> int:
         d2 = (self.nodes[:, 0] - x) ** 2 + (self.nodes[:, 1] - y) ** 2
         return int(np.argmin(d2))
+
+
+def _frozen(op: sp.csr_matrix) -> sp.csr_matrix:
+    """``op`` with its arrays read-only, as befits an operator shared by
+    concurrent candidates."""
+    for a in (op.data, op.indices, op.indptr):
+        a.setflags(write=False)
+    return op
 
 
 def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:

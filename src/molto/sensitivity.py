@@ -169,10 +169,11 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
 # Helmholtz regularization with arsinh amplitude compression
 
 def helmholtz_operator(mesh: Mesh, eta: float):
-    """LU factors of eta * K + M_L, the filter's left-hand side."""
+    """LU factors of eta * K + M_L, the filter's left-hand side, ordered by
+    minimum degree on its symmetric pattern."""
     a = scalar_stiffness(mesh, eta * np.eye(2)).tolil()
     a.setdiag(a.diagonal() + mesh.node_areas)
-    return spla.splu(a.tocsc())
+    return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def helmholtz_filter(forcing: np.ndarray, eta: float, gamma: float,

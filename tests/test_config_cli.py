@@ -118,7 +118,7 @@ def test_every_rule_is_a_key_and_every_default_reads_back():
                 continue
             text = (" ".join(map(str, default)) if isinstance(default, tuple)
                     else str(default))
-            value = _parse_value(key, default, text, 1)
+            value = _parse_value(key, default, text)
             assert type(value) is type(default) and value == default, (name, key)
 
 
@@ -154,6 +154,80 @@ def test_defaults_are_warned():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.cfg")
+
+
+# (config, old text, new text, the keys whose lines the error names): every
+# kind of error load_config raises for a file it can read
+_LOAD_ERRORS = [
+    ("girder_desk", "nx = 60", "nx 60", ("nx",)),
+    ("girder_desk", "ny = 30", "ny = 30\nny = 31", ()),
+    ("girder_desk", "jobs = 1", "jobs =", ("jobs",)),
+    ("girder_desk", "problem = girder", "", ()),
+    ("girder_desk", "problem = girder", "problem = bridge", ("problem",)),
+    ("girder_desk", "jobs = 1", "jobs = 1\nmystery_knob = 3", ("mystery_knob",)),
+    ("girder_desk", "traction = 1.0", "traction = nan", ("traction",)),
+    ("girder_desk", "nx = 60", "nx = sixty", ("nx",)),
+    ("girder_desk", "ny = 30", "ny = 30.5", ("ny",)),
+    ("gripper", "dir_in = 1 0", "dir_in = 1 0 0", ("dir_in",)),
+    ("girder_desk", "weights_init = 0.9 0.1 ; 0.1 0.9", "weights_init = ;",
+     ("weights_init",)),
+    ("girder_desk", "volume_fraction = 0.45", "volume_fraction = 1.5",
+     ("volume_fraction",)),
+    ("girder_desk", "weights_init = 0.9 0.1 ; 0.1 0.9", "", ()),
+    ("surrogate3", "0.15 0.15 0.70", "0.15 0.85", ("weights_init",)),
+    ("surrogate3", "0.70 0.15 0.15 ;", "0.70 0.20 0.15 ;", ("weights_init",)),
+    ("surrogate3", "; 0.15 0.15 0.70", "", ("weights_init",)),
+    ("surrogate3", "0.15 0.70 0.15 ;", "0.70 0.15 0.15 ;", ("weights_init",)),
+    ("girder_desk", "max_iterations = 800\nwindow = 5", "max_iterations = 3",
+     ("max_iterations",)),
+    ("girder_desk", "max_iterations = 800\nwindow = 5", "window = 900", ("window",)),
+    ("girder_desk", "max_iterations = 800\nwindow = 5", "max_iterations = 3\nwindow = 6",
+     ("max_iterations", "window")),
+]
+
+
+@pytest.mark.filterwarnings("ignore:.*using default")
+@pytest.mark.parametrize("name, old, new, keys", _LOAD_ERRORS)
+def test_every_load_error_starts_with_its_file(tmp_path, name, old, new, keys):
+    # the message starts with the file, then the lines of the keys it names
+    text = bundled_text(name)
+    assert old in text
+    text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError) as caught:
+        load_config(cfg)
+    lines = [str(next(n for n, line in enumerate(text.splitlines(), start=1)
+                      if line.split("=")[0].split()[:1] == [key])) for key in keys]
+    where = (f"line{'s' if len(lines) > 1 else ''} {' and '.join(lines)}: "
+             if lines else "")
+    assert str(caught.value).startswith(f"{cfg}: {where}"), str(caught.value)
+
+
+@pytest.mark.parametrize("content", [None, "directory", b"problem = girder\xff\n"],
+                         ids=["missing", "directory", "not_utf8"])
+def test_an_unreadable_config_error_starts_with_its_file(tmp_path, content):
+    cfg = tmp_path / "bad.cfg"
+    if content == "directory":
+        cfg.mkdir()
+    elif content is not None:
+        cfg.write_bytes(content)
+    with pytest.raises(ConfigError, match="cannot read config") as caught:
+        load_config(cfg)
+    assert str(caught.value).startswith(f"{cfg}: ")
+
+
+@pytest.mark.parametrize("name", ["girder_desk", "lbracket", "gripper", "clamped_tri"])
+def test_build_problem_builds_no_mesh_operator(name):
+    # the benchmark's setup time covers load_config and build_problem; the
+    # mesh operators are built on a candidate's first use, not there
+    path = resources.files("molto.configs").joinpath(f"{name}.cfg")
+    mesh = load_config(path).build_problem().mesh
+    operators = {"strain_operator", "strain_operator_transpose", "element_mean_operator",
+                 "nodal_projection"}
+    assert not operators & set(vars(mesh))
+    assert mesh.strain_operator.shape == (3 * mesh.num_triangles, 2 * mesh.num_nodes)
+    assert "strain_operator" in vars(mesh)
 
 
 def test_export_field_roundtrip(tmp_path):

@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
 from molto.errors import InvalidArgument, SingularSystemError, SolverFailure
+from molto.fem import element_means, element_to_nodes
 from molto.mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.optimizer import RunConfig, run_candidate
 from molto.problems import (ComplianceProblem, LoadCase, make_girder, make_gripper,
@@ -628,10 +629,11 @@ def test_pattern_build_peaks_within_twice_what_it_keeps():
 
 
 def _full_band_map(pattern):
-    """The band map with one row per slot of the (kd + 1) x r band, built
-    from the pattern's CSC structure and coupling positions alone: the
-    upper kept-kept values enter with +1 and each condensed node's 8x8
-    fill with -1, every row summed in the order of its columns."""
+    """The band map with one row per slot of the (kd + 1) x r band in
+    LAPACK's lower storage, entry (j, i), i <= j, at slot i * (kd + 1) + j
+    - i, built from the pattern's CSC structure and coupling positions
+    alone: the upper kept-kept values enter with +1 and each condensed
+    node's 8x8 fill with -1, every row summed in the order of its columns."""
     nnz, (kd1, r) = pattern._indices.size, pattern._band_shape
     row = pattern._indices.astype(np.int64)
     col = np.repeat(np.arange(pattern._shape[1]), np.diff(pattern._indptr))
@@ -646,47 +648,50 @@ def _full_band_map(pattern):
     assert int(np.max(col - row, initial=0)) == kd1 - 1
     return sp.csr_matrix(
         (np.repeat([1.0, -1.0], [np.count_nonzero(upper), np.count_nonzero(fill)]),
-         (col * kd1 + kd1 - 1 + row - col,
+         (row * kd1 + col - row,
           np.concatenate([np.flatnonzero(upper), nnz + np.flatnonzero(fill)]))),
         shape=(kd1 * r, nnz + fill.size))
 
 
-class _RecordedProduct:
-    """A matrix that remembers the vector it was last applied to."""
+class _RecordedBand:
+    """The pattern's band former, remembering the values it formed the band
+    from: the assembled values and each condensed node's fill B^T W."""
 
-    def __init__(self, matrix):
-        self.matrix, self.vector = matrix, None
+    def __init__(self, band):
+        self.band, self.data, self.fill = band, None, None
 
-    def __matmul__(self, vector):
-        self.vector = vector.copy()
-        return self.matrix @ vector
+    def __call__(self, data, b, w):
+        self.data, self.fill = data, np.swapaxes(b, 1, 2) @ w
+        return self.band(data, b, w)
 
 
 @pytest.mark.parametrize("build", [make_girder, make_lbracket, make_gripper])
 def test_band_matches_a_full_length_band_map(build, monkeypatch):
-    # the band map over the slots that receive a value, scattered into a
-    # zero band, hands dpbtrf the band a map over every slot gives, bit for
-    # bit, on a graded design
+    # the assembled values gathered into a zero band, less each condensed
+    # node's fill slot by slot, hand dpbtrf the band a map over every slot
+    # gives, bit for bit, on a graded design
     problem = build()
     pattern = el.StiffnessPattern(problem.mesh, problem.mat, problem.springs,
                                   problem.cases[0].supports)
     assert pattern._band_slots.size < np.prod(pattern._band_shape)
-    pattern._to_band = recorded = _RecordedProduct(pattern._to_band)
+    pattern.band = recorded = _RecordedBand(pattern.band)
     received = []
     dpbtrf = el.lapack.dpbtrf
 
     def recorded_dpbtrf(ab, **kwargs):
-        received.append(ab.copy())
+        received.append((ab.copy(), kwargs.get("lower")))
         return dpbtrf(ab, **kwargs)
 
     monkeypatch.setattr(el.lapack, "dpbtrf", recorded_dpbtrf)
     tau = el.ersatz_tau(np.random.default_rng(7).uniform(0.0, 1.0, problem.mesh.num_triangles),
                         problem.mat)
-    el.FactorizedSystem(el.assemble_state(pattern, tau))
-    reference = (_full_band_map(pattern) @ recorded.vector).reshape(pattern._band_shape,
-                                                                    order="F")
-    assert len(received) == 1
-    assert received[0].tobytes(order="F") == reference.tobytes(order="F")
+    system = el.assemble_state(pattern, tau)
+    el.FactorizedSystem(system)
+    assert recorded.data is system.matrix.data
+    values = np.concatenate([recorded.data, recorded.fill.ravel()])
+    reference = (_full_band_map(pattern) @ values).reshape(pattern._band_shape, order="F")
+    assert [lower for _, lower in received] == [1]
+    assert received[0][0].tobytes(order="F") == reference.tobytes(order="F")
 
 
 def _rigid_mode():
@@ -790,3 +795,39 @@ def test_deviator_adjoint_load_matches_reference():
         ref = _deviator_adjoint_load_reference(mesh, MAT, u, tau, p, f_y)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.any(_aggregate(mesh, MAT, u).vm == 0.0)
+
+
+def _einsum_strains(mesh, u):
+    """Element strains from the shape function gradients, one einsum each."""
+    grads, ux, uy = mesh.grads, u[0::2][mesh.triangles], u[1::2][mesh.triangles]
+    return np.column_stack([
+        np.einsum("ta,ta->t", grads[:, :, 0], ux),
+        np.einsum("ta,ta->t", grads[:, :, 1], uy),
+        np.einsum("ta,ta->t", grads[:, :, 1], ux) + np.einsum("ta,ta->t", grads[:, :, 0], uy)])
+
+
+def _add_at_projection(mesh, field_e):
+    """Area-weighted nodal projection by an unbuffered scatter."""
+    num = np.zeros(mesh.num_nodes)
+    np.add.at(num, mesh.triangles.ravel(), np.repeat(field_e * mesh.element_areas / 3.0, 3))
+    return num / mesh.node_areas
+
+
+@pytest.mark.parametrize("build", [make_girder, make_lbracket, make_gripper])
+def test_mesh_operators_reproduce_the_code_they_replace(build):
+    mesh = build().mesh
+    rng = np.random.default_rng(11)
+    u = rng.normal(0.0, 0.1, 2 * mesh.num_nodes)
+    nodal = rng.uniform(-1.0, 1.0, mesh.num_nodes)
+    field_e = rng.normal(size=mesh.num_triangles)
+    tau = rng.uniform(1e-3, 1.0, mesh.num_triangles)
+
+    def close(got, ref):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    close(el.element_strains(mesh, u), _einsum_strains(mesh, u))
+    close(element_means(mesh, nodal), nodal[mesh.triangles].mean(axis=1))
+    close(element_to_nodes(mesh, field_e), _add_at_projection(mesh, field_e))
+    close(el.deviator_adjoint_load(mesh, MAT, _aggregate(mesh, MAT, u, tau, 5.0, 42.0), tau),
+          _deviator_adjoint_load_reference(mesh, MAT, u, tau, 5.0, 42.0))

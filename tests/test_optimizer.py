@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
+import molto.levelset as levelset
+import molto.mesh
 from molto.errors import SolverFailure
 from molto.mesh import build_rect_mesh
 from molto.optimizer import RunConfig, run_candidate, stationarity
-from molto.problems import SurrogateProblem
+from molto.problems import SurrogateProblem, make_girder, make_lbracket
 
 
 def test_stationarity_rules():
@@ -202,3 +206,58 @@ def test_mirrored_weights_give_mirrored_candidates():
     for got, want in zip(swept, (left, right)):
         assert got.history == want.history
         assert np.array_equal(got.phi, want.phi)
+
+
+_SPARSE = (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.lil_matrix, sp.dok_matrix,
+           sp.csr_array, sp.csc_array, sp.coo_array, sp.lil_array, sp.dok_array)
+
+
+@pytest.mark.parametrize("build, stress_loads", [(lambda: make_girder(24, 12), 0),
+                                                  (lambda: make_lbracket(nx=20), 5)],
+                         ids=["girder", "lbracket"])
+def test_an_iteration_builds_only_its_assembled_operator(build, stress_loads, monkeypatch):
+    # once a candidate's first iteration has built what the problem and the
+    # mesh share, each further iteration makes one sparse matrix per
+    # factorization, the assembled operator, and nothing else: no pattern,
+    # element blocks, LU factors or mesh operator, the L-bracket's stress
+    # adjoint load included
+    problem = build()
+    phi0 = np.random.default_rng(3).uniform(-1.0, 1.0, problem.mesh.num_nodes)
+    monkeypatch.setattr(problem, "initial_phi", lambda: phi0)
+    counts = [{}, {}]   # the first iteration's, the five after it
+    steps = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counter = counts[min(len(steps), 1)]
+            counter[name] = counter.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return call
+
+    for cls in _SPARSE:
+        monkeypatch.setattr(cls, "__init__", counted("sparse", cls.__init__))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    monkeypatch.setattr(el.StiffnessPattern, "__init__",
+                        counted("pattern", el.StiffnessPattern.__init__))
+    monkeypatch.setattr(el, "element_stiffness_blocks",
+                        counted("blocks", el.element_stiffness_blocks))
+    monkeypatch.setattr(molto.mesh, "_frozen", counted("mesh operator", molto.mesh._frozen))
+    monkeypatch.setattr(el.FactorizedSystem, "__init__",
+                        counted("factorization", el.FactorizedSystem.__init__))
+    monkeypatch.setattr(el, "deviator_adjoint_load",
+                        counted("stress load", el.deviator_adjoint_load))
+    step = levelset.step
+
+    def counted_step(*args):
+        result = step(*args)
+        steps.append(1)
+        return result
+
+    monkeypatch.setattr(levelset, "step", counted_step)
+    cand = run_candidate(problem, (0.5, 0.5),
+                         RunConfig(max_iterations=5, window=5, multiplier_init=1.0))
+    assert not cand.failed and cand.iterations == 5 and len(steps) == 6
+    first, rest = counts
+    assert all(first.get(name) for name in ("pattern", "blocks", "splu", "mesh operator"))
+    assert rest.pop("stress load", 0) == stress_loads
+    assert rest == {"factorization": 5, "sparse": 5}
