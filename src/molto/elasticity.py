@@ -200,19 +200,11 @@ def element_stiffness_blocks(mesh: Mesh, mat: MaterialParams) -> np.ndarray:
 def _csc_structure(keys: np.ndarray, m: int):
     """CSC ``indices`` and ``indptr`` of the sorted column-major keys
     ``col * m + row`` of an m x m pattern."""
+    col = keys // m
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
-    return (keys % m).astype(np.int32), indptr
-
-
-def _mesh_edges(mesh: Mesh) -> np.ndarray:
-    """Every edge of the mesh once, as ascending node pairs, (E, 2)."""
-    tri = mesh.triangles.astype(np.int64)
-    pairs = np.sort(np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
-    # a sort and a difference, several times faster than np.unique here
-    keys = np.sort(pairs[:, 0] * mesh.num_nodes + pairs[:, 1])
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return np.column_stack([keys // mesh.num_nodes, keys % mesh.num_nodes])
+    np.cumsum(np.bincount(col, minlength=m), out=indptr[1:])
+    # a product and a difference are faster than numpy's remainder
+    return (keys - col * m).astype(np.int32), indptr
 
 
 def _condensed_nodes(mesh: Mesh, edges: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -226,6 +218,20 @@ def _condensed_nodes(mesh: Mesh, edges: np.ndarray, free: np.ndarray) -> np.ndar
     condensed &= free[0::2] & free[1::2]
     condensed[edges[condensed[edges[:, 0]] & condensed[edges[:, 1]], 1]] = False
     return condensed
+
+
+def _sort_with_order(keys: np.ndarray):
+    """The non-negative int64 ``keys`` sorted, and the stable order that
+    sorts them. Each key is sorted with its index in its low bits, several
+    times faster than an argsort, unless the two do not fit in 63 bits."""
+    shift = int(keys.size).bit_length()
+    if int(keys.max(initial=0)) >= 1 << (63 - shift):
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    tagged = keys << shift
+    tagged |= np.arange(keys.size)
+    tagged.sort()
+    return tagged >> shift, tagged & ((1 << shift) - 1)
 
 
 def _index_dtype(bound: int):
@@ -269,8 +275,7 @@ class StiffnessPattern:
 
         free = np.ones(n, dtype=bool)
         free[fixed] = False
-        edges = _mesh_edges(mesh)
-        condensed = _condensed_nodes(mesh, edges, free)
+        condensed = _condensed_nodes(mesh, mesh.edges, free)
         self.condensed = centres = np.flatnonzero(condensed)
         kept = np.flatnonzero(free & ~np.repeat(condensed, 2))
         major = int(np.ptp(mesh.nodes[:, 1]) > np.ptp(mesh.nodes[:, 0]))
@@ -285,11 +290,14 @@ class StiffnessPattern:
         # pair k holds the 2x2 entries between the DOFs of its two nodes
         nodes, num_pairs = mesh.num_nodes, 9 * mesh.num_triangles
         tri = mesh.triangles.astype(np.int64)
-        pairs, inverse = np.unique(np.concatenate([
+        pairs, order = _sort_with_order(np.concatenate([
             (tri[:, :, None] * nodes + tri[:, None, :]).ravel(),
-            springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]),
-            return_inverse=True)
-        inverse = inverse.astype(_index_dtype(pairs.size))
+            springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]))
+        first = np.diff(pairs, prepend=-1) != 0
+        inverse = np.empty(order.size, dtype=_index_dtype(order.size))
+        inverse[order] = np.cumsum(first) - 1
+        pairs = pairs[first]
+        del order, first
         rows = [renumber.take(2 * (pairs // nodes) + i) for i in (0, 1)]
         cols = [renumber.take(2 * (pairs % nodes) + j) for j in (0, 1)]
         del pairs
@@ -300,10 +308,15 @@ class StiffnessPattern:
         keys = np.stack([np.where((rows[i] < m) & (cols[j] < m), cols[j] * m + rows[i], m * m)
                          for i in (0, 1) for j in (0, 1)], axis=1).ravel()
         del rows, cols
-        keys, position = np.unique(keys, return_inverse=True)
+        # the kept keys are unique, as the pairs are: each entry's rank in
+        # their sorted order is its CSC position (nnz or more where discarded)
+        keys, order = _sort_with_order(keys)
         nnz = int(np.searchsorted(keys, m * m))
         keys = keys[:nnz]
-        position = position.astype(_index_dtype(nnz + 1)).reshape(-1, 2, 2)
+        position = np.empty(order.size, dtype=_index_dtype(order.size))
+        position[order] = np.arange(order.size)
+        del order
+        position = position.reshape(-1, 2, 2)
         self._indices, self._indptr = _csc_structure(keys, m)
         self._shape = (m, m)
         self._spring_data = None
@@ -312,18 +325,19 @@ class StiffnessPattern:
             self._spring_data = np.bincount(at, weights=springs.data, minlength=nnz)[:nnz]
 
         # CSC position of entry (2p + i, 2q + j) of each element block: the
-        # (i, j) entry of the element's node pair (p, q); nnz where discarded
-        a, i, b, j = np.unravel_index(np.arange(36), (3, 2, 3, 2))
-        scatter = position.reshape(-1).take(
-            4 * np.take(inverse[:num_pairs].reshape(-1, 9), 3 * a + b, axis=1) + 2 * i + j)
+        # (i, j) entry of the element's node pair (p, q), gathered by pair
+        # (a, b, i, j) and reordered to the block's (a, i, b, j); nnz or more
+        # where discarded
+        scatter = position.take(inverse[:num_pairs], axis=0).reshape(
+            -1, 3, 3, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 36)
         del inverse, position
         inside = scatter < nnz
         scatter = scatter[inside]
         columns = np.zeros(mesh.num_triangles + 1, dtype=np.int32)
         np.cumsum(inside.sum(axis=1), out=columns[1:])
 
-        self._factor_maps(edges, condensed, renumber, keys, r)
-        del keys, renumber, edges
+        self._factor_maps(mesh.edges, condensed, renumber, keys, r)
+        del keys, renumber
         # column t of the map holds element t's block entries at their CSC
         # positions, so map @ tau_e sums each value over its elements in
         # ascending order; the blocks are computed last, once the other
@@ -372,7 +386,8 @@ class StiffnessPattern:
         # upper kept-kept values are gathered into a value per slot, then
         # each condensed node's 8x8 fill B^T D^-1 B is subtracted from its
         # upper kept-kept entries, a slot's fills in ascending node order.
-        row, col = keys % m, keys // m
+        col = keys // m
+        row = keys - col * m
         upper = np.flatnonzero((col < r) & (row <= col))
         row, col = row[upper], col[upper]
         i, j = (np.broadcast_to(a, (centres.size, 8, 8))
@@ -382,20 +397,19 @@ class StiffnessPattern:
         kd = int(max(np.max(col - row, initial=0), np.max(j - i, initial=0)))
         self._band_shape = (kd + 1, r)
         # the slot of every value, then of every fill, in ascending source
-        # order; sorted by slot, then by source (a unique key, so the fast
-        # unstable sort gives the stable order), a slot's value, where it has
+        # order; sorted by slot, then by source, a slot's value, where it has
         # one, comes first
         slot = np.concatenate([row * (kd + 1) + col - row, i * (kd + 1) + j - i])
         del row, col, i, j
-        order = np.argsort(slot * slot.size + np.arange(slot.size))
-        first = np.diff(slot[order], prepend=-1) != 0
-        self._band_slots = slot[order[first]]
+        slot, order = _sort_with_order(slot)
+        first = np.diff(slot, prepend=-1) != 0
+        self._band_slots = slot[first]
         # each source's slot among ``_band_slots`` and its rank within it
         at, rank = np.empty_like(order), np.empty_like(order)
-        at[order] = np.cumsum(first) - 1
+        at[order] = sorted_at = np.cumsum(first) - 1
         start = np.flatnonzero(first)
-        rank[order] = np.arange(order.size) - start[at[order]]
-        del slot, order, first
+        rank[order] = np.arange(order.size) - start[sorted_at]
+        del slot, order, first, sorted_at
         values = upper.size
         self._band_gather = (at[:values].copy(), upper)
         # round k holds the k-th fill of every slot that takes more than k, so
@@ -448,6 +462,12 @@ def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> SparseSystem
                                       shape=pattern._shape), pattern.free_dofs, pattern)
 
 
+# the smallest L_ii^2 / S_ii a factorization accepts. Full runs of the
+# packaged configs stay above 1e-5; a singular operator falls to rounding,
+# 8e-15 on a rectangle free to slide
+PIVOT_FLOOR = 1e-10
+
+
 class CondensedCholesky:
     """Banded Cholesky factor of an operator assembled on ``pattern``, with
     the pattern's condensed nodes eliminated exactly.
@@ -460,7 +480,10 @@ class CondensedCholesky:
     A and D are read from their upper triangles, so the factored operator
     is exactly symmetric. The band starts at zero, and the pattern's
     ``band`` fills only the slots that receive a value. Raises ``SolverFailure``
-    on a pivot that is not positive or a factor that is not finite."""
+    on a pivot that is not positive, a factor that is not finite, or a pivot
+    L_ii^2 below ``PIVOT_FLOOR`` times its diagonal entry S_ii: a singular
+    operator, whose rigid mode a load orthogonal to it would pass through
+    the residual gate unseen."""
 
     def __init__(self, pattern: StiffnessPattern, data: np.ndarray):
         d00, d01, d11 = (data[pattern._block_pos[:, i, j]] for i, j in ((0, 0), (0, 1), (1, 1)))
@@ -474,12 +497,20 @@ class CondensedCholesky:
         pos = pattern._coupling_pos
         b = np.where(pos < data.size, data.take(pos, mode="clip"), 0.0)
         w = dinv @ b
-        factor, info = lapack.dpbtrf(pattern.band(data, b, w), lower=1, overwrite_ab=1)
+        band = pattern.band(data, b, w)
+        diagonal = band[0].copy()
+        factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         # a non-finite entry of L reaches the diagonal of its row, so the
         # diagonal (the first row of the band) stands for the whole factor
         if info != 0 or not all(np.isfinite(a).all() for a in (factor[0], dinv, w)):
             raise SolverFailure("elastic operator is not positive definite "
                                 f"(banded Cholesky info {info})")
+        # L_ii^2 is what is left of S_ii once the earlier DOFs are eliminated;
+        # a mode the supports leave free leaves only rounding there
+        ratio = float(np.min(factor[0] ** 2 / diagonal, initial=1.0))
+        if ratio < PIVOT_FLOOR:
+            raise SolverFailure("elastic operator is not positive definite "
+                                f"(Cholesky pivot {ratio:.1e} of its diagonal entry)")
         self._pattern, self._factor, self._dinv, self._w = pattern, factor, dinv, w
         # W's entries at fixed corners are structural zeros
         self.nnz = factor.size + dinv.size + 2 * pattern._corner_sum.nnz

@@ -83,11 +83,11 @@ def factorize(matrices: WaveMatrices, damping: float, ds: float,
     values = np.asarray(dirichlet[1], dtype=float)
     a = (1.0 + damping * ds) * matrices.mass + ds ** 2 * matrices.stiffness
     free = np.setdiff1d(np.arange(a.shape[0]), nodes)
+    rows = a[free]
     return WaveFactors(matrices=matrices, damping=float(damping), ds=float(ds),
                        fixed_nodes=nodes, fixed_values=values, free=free,
-                       lift=a[free][:, nodes] @ values,
-                       lu=spla.splu(a[free][:, free].tocsc(),
-                                    permc_spec="MMD_AT_PLUS_A"))
+                       lift=rows[:, nodes] @ values,
+                       lu=spla.splu(rows[:, free].tocsc(), permc_spec="MMD_AT_PLUS_A"))
 
 
 @dataclass

@@ -11,6 +11,7 @@ snapping tolerance of a quarter edge length.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,6 +31,8 @@ class Mesh:
     triangles      : (T, 3) node indices, counterclockwise
     boundary_edges : (E, 2) node index pairs, each edge owned by one triangle
     edge_tags      : (E,) tag per boundary edge ("free" until tagged)
+    edges          : every edge once, ascending node pairs in ascending
+                     order; enumerated from the triangles when not given
     """
 
     nodes: np.ndarray
@@ -37,6 +40,7 @@ class Mesh:
     boundary_edges: np.ndarray
     edge_tags: np.ndarray
     spacing: float
+    edges: np.ndarray | None = None
     element_areas: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -44,8 +48,10 @@ class Mesh:
         if np.any(areas <= 0.0):
             raise InvalidArgument("mesh contains non-positive triangle areas")
         object.__setattr__(self, "element_areas", areas)
+        if self.edges is None:
+            object.__setattr__(self, "edges", _edges(self.triangles, self.num_nodes)[0])
         for arr in (self.nodes, self.triangles, self.boundary_edges,
-                    self.edge_tags, self.element_areas):
+                    self.edge_tags, self.edges, self.element_areas):
             arr.setflags(write=False)
 
     @property
@@ -145,27 +151,26 @@ def _frozen(op: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = nodes[triangles]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    x, y = nodes[:, 0], nodes[:, 1]
+    # gathered per column, not as (T, 3, 2) corner coordinates
+    x0, x1, x2 = (x.take(triangles[:, k]) for k in range(3))
+    y0, y1, y2 = (y.take(triangles[:, k]) for k in range(3))
+    return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
 
-def _boundary_edges(triangles: np.ndarray) -> np.ndarray:
-    """Edges that belong to exactly one triangle, in ascending node order."""
-    edges = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    edges = np.sort(edges, axis=1).astype(np.int64)
+def _edges(triangles: np.ndarray, num_nodes: int):
+    """Every edge of the triangles once, and the edges that belong to exactly
+    one triangle (the boundary): ascending node pairs in ascending order,
+    (E, 2) each, int32. One sort and a difference, several times faster than
+    np.unique here."""
+    tri = triangles.astype(np.int64)
+    nxt = tri[:, [1, 2, 0]]
     # one integer key per edge sorts like the (a, b) rows themselves
-    num_nodes = int(edges.max(initial=-1)) + 1
-    keys, counts = np.unique(edges[:, 0] * num_nodes + edges[:, 1], return_counts=True)
-    keys = keys[counts == 1]
-    return np.column_stack([keys // num_nodes, keys % num_nodes])
-
-
-def _finish(nodes, triangles, spacing) -> Mesh:
-    boundary = _boundary_edges(triangles)
-    tags = np.full(boundary.shape[0], FREE_TAG, dtype=object)
-    return Mesh(np.asarray(nodes, dtype=float), np.asarray(triangles, dtype=np.int32),
-                boundary.astype(np.int32), tags, float(spacing))
+    keys = np.sort((np.minimum(tri, nxt) * num_nodes + np.maximum(tri, nxt)).ravel())
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys = keys[start]
+    return tuple(np.column_stack([k // num_nodes, k % num_nodes]).astype(np.int32)
+                 for k in (keys, keys[np.diff(start, append=tri.size) == 1]))
 
 
 def _grid_mesh(xs, ys, ci, cj, crossed, spacing) -> Mesh:
@@ -202,8 +207,10 @@ def _grid_mesh(xs, ys, ci, cj, crossed, spacing) -> Mesh:
 
     used = np.zeros(nodes.shape[0], dtype=bool)
     used[triangles] = True
-    remap = np.cumsum(used) - 1
-    return _finish(nodes[used], remap[triangles], spacing)
+    nodes, triangles = nodes[used], (np.cumsum(used) - 1)[triangles].astype(np.int32)
+    edges, boundary = _edges(triangles, nodes.shape[0])
+    return Mesh(nodes, triangles, boundary, np.full(boundary.shape[0], FREE_TAG, dtype=object),
+                float(spacing), edges)
 
 
 def _cells(nx: int, ny: int):
@@ -261,8 +268,10 @@ def tag_boundary(mesh: Mesh, start, end, tag: str) -> Mesh:
     """Tag every boundary edge whose midpoint lies on the axis-aligned
     segment from ``start`` to ``end`` (snapping tolerance 0.25 * spacing).
 
-    Returns a new Mesh sharing geometry arrays; last write wins on re-tagged
-    edges. Raises TagMatchError when no edge matches.
+    Returns a new Mesh that differs only in its tags: it shares the source's
+    validated arrays and the geometry the source has cached, and is not
+    validated again. Last write wins on re-tagged edges. Raises
+    TagMatchError when no edge matches.
     """
     (x0, y0), (x1, y1) = start, end
     tol = 0.25 * mesh.spacing
@@ -282,5 +291,8 @@ def tag_boundary(mesh: Mesh, start, end, tag: str) -> Mesh:
         raise TagMatchError(f"region {start}-{end} matched no boundary edges for tag '{tag}'")
     tags = mesh.edge_tags.copy()
     tags[match] = tag
-    return Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, tags, mesh.spacing)
+    tags.setflags(write=False)
+    tagged = copy.copy(mesh)
+    object.__setattr__(tagged, "edge_tags", tags)
+    return tagged
 

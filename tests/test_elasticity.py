@@ -13,8 +13,8 @@ from molto.errors import InvalidArgument, SingularSystemError, SolverFailure
 from molto.fem import element_means, element_to_nodes
 from molto.mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.optimizer import RunConfig, run_candidate
-from molto.problems import (ComplianceProblem, LoadCase, make_girder, make_gripper,
-                            make_lbracket)
+from molto.problems import (ComplianceProblem, LoadCase, make_clamped_tri, make_girder,
+                            make_gripper, make_lbracket)
 
 MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=3.0, floor=1e-3)
 
@@ -628,6 +628,81 @@ def test_pattern_build_peaks_within_twice_what_it_keeps():
     assert peak <= 2.0 * retained, (retained, peak)
 
 
+def _unique_pattern_arrays(mesh, mat, springs, pattern):
+    """The CSC structure, element map and summed spring entries of
+    ``pattern``'s free DOF order, keyed as np.unique finds the node pairs of
+    the triangles and springs and the DOF keys of their 2x2 entries."""
+    springs = el.spring_matrix(mesh, springs).tocoo()
+    m, nodes, num_pairs = pattern.free_dofs.size, mesh.num_nodes, 9 * mesh.num_triangles
+    renumber = np.full(2 * nodes, m, dtype=np.int64)
+    renumber[pattern.free_dofs] = np.arange(m)
+    tri = mesh.triangles.astype(np.int64)
+    pairs, inverse = np.unique(np.concatenate([
+        (tri[:, :, None] * nodes + tri[:, None, :]).ravel(),
+        springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]), return_inverse=True)
+    inverse = inverse.astype(el._index_dtype(pairs.size))
+    rows = [renumber[2 * (pairs // nodes) + i] for i in (0, 1)]
+    cols = [renumber[2 * (pairs % nodes) + j] for j in (0, 1)]
+    keys = np.stack([np.where((rows[i] < m) & (cols[j] < m), cols[j] * m + rows[i], m * m)
+                     for i in (0, 1) for j in (0, 1)], axis=1).ravel()
+    keys, position = np.unique(keys, return_inverse=True)
+    nnz = int(np.searchsorted(keys, m * m))
+    keys = keys[:nnz]
+    position = position.astype(el._index_dtype(nnz + 1)).reshape(-1, 2, 2)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    spring_data = None
+    if springs.nnz:
+        at = position[inverse[num_pairs:], springs.row % 2, springs.col % 2]
+        spring_data = np.bincount(at, weights=springs.data, minlength=nnz)[:nnz]
+    a, i, b, j = np.unravel_index(np.arange(36), (3, 2, 3, 2))
+    scatter = position.reshape(-1)[
+        4 * inverse[:num_pairs].reshape(-1, 9)[:, 3 * a + b] + 2 * i + j]
+    inside = scatter < nnz
+    columns = np.zeros(mesh.num_triangles + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=columns[1:])
+    blocks = el.element_stiffness_blocks(mesh, mat).reshape(-1, 36)
+    element_map = sp.csc_matrix((blocks[inside], scatter[inside], columns),
+                                shape=(nnz, mesh.num_triangles))
+    return (keys % m).astype(np.int32), indptr, element_map, spring_data
+
+
+def _csc_arrays(matrix):
+    return matrix.data, matrix.indices, matrix.indptr
+
+
+@pytest.mark.parametrize("build, case", [
+    (make_girder, 0), (make_lbracket, 0), (make_gripper, 0),
+    (make_clamped_tri, 0), (make_clamped_tri, 1), (make_clamped_tri, 2)],
+    ids=["girder", "lbracket", "gripper", "clamped_tri_1", "clamped_tri_2", "clamped_tri_3"])
+def test_pattern_matches_the_np_unique_construction(build, case):
+    # the node pairs come from one sort of their keys and the DOF keys,
+    # unique but for the discarded bin, from another; each array the
+    # assembly reads is the np.unique construction's, dtype included
+    problem = build()
+    pattern = el.StiffnessPattern(problem.mesh, problem.mat, problem.springs,
+                                  problem.cases[case].supports)
+    indices, indptr, element_map, spring_data = _unique_pattern_arrays(
+        problem.mesh, problem.mat, problem.springs, pattern)
+    for found, reference in ((pattern._indices, indices), (pattern._indptr, indptr),
+                             *zip(_csc_arrays(pattern._map), _csc_arrays(element_map))):
+        assert found.dtype == reference.dtype
+        assert np.array_equal(found, reference)
+    assert (pattern._spring_data is None) == (spring_data is None) == (not problem.springs)
+    if spring_data is not None:
+        assert pattern._spring_data.dtype == spring_data.dtype
+        assert np.array_equal(pattern._spring_data, spring_data)
+
+
+def test_sort_with_order_is_stable_on_either_path():
+    # keys whose index does not fit beside them in 63 bits take an argsort
+    keys = np.random.default_rng(2).integers(0, 50, 1000)
+    for scale in (1, 1 << 55):
+        ordered, order = el._sort_with_order(keys * scale)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(ordered, keys[order] * scale)
+
+
 def _full_band_map(pattern):
     """The band map with one row per slot of the (kd + 1) x r band in
     LAPACK's lower storage, entry (j, i), i <= j, at slot i * (kd + 1) + j
@@ -717,7 +792,9 @@ def test_rigid_failure_pattern_reads_both_factor_messages():
     factor = ["SolverFailure: elastic operator is not positive definite "
               "(banded Cholesky info 85)",
               "SolverFailure: elastic operator is not positive definite "
-              "(a condensed 2x2 block)"]
+              "(a condensed 2x2 block)",
+              "SolverFailure: elastic operator is not positive definite "
+              "(Cholesky pivot 8.0e-15 of its diagonal entry)"]
     gate = "SolverFailure: relative residual 1.2e-08 exceeds 1e-9"
     unrelated = ["SolverFailure: factorized solve produced non-finite values",
                  "LinAlgError: elastic operator is not positive definite (info 3)",
@@ -745,6 +822,18 @@ def test_rigid_mode_ends_in_solver_failure(seed):
         warnings.simplefilter("error")
         with pytest.raises(SolverFailure, match=f"^{_RIGID_FAILURE}"):
             el.FactorizedSystem(system).solve(load)
+
+
+def test_a_load_orthogonal_to_the_rigid_mode_ends_in_solver_failure():
+    # a load along the held direction leaves the free slide unloaded, so a
+    # solution passes the residual gate; the factor's pivot rejects the
+    # operator itself
+    mesh, bcs = _rigid_mode()
+    tau = el.ersatz_tau(np.random.default_rng(3).uniform(0.0, 1.0, mesh.num_triangles), MAT)
+    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), tau)
+    with pytest.raises(SolverFailure, match=r"^elastic operator is not positive definite "
+                                            r"\(Cholesky pivot .* of its diagonal entry\)$"):
+        el.FactorizedSystem(system).solve(el.boundary_vector(mesh, "right", (1.0, 0.0)))
 
 
 def test_rigid_mode_fails_the_candidate():

@@ -1,9 +1,15 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import molto.mesh as mesh_module
+from molto.config import load_config
 from molto.errors import InvalidArgument, TagMatchError
-from molto.mesh import (FREE_TAG, build_lshape_mesh, build_rect_mesh,
-                        signed_areas, tag_boundary)
+from molto.mesh import (FREE_TAG, Mesh, _cells, _grid_mesh, build_lshape_mesh,
+                        build_rect_mesh, signed_areas, tag_boundary)
 
 
 def test_unit_square_default_split():
@@ -136,3 +142,81 @@ def test_mesh_geometry_is_cached_and_read_only():
         mesh.grads[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         mesh.node_areas[0] = 1.0
+
+
+def _unique_edges(triangles):
+    """Every edge once and the edges of one triangle only, as np.unique
+    finds them among the sorted node pairs of the triangles' sides."""
+    sides = np.sort(np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                               triangles[:, [2, 0]]]), axis=1)
+    edges, counts = np.unique(sides, axis=0, return_counts=True)
+    return edges, edges[counts == 1]
+
+
+def _assert_edges_match_np_unique(mesh):
+    edges, boundary = _unique_edges(mesh.triangles)
+    for found, reference in ((mesh.edges, edges), (mesh.boundary_edges, boundary)):
+        assert found.dtype == np.int32
+        assert found.tolist() == reference.tolist()
+    # a mesh built without its edges enumerates them itself
+    bare = Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.edge_tags, mesh.spacing)
+    assert bare.edges.tolist() == edges.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_edge_enumeration_matches_np_unique_on_cell_subsets(nx, ny, crossed, data):
+    kept = np.array(data.draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny)
+                              .filter(any)))
+    ci, cj = _cells(nx, ny)
+    mesh = _grid_mesh(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 0.5, ny + 1),
+                      ci[kept], cj[kept], crossed, min(1.0 / nx, 0.5 / ny))
+    _assert_edges_match_np_unique(mesh)
+
+
+@pytest.mark.parametrize("crossed", [True, False])
+def test_edge_enumeration_matches_np_unique_on_the_lshape(crossed):
+    _assert_edges_match_np_unique(build_lshape_mesh(1.0, 0.6, 0.1, crossed=crossed))
+
+
+def _packaged_fem_configs():
+    paths = sorted((p for p in resources.files("molto.configs").iterdir()
+                    if p.name.endswith(".cfg")), key=lambda p: p.name)
+    return [pytest.param(config, id=path.name) for path in paths
+            if (config := load_config(path)).kind != "surrogate"]
+
+
+@pytest.mark.parametrize("config", _packaged_fem_configs())
+def test_build_problem_validates_its_geometry_once(config, monkeypatch):
+    # tagging shares the validated arrays instead of building a new mesh
+    calls = []
+
+    def counted(nodes, triangles):
+        calls.append(triangles.shape[0])
+        return signed_areas(nodes, triangles)
+
+    monkeypatch.setattr(mesh_module, "signed_areas", counted)
+    problem = config.build_problem()
+    assert calls == [problem.mesh.num_triangles]
+
+
+def test_tagged_mesh_shares_its_source_arrays():
+    mesh = build_rect_mesh(1.0, 0.5, 4, 2, crossed=True)
+    grads = mesh.grads
+    tagged = tag_boundary(mesh, (0.0, 0.0), (1.0, 0.0), "bottom")
+    for name in ("nodes", "triangles", "element_areas", "boundary_edges", "edges"):
+        assert getattr(tagged, name) is getattr(mesh, name)
+    assert tagged.grads is grads
+    assert all(t == FREE_TAG for t in mesh.edge_tags)
+    assert tagged.edges_with_tag("bottom").shape[0] == 4
+    with pytest.raises(ValueError):
+        tagged.edge_tags[0] = "other"
+
+
+def test_clockwise_triangle_is_rejected():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    boundary = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int32)
+    tags = np.full(3, FREE_TAG, dtype=object)
+    Mesh(nodes, np.array([[0, 1, 2]], dtype=np.int32), boundary, tags, 1.0)
+    with pytest.raises(InvalidArgument, match="non-positive triangle areas"):
+        Mesh(nodes, np.array([[0, 2, 1]], dtype=np.int32), boundary, tags.copy(), 1.0)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
 import molto.sensitivity as sens
 from molto.errors import InvalidArgument
-from molto.fem import element_to_nodes
+from molto.fem import element_to_nodes, scalar_stiffness
 from molto.mesh import build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.problems import (ComplianceProblem, LoadCase, MechanismProblem,
                             StateBundle, StressVolumeProblem)
@@ -198,6 +199,25 @@ def test_perturbation_mirror_symmetry():
         d = np.linalg.norm(cent - p, axis=1)
         order.append(int(d.argmin()))
     assert np.abs(f1 - f2[order]).max() < 1e-6 * max(np.abs(f1).max(), 1.0)
+
+
+@pytest.mark.parametrize("crossed", [True, False])
+def test_helmholtz_operator_factors_the_lil_construction(crossed):
+    # the lumped mass is added to the stored diagonal; k + diags(...) would
+    # prune the stiffness's explicit zeros, and SuperLU would factor another
+    # pattern
+    mesh = build_lshape_mesh(1.0, 0.6, 0.025, crossed=crossed)
+    eta = 1e-4
+    lil = scalar_stiffness(mesh, eta * np.eye(2)).tolil()
+    lil.setdiag(lil.diagonal() + mesh.node_areas)
+    reference = spla.splu(lil.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    found = sens.helmholtz_operator(mesh, eta)
+    for name in ("perm_r", "perm_c"):
+        assert np.array_equal(getattr(found, name), getattr(reference, name))
+    for name in ("L", "U"):
+        a, b = getattr(found, name), getattr(reference, name)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
 
 def test_helmholtz_constant_field():
