@@ -56,12 +56,6 @@ class SolutionRegister:
         self.weights = np.vstack([held, w])
         self.objectives = np.vstack([self.objectives.reshape(-1, len(j)), j])
 
-    def weight_array(self) -> np.ndarray:
-        return self.weights
-
-    def objective_array(self) -> np.ndarray:
-        return self.objectives
-
 
 def normalize_objectives(objectives: np.ndarray) -> np.ndarray:
     """Min-max rescaling per objective; flat objectives collapse to zero."""
@@ -87,7 +81,7 @@ def build_complex(register: SolutionRegister, m: int) -> SimplexComplex:
     n = len(register)
     if n < m:
         raise InvalidArgument(f"need at least {m} candidates, have {n}")
-    wpts = register.weight_array()
+    wpts = register.weights
     if m == 2:
         order = np.argsort(wpts[:, 0], kind="stable")
         verts = np.column_stack([order[:-1], order[1:]])
@@ -106,7 +100,7 @@ def build_complex(register: SolutionRegister, m: int) -> SimplexComplex:
     slots = np.transpose(np.triu_indices(verts.shape[1], 1))  # (P, 2) vertex pairs
     ends = np.sort(verts.astype(np.int64), axis=1)[:, slots]
     edges = np.unique(ends.reshape(-1, 2), axis=0)
-    coords = normalize_objectives(register.objective_array())
+    coords = normalize_objectives(register.objectives)
     lengths = np.linalg.norm(coords[edges[:, 0]] - coords[edges[:, 1]], axis=1)
     return SimplexComplex(simplices=[tuple(s) for s in verts.tolist()],
                           edges=edges, edge_lengths=lengths)
@@ -133,7 +127,7 @@ def mark_and_refine(complex_: SimplexComplex, register: SolutionRegister,
     length[tuple(complex_.edges.T)] = complex_.edge_lengths
     poor = (length + length.T)[a, b].max(axis=1) > edge_tolerance
 
-    held = register.weight_array()
+    held = register.weights
     seen = np.vstack([held, np.reshape(known, (-1, held.shape[1]))])
     emitted = []
     for mid in (0.5 * (held[a[poor]] + held[b[poor]])).reshape(-1, held.shape[1]):

@@ -200,11 +200,10 @@ def element_stiffness_blocks(mesh: Mesh, mat: MaterialParams) -> np.ndarray:
 def _csc_structure(keys: np.ndarray, m: int):
     """CSC ``indices`` and ``indptr`` of the sorted column-major keys
     ``col * m + row`` of an m x m pattern."""
-    col = keys // m
+    col, row = np.divmod(keys, m)
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=m), out=indptr[1:])
-    # a product and a difference are faster than numpy's remainder
-    return (keys - col * m).astype(np.int32), indptr
+    return row.astype(np.int32), indptr
 
 
 def _condensed_nodes(mesh: Mesh, edges: np.ndarray, free: np.ndarray) -> np.ndarray:
@@ -218,20 +217,6 @@ def _condensed_nodes(mesh: Mesh, edges: np.ndarray, free: np.ndarray) -> np.ndar
     condensed &= free[0::2] & free[1::2]
     condensed[edges[condensed[edges[:, 0]] & condensed[edges[:, 1]], 1]] = False
     return condensed
-
-
-def _sort_with_order(keys: np.ndarray):
-    """The non-negative int64 ``keys`` sorted, and the stable order that
-    sorts them. Each key is sorted with its index in its low bits, several
-    times faster than an argsort, unless the two do not fit in 63 bits."""
-    shift = int(keys.size).bit_length()
-    if int(keys.max(initial=0)) >= 1 << (63 - shift):
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
-    tagged = keys << shift
-    tagged |= np.arange(keys.size)
-    tagged.sort()
-    return tagged >> shift, tagged & ((1 << shift) - 1)
 
 
 def _index_dtype(bound: int):
@@ -261,9 +246,9 @@ class StiffnessPattern:
     The pattern is built from the node pairs of the triangles and springs,
     each standing for its 2x2 DOF entries, and every temporary is freed once
     read, so the build's peak memory stays within about twice what the
-    pattern keeps. ``band`` forms the condensed operator's band by gathers
-    alone, over the band slots that receive a value (``_band_slots``); the
-    other slots of the (kd + 1) x r band are zero.
+    pattern keeps. ``band`` forms the condensed operator's band by a gather
+    and one ``np.subtract.at``, over the band slots that receive a value
+    (``_band_slots``); the other slots of the (kd + 1) x r band are zero.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
@@ -290,14 +275,10 @@ class StiffnessPattern:
         # pair k holds the 2x2 entries between the DOFs of its two nodes
         nodes, num_pairs = mesh.num_nodes, 9 * mesh.num_triangles
         tri = mesh.triangles.astype(np.int64)
-        pairs, order = _sort_with_order(np.concatenate([
+        pairs, inverse = np.unique(np.concatenate([
             (tri[:, :, None] * nodes + tri[:, None, :]).ravel(),
-            springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]))
-        first = np.diff(pairs, prepend=-1) != 0
-        inverse = np.empty(order.size, dtype=_index_dtype(order.size))
-        inverse[order] = np.cumsum(first) - 1
-        pairs = pairs[first]
-        del order, first
+            springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]), return_inverse=True)
+        inverse = inverse.astype(_index_dtype(inverse.size))
         rows = [renumber.take(2 * (pairs // nodes) + i) for i in (0, 1)]
         cols = [renumber.take(2 * (pairs % nodes) + j) for j in (0, 1)]
         del pairs
@@ -308,15 +289,12 @@ class StiffnessPattern:
         keys = np.stack([np.where((rows[i] < m) & (cols[j] < m), cols[j] * m + rows[i], m * m)
                          for i in (0, 1) for j in (0, 1)], axis=1).ravel()
         del rows, cols
-        # the kept keys are unique, as the pairs are: each entry's rank in
-        # their sorted order is its CSC position (nnz or more where discarded)
-        keys, order = _sort_with_order(keys)
+        # the kept keys are unique, as the pairs are: each entry's index among
+        # the sorted unique keys is its CSC position (nnz where discarded)
+        keys, position = np.unique(keys, return_inverse=True)
         nnz = int(np.searchsorted(keys, m * m))
         keys = keys[:nnz]
-        position = np.empty(order.size, dtype=_index_dtype(order.size))
-        position[order] = np.arange(order.size)
-        del order
-        position = position.reshape(-1, 2, 2)
+        position = position.astype(_index_dtype(position.size)).reshape(-1, 2, 2)
         self._indices, self._indptr = _csc_structure(keys, m)
         self._shape = (m, m)
         self._spring_data = None
@@ -326,8 +304,8 @@ class StiffnessPattern:
 
         # CSC position of entry (2p + i, 2q + j) of each element block: the
         # (i, j) entry of the element's node pair (p, q), gathered by pair
-        # (a, b, i, j) and reordered to the block's (a, i, b, j); nnz or more
-        # where discarded
+        # (a, b, i, j) and reordered to the block's (a, i, b, j); nnz where
+        # discarded
         scatter = position.take(inverse[:num_pairs], axis=0).reshape(
             -1, 3, 3, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 36)
         del inverse, position
@@ -385,9 +363,8 @@ class StiffnessPattern:
         # ``_band_slots`` are the slots that receive a value, ascending; the
         # upper kept-kept values are gathered into a value per slot, then
         # each condensed node's 8x8 fill B^T D^-1 B is subtracted from its
-        # upper kept-kept entries, a slot's fills in ascending node order.
-        col = keys // m
-        row = keys - col * m
+        # upper kept-kept entries.
+        col, row = np.divmod(keys, m)
         upper = np.flatnonzero((col < r) & (row <= col))
         row, col = row[upper], col[upper]
         i, j = (np.broadcast_to(a, (centres.size, 8, 8))
@@ -397,37 +374,17 @@ class StiffnessPattern:
         kd = int(max(np.max(col - row, initial=0), np.max(j - i, initial=0)))
         self._band_shape = (kd + 1, r)
         # the slot of every value, then of every fill, in ascending source
-        # order; sorted by slot, then by source, a slot's value, where it has
-        # one, comes first
+        # order, and each one's index among ``_band_slots``
         slot = np.concatenate([row * (kd + 1) + col - row, i * (kd + 1) + j - i])
         del row, col, i, j
-        slot, order = _sort_with_order(slot)
-        first = np.diff(slot, prepend=-1) != 0
-        self._band_slots = slot[first]
-        # each source's slot among ``_band_slots`` and its rank within it
-        at, rank = np.empty_like(order), np.empty_like(order)
-        at[order] = sorted_at = np.cumsum(first) - 1
-        start = np.flatnonzero(first)
-        rank[order] = np.arange(order.size) - start[sorted_at]
-        del slot, order, first, sorted_at
-        values = upper.size
-        self._band_gather = (at[:values].copy(), upper)
-        # round k holds the k-th fill of every slot that takes more than k, so
-        # no slot repeats within a round; a slot takes at most four. A round
-        # that reaches every slot is held in slot order, without its slots
-        has_value = np.zeros(start.size, dtype=np.intp)
-        has_value[at[:values]] = 1
-        at, rank = at[values:], rank[values:] - has_value[at[values:]]
-        rounds = []
-        for k in range(int(rank.max(initial=-1)) + 1):
-            mask = rank == k
-            if np.count_nonzero(mask) == start.size:
-                source = np.empty(start.size, dtype=np.intp)
-                source[at[mask]] = fill[mask]
-                rounds.append((None, source))
-            else:
-                rounds.append((at[mask], fill[mask]))
-        self._fill_rounds = tuple(rounds)
+        self._band_slots, at = np.unique(slot, return_inverse=True)
+        del slot
+        # an indexed assignment reads int64 indices about twice as fast as
+        # int32 ones; take and ufunc.at barely tell them apart, so the fills'
+        # indices are held narrow
+        self._band_gather = (at[:upper.size].copy(), upper)
+        self._band_fills = (at[upper.size:].astype(_index_dtype(at.size)),
+                            fill.astype(_index_dtype(64 * centres.size)))
 
     def band(self, data: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
         """LAPACK's lower band storage, (kd + 1, r) column-major, of the
@@ -441,11 +398,10 @@ class StiffnessPattern:
         values = np.zeros(self._band_slots.size)
         at, source = self._band_gather
         values[at] = data[source]
-        for at, source in self._fill_rounds:
-            if at is None:
-                values -= fill.take(source)
-            else:
-                values[at] -= fill.take(source)
+        # ufunc.at applies the fills in the order given: a slot's in
+        # ascending node order
+        at, source = self._band_fills
+        np.subtract.at(values, at, fill.take(source))
         del fill
         band = np.zeros(np.prod(self._band_shape))
         band[self._band_slots] = values

@@ -161,16 +161,14 @@ def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 def _edges(triangles: np.ndarray, num_nodes: int):
     """Every edge of the triangles once, and the edges that belong to exactly
     one triangle (the boundary): ascending node pairs in ascending order,
-    (E, 2) each, int32. One sort and a difference, several times faster than
-    np.unique here."""
+    (E, 2) each, int32."""
     tri = triangles.astype(np.int64)
     nxt = tri[:, [1, 2, 0]]
     # one integer key per edge sorts like the (a, b) rows themselves
-    keys = np.sort((np.minimum(tri, nxt) * num_nodes + np.maximum(tri, nxt)).ravel())
-    start = np.flatnonzero(np.diff(keys, prepend=-1))
-    keys = keys[start]
-    return tuple(np.column_stack([k // num_nodes, k % num_nodes]).astype(np.int32)
-                 for k in (keys, keys[np.diff(start, append=tri.size) == 1]))
+    keys, counts = np.unique(np.minimum(tri, nxt) * num_nodes + np.maximum(tri, nxt),
+                             return_counts=True)
+    return tuple(np.column_stack(np.divmod(k, num_nodes)).astype(np.int32)
+                 for k in (keys, keys[counts == 1]))
 
 
 def _grid_mesh(xs, ys, ci, cj, crossed, spacing) -> Mesh:

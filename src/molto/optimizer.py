@@ -110,7 +110,7 @@ def run_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
         if isinstance(problem, SurrogateProblem):
             return _surrogate_candidate(problem, w_star)
         return _run_fem_candidate(problem, w_star, cfg)
-    except (MoltoError, RuntimeError) as exc:  # singular factors included
+    except (MoltoError, RuntimeError, ArithmeticError) as exc:  # singular factors, overflow
         m = problem.num_objectives
         return SolutionCandidate(
             w_star=tuple(np.asarray(w_star, dtype=float)), w_final=(float("nan"),) * m,

@@ -199,7 +199,7 @@ def test_c7_helmholtz_filter():
 
 def _oracle_emissions(register, edge_tolerance):
     cx = asd.build_complex(register, 2)
-    coords = asd.normalize_objectives(register.objective_array())
+    coords = asd.normalize_objectives(register.objectives)
     emitted = []
     for simplex in cx.simplices:
         length = np.linalg.norm(coords[simplex[0]] - coords[simplex[1]])

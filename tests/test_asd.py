@@ -85,7 +85,7 @@ def test_delaunay_empty_circumcircle():
     reg = register_from([(w, (1.0 + i, 2.0 - i, float(i))) for i, w in enumerate(weights)])
     cx = build_complex(reg, 3)
     assert len(cx.simplices) == 3  # interior point in the triangle: 3 simplices
-    chart = reg.weight_array()[:, :2]
+    chart = reg.weights[:, :2]
     for simplex in cx.simplices:
         center, radius = _circumcircle(*[chart[v] for v in simplex])
         for other in range(len(weights)):

@@ -688,3 +688,45 @@ def test_cli_failed_sweep_names_its_cause(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert ("all 2 candidates failed at level 0; "
             "first: SolverFailure: synthetic breakdown") in err
+
+
+# each config capped to a few iterations of one level on a coarse mesh
+_EXTREME_CAPS = {"girder_desk": {"nx": "6", "ny": "3"}, "lbracket": {"nx": "10"},
+                 "gripper": {"nx": "6", "ny": "3"}}
+
+
+def test_extreme_float_values_end_in_a_bounded_exit(tmp_path, capsys):
+    # every float key of three configs set, one at a time, to 1e300 and to
+    # 1e-300: validate and run each end in exit 0, 1 or 2, with a message
+    # for 1 and 2, and never in an escaping exception
+    cfg = tmp_path / "extreme.cfg"
+    escaped, silent, probes = [], [], 0
+    for name, caps in _EXTREME_CAPS.items():
+        caps = {**caps, "max_iterations": "5", "max_levels": "0", "jobs": "1"}
+        lines = [line.split("=", 1) for line in bundled_text(name).splitlines()
+                 if "=" in line and not line.startswith("#")]
+        values = {key.strip(): value.strip() for key, value in lines}
+        floats = [key for key, default in KINDS[values["problem"]].keys.items()
+                  if isinstance(default, float) and key in values]
+        for key in floats:
+            for extreme in ("1e300", "1e-300"):
+                text = "\n".join(f"{k} = {v}" for k, v in
+                                 {**values, **caps, key: extreme}.items())
+                cfg.write_text(text + "\n")
+                out = tmp_path / f"{name}_{key}_{extreme}"
+                for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+                    probes += 1
+                    probe = (name, key, extreme, argv[0])
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore")
+                            code = cli.main(argv)
+                    except Exception as exc:
+                        escaped.append((*probe, f"{type(exc).__name__}: {exc}"))
+                        continue
+                    err = capsys.readouterr().err
+                    if code not in (0, 1, 2) or (code and not err.strip()):
+                        silent.append((*probe, code))
+    assert probes == 288
+    assert escaped == []
+    assert silent == []
