@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import warnings
@@ -18,7 +19,7 @@ from .asd import ASDConfig, dedup, normalize_objectives, pareto_filter, run_asd
 from .config import load_config
 from .errors import ConfigError, MoltoError
 from .mesh import Mesh
-from .optimizer import SolutionCandidate
+from .optimizer import SolutionCandidate, run_candidate
 from .weights import in_open_simplex
 
 OUTPUT_ENV = "MOLTO_OUTPUT_DIR"
@@ -83,16 +84,17 @@ def read_register(path) -> list:
     candidates = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+            reader = csv.reader(fh.readlines())
+            # each row with the line it ends on
+            rows = [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read register {path}: {exc}") from exc
-    reader = csv.reader(lines)
-    header = next(reader, [])
+    header = rows[0][1] if rows else []
     m = sum(1 for name in header if name.startswith("wstar_"))
     n_g = sum(1 for name in header if name.startswith("feasible_"))
     if m < 1 or header != _register_header(m, n_g):
         raise ConfigError(f"{path}: not a register (unexpected header)")
-    for row in reader:
+    for line, row in rows[1:]:
         vals = row[1:]
         try:
             if len(row) != len(header):
@@ -105,11 +107,9 @@ def read_register(path) -> list:
             if not (in_open_simplex(w_star) and in_open_simplex(w_final)):
                 raise ValueError("wstar and wfinal must lie in the open simplex")
         except (ValueError, IndexError) as exc:
-            raise ConfigError(f"{path}: line {reader.line_num}: "
-                              f"malformed row ({exc})") from exc
+            raise ConfigError(f"{path}: line {line}: malformed row ({exc})") from exc
         if not np.all(np.isfinite(objectives)):
-            raise ConfigError(f"{path}: line {reader.line_num}: "
-                              "non-finite objective")
+            raise ConfigError(f"{path}: line {line}: non-finite objective")
         candidates.append(SolutionCandidate(
             w_star=w_star, w_final=w_final, objectives=objectives,
             normalized=normalized, feasible=tuple(map(bool, flags[:-1])),
@@ -153,7 +153,12 @@ def _cmd_validate(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         config = load_config(args.config)
-        config.build_problem()
+        problem = config.build_problem()
+        # the first passes of the first candidate, as run takes them
+        first = run_candidate(problem, config.initial_weights()[0], dataclasses.replace(
+            config.run_config(), max_iterations=2, window=2))
+    if first.failed:
+        raise ConfigError(f"{args.config}: the first candidate fails: {first.error}")
     for w in caught:
         print(f"warning: {w.message}")
     print(f"ok: {config.kind} configuration with "

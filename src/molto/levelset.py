@@ -22,7 +22,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import InvalidArgument, SolverFailure
-from .fem import scalar_mass, scalar_stiffness
 from .mesh import Mesh
 
 
@@ -49,8 +48,7 @@ def _speed_tensor(wave_speed) -> np.ndarray:
 def assemble_wave(mesh: Mesh, wave_speed) -> WaveMatrices:
     """Mass and (squared-speed) stiffness matrices on the design mesh."""
     squared = _speed_tensor(wave_speed)
-    return WaveMatrices(mass=scalar_mass(mesh),
-                        stiffness=scalar_stiffness(mesh, squared))
+    return WaveMatrices(mass=mesh.mass, stiffness=mesh.stiffness(squared))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ both cut from one grid triangulation.
 Meshes are immutable after construction and safe to share between concurrent
 candidate runs; the P1 geometry (shape function gradients, lumped node areas)
 and the sparse operators built from it (element strains, element means,
-nodal projection) are computed on first use and read-only. Boundary edges
+nodal projection, scalar mass) are computed on first use and read-only. Boundary edges
 carry a single tag each; tagging is done by axis-aligned regions with a
 snapping tolerance of a quarter edge length.
 """
@@ -126,6 +126,22 @@ class Mesh:
         return _frozen(sp.csr_matrix((weights, (tri, elements)),
                                      shape=(self.num_nodes, self.num_triangles)))
 
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        """Consistent mass matrix: A/12 * [[2,1,1],[1,2,1],[1,1,2]] per element."""
+        base = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        elems = self.element_areas[:, None, None] * base[None, :, :]
+        return _frozen(_assemble_scalar(self, elems))
+
+    def stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
+        """Anisotropic stiffness: integral of grad(Ni) . coeff . grad(Nj), a
+        fresh matrix on every call; ``coeff`` is a constant 2x2 tensor (pass
+        c**2 * I for an isotropic operator with speed c)."""
+        grads = self.grads
+        cg = np.einsum("ij,taj->tai", np.asarray(coeff, dtype=float), grads)
+        elems = np.einsum("tai,tbi->tab", grads, cg) * self.element_areas[:, None, None]
+        return _assemble_scalar(self, elems)
+
     def edges_with_tag(self, tag: str) -> np.ndarray:
         """Boundary edges carrying ``tag``; at least one must."""
         edges = self.boundary_edges[self.edge_tags == tag]
@@ -148,6 +164,15 @@ def _frozen(op: sp.csr_matrix) -> sp.csr_matrix:
     for a in (op.data, op.indices, op.indptr):
         a.setflags(write=False)
     return op
+
+
+def _assemble_scalar(mesh: Mesh, element_matrices: np.ndarray) -> sp.csr_matrix:
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    mat = sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
+                        shape=(mesh.num_nodes, mesh.num_nodes))
+    return mat.tocsr()
 
 
 def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:

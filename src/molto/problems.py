@@ -46,7 +46,6 @@ from . import elasticity as el
 from . import levelset
 from . import sensitivity as sens
 from .errors import InvalidArgument
-from .fem import element_means
 from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 
 
@@ -173,7 +172,7 @@ class FEMProblem:
 
     # -- design field handling ------------------------------------------
     def theta_elements(self, phi: np.ndarray, width: float) -> np.ndarray:
-        return element_means(self.mesh, el.heaviside(phi, width))
+        return self.mesh.element_mean_operator @ el.heaviside(phi, width)
 
     def initial_phi(self) -> np.ndarray:
         return np.ones(self.mesh.num_nodes)
@@ -289,7 +288,6 @@ class MechanismProblem(FEMProblem):
                          phi_fixed=[(np.unique(mesh.triangles[solid]), 1.0)])
         self.volume_fraction = float(volume_fraction)
         self.output_vector = el.boundary_vector(mesh, "output", dir_out)
-        self._spring_matrix = el.spring_matrix(mesh, self.springs)
 
     def solve_states(self, theta_e) -> StateBundle:
         bundle = self._states(theta_e)
@@ -305,15 +303,15 @@ class MechanismProblem(FEMProblem):
         return self._volume_constraint(bundle, self.volume_fraction)
 
     def solve_adjoints(self, bundle, w, j_star, multipliers):
-        u, fact = bundle.states[0], bundle.facts[0]
-        # strain-energy load is the elastic (spring-free) part of K times u,
-        # read on the free rows, the only ones a solve reads
-        free = fact.system.free_dofs
-        bulk = np.zeros_like(u)
-        bulk[free] = fact.system.matrix @ u[free] - (self._spring_matrix @ u)[free]
+        # the strain-energy load is the elastic (spring-free) K u, formed from
+        # the state's strains; its fixed rows hold reactions, which no solve reads
+        mesh = self.mesh
+        energy = mesh.strain_operator_transpose @ (
+            (bundle.tau * mesh.element_areas)[:, None]
+            * (bundle.strains[0] @ el.plane_strain_matrix(self.mat))).ravel()
         loads = np.column_stack([-(w[0] / j_star[0]) * self.output_vector,
-                                 (w[1] / j_star[1]) * bulk])
-        return [el.element_strains(self.mesh, v) for v in fact.solve(loads).T]
+                                 (w[1] / j_star[1]) * energy])
+        return [el.element_strains(mesh, v) for v in bundle.facts[0].solve(loads).T]
 
     def perturbation(self, bundle, adjoints, w, j_star, multipliers,
                      c_override=None):

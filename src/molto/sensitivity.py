@@ -32,7 +32,6 @@ import scipy.sparse.linalg as spla
 
 from . import elasticity as el
 from .errors import DegenerateSensitivityError, InvalidArgument
-from .fem import element_to_nodes, scalar_stiffness
 from .mesh import Mesh
 
 NORMALIZATION_FLOOR = 1e-12
@@ -82,6 +81,11 @@ class PerturbationResult:
     c_norm: tuple
     total_elem: np.ndarray
     total: np.ndarray
+
+
+def element_to_nodes(mesh: Mesh, field_e: np.ndarray) -> np.ndarray:
+    """Area-weighted projection of an element field onto nodes."""
+    return mesh.nodal_projection @ field_e
 
 
 def _combine(mesh: Mesh, mat: el.MaterialParams, dtau, constraint, explicit,
@@ -171,7 +175,7 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
 def helmholtz_operator(mesh: Mesh, eta: float):
     """LU factors of eta * K + M_L, the filter's left-hand side, ordered by
     minimum degree on its symmetric pattern."""
-    a = scalar_stiffness(mesh, eta * np.eye(2))
+    a = mesh.stiffness(eta * np.eye(2))
     # writes the stored diagonal: the pattern, explicit zeros too, is kept
     a.setdiag(a.diagonal() + mesh.node_areas)
     return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")

@@ -1,9 +1,13 @@
+import contextlib
 import csv
+import io
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import molto.asd as asd
 import molto.cli as cli
@@ -567,6 +571,80 @@ def test_cli_pareto_rejects_bad_rows(tmp_path, capsys, row, message):
     assert captured.out == ""
 
 
+@pytest.fixture(scope="module")
+def surrogate_register(tmp_path_factory):
+    """The register of a surrogate2.cfg run capped at two refinement levels."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "s.cfg"
+    cfg.write_text(bundled_text("surrogate2").replace("max_levels = 6", "max_levels = 2"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["surrogate", str(cfg), "--out", str(root / "out")]) == 0
+    return root, (root / "out" / "register.csv").read_bytes()
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["", "x", "nan", "-nan", "inf", "-inf", "1e999", "0.5", "0", "1", "-1"]),
+    # past the csv module's field limit, and integers past int()'s digit limit
+    st.sampled_from(["1" * 200_000, "9" * 5000, "9" * 40, "-" + "9" * 40]),
+    st.text(max_size=6))
+_BYTES = st.one_of(st.sampled_from([b"\x00", b"\xef\xbb\xbf", b"\xff", b"\r", b"\n",
+                                    b'"', b","]),
+                   st.binary(min_size=1, max_size=4))
+
+
+@st.composite
+def _mutated(draw, register: bytes) -> bytes:
+    """``register`` with one to three edits: a cell replaced, a row or column
+    dropped or repeated, bytes inserted, or the file truncated. The header
+    is the last row drawn, so most edits reach the data rows."""
+    rows = list(csv.reader(register.decode().splitlines()))
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["cell", "drop_row", "repeat_row", "drop_column",
+                                     "repeat_column", "insert", "truncate"]))
+        if edit in ("insert", "truncate"):
+            edits.append((edit, draw(st.integers(0, 10 ** 6)), draw(_BYTES)))
+            continue
+        if not rows:
+            continue
+        i = draw(st.sampled_from([*range(1, len(rows)), 0]))
+        j = draw(st.integers(0, max(len(rows[i]) - 1, 0)))
+        if edit == "cell" and rows[i]:
+            rows[i][j] = draw(_CELLS)
+        elif edit == "drop_row":
+            del rows[i]
+        elif edit == "repeat_row":
+            rows.insert(i, list(rows[i]))
+        elif edit.endswith("column"):
+            # a column edit reaches the data rows or, as drawn, the header too
+            for row in rows[draw(st.sampled_from([1, 0])):]:
+                row[j:j + 1] = row[j:j + 1] * (2 if edit == "repeat_column" else 0)
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    data = text.getvalue().encode()
+    for edit, back, extra in edits:
+        at = len(data) - back % (len(data) + 1)
+        data = data[:at] + extra + data[at:] if edit == "insert" else data[:at]
+    return data
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pareto_ends_in_a_bounded_exit_on_a_mutated_register(surrogate_register, data):
+    # whatever the edits, molto pareto accepts the register or rejects it
+    # with a message (exit 2); it never raises
+    root, register = surrogate_register
+    path = root / "mutated.csv"
+    path.write_bytes(data.draw(_mutated(register)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["pareto", str(path)])
+    assert code in (0, 2)
+    assert code == 0 or err.getvalue().strip()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "pareto"])
 def test_cli_rejects_input_that_is_not_utf8(tmp_path, monkeypatch, capsys, command):
     out = tmp_path / "out"
@@ -698,9 +776,12 @@ _EXTREME_CAPS = {"girder_desk": {"nx": "6", "ny": "3"}, "lbracket": {"nx": "10"}
 def test_extreme_float_values_end_in_a_bounded_exit(tmp_path, capsys):
     # every float key of three configs set, one at a time, to 1e300 and to
     # 1e-300: validate and run each end in exit 0, 1 or 2, with a message
-    # for 1 and 2, and never in an escaping exception
+    # for 1 and 2, and never in an escaping exception. Validate runs the
+    # first passes of the first candidate, so it passes no probe on which
+    # every candidate of the run fails, and rejects none the run takes
+    # without a failure
     cfg = tmp_path / "extreme.cfg"
-    escaped, silent, probes = [], [], 0
+    escaped, silent, passed_then_failed, rejected_clean, probes = [], [], [], [], 0
     for name, caps in _EXTREME_CAPS.items():
         caps = {**caps, "max_iterations": "5", "max_levels": "0", "jobs": "1"}
         lines = [line.split("=", 1) for line in bundled_text(name).splitlines()
@@ -714,19 +795,27 @@ def test_extreme_float_values_end_in_a_bounded_exit(tmp_path, capsys):
                                  {**values, **caps, key: extreme}.items())
                 cfg.write_text(text + "\n")
                 out = tmp_path / f"{name}_{key}_{extreme}"
+                codes = {}
                 for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
                     probes += 1
                     probe = (name, key, extreme, argv[0])
                     try:
                         with warnings.catch_warnings():
                             warnings.simplefilter("ignore")
-                            code = cli.main(argv)
+                            code = codes[argv[0]] = cli.main(argv)
                     except Exception as exc:
                         escaped.append((*probe, f"{type(exc).__name__}: {exc}"))
                         continue
                     err = capsys.readouterr().err
                     if code not in (0, 1, 2) or (code and not err.strip()):
                         silent.append((*probe, code))
+                if codes.get("validate") == 0 and codes.get("run") == 1:
+                    passed_then_failed.append((name, key, extreme))
+                if (codes.get("run") == 0 and codes.get("validate") != 0
+                        and len((out / "failures.csv").read_text().splitlines()) == 1):
+                    rejected_clean.append((name, key, extreme))
     assert probes == 288
     assert escaped == []
     assert silent == []
+    assert passed_then_failed == []
+    assert rejected_clean == []

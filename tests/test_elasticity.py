@@ -10,11 +10,11 @@ import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
 from molto.errors import InvalidArgument, SingularSystemError, SolverFailure
-from molto.fem import element_means, element_to_nodes
 from molto.mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.optimizer import RunConfig, run_candidate
 from molto.problems import (ComplianceProblem, LoadCase, make_clamped_tri, make_girder,
                             make_gripper, make_lbracket)
+from molto.sensitivity import element_to_nodes
 
 MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=3.0, floor=1e-3)
 
@@ -909,7 +909,7 @@ def test_mesh_operators_reproduce_the_code_they_replace(build):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     close(el.element_strains(mesh, u), _einsum_strains(mesh, u))
-    close(element_means(mesh, nodal), nodal[mesh.triangles].mean(axis=1))
+    close(mesh.element_mean_operator @ nodal, nodal[mesh.triangles].mean(axis=1))
     close(element_to_nodes(mesh, field_e), _add_at_projection(mesh, field_e))
     close(el.deviator_adjoint_load(mesh, MAT, _aggregate(mesh, MAT, u, tau, 5.0, 42.0), tau),
           _deviator_adjoint_load_reference(mesh, MAT, u, tau, 5.0, 42.0))

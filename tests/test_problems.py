@@ -179,28 +179,33 @@ def test_mechanism_adjoints_are_one_blocked_solve(monkeypatch):
     bundle = problem.solve_states(theta)
     j_star = problem.objectives(bundle)
     w = np.array([0.4, 0.6])
-    shapes = []
+    seen = []
     real = el.FactorizedSystem.solve
 
     def counting(self, rhs):
-        shapes.append(rhs.shape)
+        seen.append(rhs.copy())
         return real(self, rhs)
 
     monkeypatch.setattr(el.FactorizedSystem, "solve", counting)
     got = problem.solve_adjoints(bundle, w, j_star, np.array([0.3]))
     monkeypatch.undo()
-    assert shapes == [(2 * problem.mesh.num_nodes, 2)]
+    assert [rhs.shape for rhs in seen] == [(2 * problem.mesh.num_nodes, 2)]
 
-    # the energy load is K u without the springs, on the free rows
+    # the energy load is K u without the springs, on the free rows. This
+    # reference subtracts the spring force S u, here some 6e4 times the load,
+    # so it is exact only to that force's rounding: the loads agree to it,
+    # and the adjoints are the solves of the loads
     u, fact = bundle.states[0], bundle.facts[0]
     free = fact.system.free_dofs
+    spring = el.spring_matrix(problem.mesh, problem.springs) @ u
     bulk = np.zeros_like(u)
-    bulk[free] = (fact.system.matrix @ u[free]
-                  - (el.spring_matrix(problem.mesh, problem.springs) @ u)[free])
+    bulk[free] = fact.system.matrix @ u[free] - spring[free]
     loads = [-(w[0] / j_star[0]) * problem.output_vector, (w[1] / j_star[1]) * bulk]
+    rounding = [0.0, 1e-14 * (w[1] / j_star[1]) * np.abs(spring).max()]
     assert len(got) == 2
-    for eps_v, load in zip(got, loads):
-        ref = el.element_strains(problem.mesh, fact.solve(load))
+    for k, (eps_v, load) in enumerate(zip(got, loads)):
+        assert np.abs(seen[0][free, k] - load[free]).max() <= rounding[k]
+        ref = el.element_strains(problem.mesh, fact.solve(seen[0][:, k]))
         assert np.abs(eps_v - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

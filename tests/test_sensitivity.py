@@ -7,7 +7,6 @@ import scipy.sparse.linalg as spla
 import molto.elasticity as el
 import molto.sensitivity as sens
 from molto.errors import InvalidArgument
-from molto.fem import element_to_nodes, scalar_stiffness
 from molto.mesh import build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.problems import (ComplianceProblem, LoadCase, MechanismProblem,
                             StateBundle, StressVolumeProblem)
@@ -147,7 +146,7 @@ def test_perturbation_sum_identity():
                                           adj, 0.8, 1.0, [1.0], problem.design_mask)
     assert np.allclose(result.total_elem, np.sum(result.f_alpha_elem, axis=0),
                        atol=1e-15)
-    nodal = [element_to_nodes(mesh, f) for f in result.f_alpha_elem]
+    nodal = [sens.element_to_nodes(mesh, f) for f in result.f_alpha_elem]
     assert np.allclose(result.total, np.sum(nodal, axis=0), atol=1e-14)
 
 
@@ -208,7 +207,7 @@ def test_helmholtz_operator_factors_the_lil_construction(crossed):
     # pattern
     mesh = build_lshape_mesh(1.0, 0.6, 0.025, crossed=crossed)
     eta = 1e-4
-    lil = scalar_stiffness(mesh, eta * np.eye(2)).tolil()
+    lil = mesh.stiffness(eta * np.eye(2)).tolil()
     lil.setdiag(lil.diagonal() + mesh.node_areas)
     reference = spla.splu(lil.tocsc(), permc_spec="MMD_AT_PLUS_A")
     found = sens.helmholtz_operator(mesh, eta)
