@@ -157,10 +157,10 @@ def _cmd_validate(args) -> int:
         # the first passes of the first candidate, as run takes them
         first = run_candidate(problem, config.initial_weights()[0], dataclasses.replace(
             config.run_config(), max_iterations=2, window=2))
-    if first.failed:
-        raise ConfigError(f"{args.config}: the first candidate fails: {first.error}")
     for w in caught:
         print(f"warning: {w.message}")
+    if first.failed:
+        raise ConfigError(f"{args.config}: the first candidate fails: {first.error}")
     print(f"ok: {config.kind} configuration with "
           f"{len(config.initial_weights())} initial weights")
     return 0

@@ -614,5 +614,11 @@ def deviator_adjoint_load(mesh: Mesh, mat: MaterialParams, stress: StressAggrega
     c = np.column_stack([dev[:, 0] + nu * dev[:, 3],
                          dev[:, 1] + nu * dev[:, 3],
                          2.0 * dev[:, 2]])
-    weighted = (coef * mesh.element_areas)[:, None] * (c @ plane_strain_matrix(mat))
+    return strain_load(mesh, mat, coef, c)
+
+
+def strain_load(mesh: Mesh, mat: MaterialParams, coef_e, eps) -> np.ndarray:
+    """Nodal load of integral coef_e (eps D) : eps(du), eps (T, 3) per element;
+    with coef_e = tau and the state's strains it is the spring-free K u."""
+    weighted = (coef_e * mesh.element_areas)[:, None] * (eps @ plane_strain_matrix(mat))
     return mesh.strain_operator_transpose @ weighted.ravel()

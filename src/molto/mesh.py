@@ -4,9 +4,9 @@ both cut from one grid triangulation.
 Meshes are immutable after construction and safe to share between concurrent
 candidate runs; the P1 geometry (shape function gradients, lumped node areas)
 and the sparse operators built from it (element strains, element means,
-nodal projection, scalar mass) are computed on first use and read-only. Boundary edges
-carry a single tag each; tagging is done by axis-aligned regions with a
-snapping tolerance of a quarter edge length.
+nodal projection, scalar mass) are computed on first use and read-only.
+Boundary edges carry a single tag each; tagging is done by axis-aligned
+regions with a snapping tolerance of a quarter edge length.
 """
 
 from __future__ import annotations
@@ -130,8 +130,7 @@ class Mesh:
     def mass(self) -> sp.csr_matrix:
         """Consistent mass matrix: A/12 * [[2,1,1],[1,2,1],[1,1,2]] per element."""
         base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        elems = self.element_areas[:, None, None] * base[None, :, :]
-        return _frozen(_assemble_scalar(self, elems))
+        return _frozen(_assemble_scalar(self, self.element_areas[:, None, None] * base))
 
     def stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Anisotropic stiffness: integral of grad(Ni) . coeff . grad(Nj), a
@@ -170,9 +169,8 @@ def _assemble_scalar(mesh: Mesh, element_matrices: np.ndarray) -> sp.csr_matrix:
     tri = mesh.triangles
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    mat = sp.coo_matrix((element_matrices.ravel(), (rows, cols)),
-                        shape=(mesh.num_nodes, mesh.num_nodes))
-    return mat.tocsr()
+    return sp.csr_matrix((element_matrices.ravel(), (rows, cols)),
+                         shape=(mesh.num_nodes, mesh.num_nodes))
 
 
 def signed_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:

@@ -303,15 +303,11 @@ class MechanismProblem(FEMProblem):
         return self._volume_constraint(bundle, self.volume_fraction)
 
     def solve_adjoints(self, bundle, w, j_star, multipliers):
-        # the strain-energy load is the elastic (spring-free) K u, formed from
-        # the state's strains; its fixed rows hold reactions, which no solve reads
-        mesh = self.mesh
-        energy = mesh.strain_operator_transpose @ (
-            (bundle.tau * mesh.element_areas)[:, None]
-            * (bundle.strains[0] @ el.plane_strain_matrix(self.mat))).ravel()
+        # the strain-energy load is the spring-free K u; no solve reads its fixed rows
+        energy = el.strain_load(self.mesh, self.mat, bundle.tau, bundle.strains[0])
         loads = np.column_stack([-(w[0] / j_star[0]) * self.output_vector,
                                  (w[1] / j_star[1]) * energy])
-        return [el.element_strains(mesh, v) for v in bundle.facts[0].solve(loads).T]
+        return [el.element_strains(self.mesh, v) for v in bundle.facts[0].solve(loads).T]
 
     def perturbation(self, bundle, adjoints, w, j_star, multipliers,
                      c_override=None):

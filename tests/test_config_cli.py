@@ -301,6 +301,20 @@ def test_cli_validate_and_errors(tmp_path, capsys):
     assert cli.main(["validate", str(bad)]) == 2
 
 
+def test_cli_validate_lists_defaults_before_a_failing_first_candidate(tmp_path, capsys):
+    # the first reference weight alone decides: its failure is exit 2, after
+    # the applied defaults are listed
+    text = bundled_text("girder_desk").replace("young = 1.0", "young = 1e300")
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(text.replace("ersatz_floor = 0.001\n", ""))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["validate", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert f"warning: {cfg}: using default ersatz_floor = 0.001" in out
+    assert f"{cfg}: the first candidate fails: SolverFailure" in err
+
+
 def test_cli_rejects_window_above_max_iterations(tmp_path, capsys):
     text = bundled_text("girder_desk").replace("max_iterations = 800",
                                                "max_iterations = 3")
