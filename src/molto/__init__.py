@@ -5,15 +5,14 @@ from .asd import (ASDConfig, ASDResult, SimplexComplex, SolutionRegister,
                   build_complex, dedup, mark_and_refine, mean_edge_length,
                   normalize_objectives, pareto_filter, run_asd)
 from .elasticity import (FactorizedSystem, FixedBoundary, MaterialParams,
-                         PointConstraint, SparseSystem, Spring,
-                         StiffnessPattern, StressAggregate, assemble_state,
-                         boundary_vector, ersatz_dtau, ersatz_tau, heaviside,
-                         stress_aggregate)
+                         PointConstraint, Spring, StiffnessPattern,
+                         StressAggregate, assemble_state, boundary_vector,
+                         ersatz_dtau, ersatz_tau, heaviside, stress_aggregate)
 from .errors import (ConfigError, DegenerateSensitivityError, InvalidArgument,
                      MoltoError, SingularSystemError, SolverFailure,
                      TagMatchError)
-from .levelset import (LevelSetState, WaveFactors, WaveMatrices, assemble_wave,
-                       factorize, initialize)
+from .levelset import (LevelSetState, WaveFactors, assemble_wave, factorize,
+                       initialize)
 from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from .optimizer import RunConfig, SolutionCandidate, run_candidate, stationarity
 from .problems import (ComplianceProblem, LoadCase, MechanismProblem,

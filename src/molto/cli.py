@@ -1,6 +1,6 @@
 """Command line interface: run, surrogate, validate, pareto.
 
-Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure or out of memory, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -265,6 +265,9 @@ def main(argv=None) -> int:
         return 2
     except (MoltoError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -105,11 +105,15 @@ class ProblemConfig:
     def build_problem(self):
         """The problem this configuration describes; a value the schema
         admits but the problem rejects is a configuration error too, and so
-        are initial weights of another dimension than its objective count."""
+        are a problem too large to allocate and initial weights of another
+        dimension than its objective count."""
         try:
             problem = KINDS[self.kind].build(self)
         except (InvalidArgument, TagMatchError) as exc:
             raise ConfigError(f"{self.kind}: {exc}") from exc
+        except MemoryError as exc:
+            raise ConfigError(f"{self.kind}: the problem does not fit in memory: "
+                              f"{exc}") from exc
         m = len(self.values["weights_init"][0])
         if problem.num_objectives != m:
             raise ConfigError(f"{self.kind} requires {problem.num_objectives} "

@@ -11,9 +11,10 @@ What depends only on the sparsity pattern is done once per support set by
 factorization (the cell centres of a crossed mesh), numbers the other free
 DOFs so that the condensed operator is banded, maps the element stiffness
 straight to the values of the CSC matrix, and maps those values to LAPACK's
-band storage. ``FactorizedSystem`` factorizes with a banded Cholesky
-(``CondensedCholesky``); its ``solve`` takes one load or several as columns,
-and checks each column on its own.
+band storage. ``assemble_state(pattern, tau)`` returns that CSC matrix, over
+the pattern's ``free_dofs``, and ``FactorizedSystem(pattern, matrix)``
+factorizes it with a banded Cholesky (``CondensedCholesky``); its ``solve``
+takes one load or several as columns, and checks each column on its own.
 """
 
 from __future__ import annotations
@@ -113,16 +114,6 @@ class FixedBoundary:
 class PointConstraint:
     node: int
     component: int  # 0 = x, 1 = y
-
-
-@dataclass
-class SparseSystem:
-    """Assembled symmetric operator on the free DOFs (homogeneous Dirichlet
-    data on the rest); ``free_dofs[i]`` is the global DOF of row/column i."""
-
-    matrix: sp.csc_matrix
-    free_dofs: np.ndarray
-    pattern: StiffnessPattern
 
 
 def boundary_vector(mesh: Mesh, tag: str, vector) -> np.ndarray:
@@ -408,14 +399,14 @@ class StiffnessPattern:
         return band.reshape(self._band_shape, order="F")
 
 
-def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> SparseSystem:
+def assemble_state(pattern: StiffnessPattern, tau_e: np.ndarray) -> sp.csc_matrix:
     """The tau-scaled stiffness plus the boundary springs, on the pattern's
-    free DOFs: one sparse product plus the summed spring entries."""
+    free DOFs (row and column i is DOF ``pattern.free_dofs[i]``): one sparse
+    product plus the summed spring entries."""
     data = pattern._map @ np.asarray(tau_e, dtype=float)
     if pattern._spring_data is not None:
         data += pattern._spring_data
-    return SparseSystem(sp.csc_matrix((data, pattern._indices, pattern._indptr),
-                                      shape=pattern._shape), pattern.free_dofs, pattern)
+    return sp.csc_matrix((data, pattern._indices, pattern._indptr), shape=pattern._shape)
 
 
 # the smallest L_ii^2 / S_ii a factorization accepts. Full runs of the
@@ -495,26 +486,26 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
 
 
 class FactorizedSystem:
-    """Factorization of the constrained operator, reusable across
-    right-hand sides (state plus adjoint solves): a ``CondensedCholesky``
-    on the operator's ``StiffnessPattern``."""
+    """Factorization of the constrained operator ``matrix``, assembled on
+    ``pattern``, reusable across right-hand sides (state plus adjoint
+    solves): a ``CondensedCholesky``."""
 
-    def __init__(self, system: SparseSystem):
-        self.system = system
-        self._lu = CondensedCholesky(system.pattern, system.matrix.data)
+    def __init__(self, pattern: StiffnessPattern, matrix: sp.csc_matrix):
+        self.pattern, self.matrix = pattern, matrix
+        self._lu = CondensedCholesky(pattern, matrix.data)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The displacement of the load ``rhs``, zero on the fixed DOFs; its
         rows on the fixed DOFs are reactions and are not read. An (n, k)
         ``rhs`` is k loads, solved in one pass and each checked on its own;
         the result's columns are contiguous."""
-        free = self.system.free_dofs
+        free = self.pattern.free_dofs
         f = np.take(rhs, free, axis=0).reshape(free.size, -1)
         x = self._lu.solve(f)
         if not np.all(np.isfinite(x)):
             raise SolverFailure("factorized solve produced non-finite values")
         scale = np.maximum(_column_norms(f), 1e-30)
-        rel = _column_norms(self.system.matrix @ x - f) / scale
+        rel = _column_norms(self.matrix @ x - f) / scale
         for j in np.flatnonzero(rel > 1e-9):
             x[:, j], rel_j = self._cg_fallback(f[:, j], x[:, j], scale[j])
             if not rel_j <= 1e-9:
@@ -530,7 +521,7 @@ class FactorizedSystem:
         precision (Higham, Accuracy and Stability of Numerical Algorithms,
         ch. 12). Returns x and its relative residual. The method keeps the
         name under which the benchmark traces it."""
-        matrix = self.system.matrix.astype(np.longdouble)
+        matrix = self.matrix.astype(np.longdouble)
         for _ in range(2):
             x = x + self._lu.solve((f - matrix @ x).astype(float))
         return x, float(np.linalg.norm(f - matrix @ x) / scale)

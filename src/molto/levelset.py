@@ -3,10 +3,12 @@
 One implicit step solves
     ((1 + B*ds) M + ds^2 K) phi_next = M (-F*b*ds^2 + (2 + B*ds) phi - phi_prev)
 with prescribed values stamped on constrained nodes and the result clamped
-to [-1, 1]. The operator is fixed by the wave matrices, the damping, the
-step size and the prescribed nodes, so it is built once and holds them all:
+to [-1, 1]. M is the mesh's mass matrix and K = c^2 times its Laplacian, for
+a wave speed c > 0. The operator is fixed by the two matrices, the damping,
+the step size and the prescribed nodes, so it is built once and holds them
+all:
 
-    factors = factorize(assemble_wave(mesh, c), B, ds, (nodes, values))
+    factors = factorize(mesh.mass, assemble_wave(mesh, c), B, ds, (nodes, values))
     state = initialize(mesh, phi0, phi_prev, factors, width)
     step(state, F)          # as often as needed
 
@@ -25,41 +27,23 @@ from .errors import InvalidArgument, SolverFailure
 from .mesh import Mesh
 
 
-@dataclass(frozen=True)
-class WaveMatrices:
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-
-
-def _speed_tensor(wave_speed) -> np.ndarray:
-    c = np.asarray(wave_speed, dtype=float)
-    if c.ndim == 0:
-        c = c * np.eye(2)
-    if c.shape != (2, 2) or abs(c[0, 1] - c[1, 0]) > 1e-12:
-        raise InvalidArgument("wave speed must be a scalar or symmetric 2x2 tensor")
-    if c[0, 0] <= 0.0 or c[1, 1] <= 0.0:
-        raise InvalidArgument("wave speed diagonal must be positive")
-    squared = c ** 2  # componentwise, the operator tensor
-    if np.linalg.det(squared) < -1e-15:
-        raise InvalidArgument("squared wave-speed tensor must be positive semidefinite")
-    return squared
-
-
-def assemble_wave(mesh: Mesh, wave_speed) -> WaveMatrices:
-    """Mass and (squared-speed) stiffness matrices on the design mesh."""
-    squared = _speed_tensor(wave_speed)
-    return WaveMatrices(mass=mesh.mass, stiffness=mesh.stiffness(squared))
+def assemble_wave(mesh: Mesh, wave_speed: float) -> sp.csr_matrix:
+    """The wave stiffness c^2 K on the design mesh, K its Laplacian."""
+    if not wave_speed > 0.0:
+        raise InvalidArgument("wave speed must be positive")
+    return wave_speed ** 2 * mesh.laplacian
 
 
 @dataclass(frozen=True)
 class WaveFactors:
-    """The step operator (1 + B*ds) M + ds^2 K with its constants: the
-    matrices, the damping B, the step ds and the prescribed nodes and values.
-    Its free-node block is LU-factorized, ordered by minimum degree on its
-    symmetric pattern; ``lift`` is what the prescribed values contribute to
-    the free rows of a step."""
+    """The step operator (1 + B*ds) M + ds^2 K with its constants: the mass
+    and wave stiffness, the damping B, the step ds and the prescribed nodes
+    and values. Its free-node block is LU-factorized, ordered by minimum
+    degree on its symmetric pattern; ``lift`` is what the prescribed values
+    contribute to the free rows of a step."""
 
-    matrices: WaveMatrices
+    mass: sp.csr_matrix
+    stiffness: sp.csr_matrix
     damping: float
     ds: float
     fixed_nodes: np.ndarray
@@ -69,8 +53,8 @@ class WaveFactors:
     lu: object = field(repr=False)
 
 
-def factorize(matrices: WaveMatrices, damping: float, ds: float,
-              dirichlet) -> WaveFactors:
+def factorize(mass: sp.csr_matrix, stiffness: sp.csr_matrix, damping: float,
+              ds: float, dirichlet) -> WaveFactors:
     """Factorize the step operator with the level set prescribed on
     ``dirichlet`` = (nodes, values); an empty pair prescribes no node."""
     if damping < 0.0:
@@ -79,11 +63,11 @@ def factorize(matrices: WaveMatrices, damping: float, ds: float,
         raise InvalidArgument("step size must be positive")
     nodes = np.asarray(dirichlet[0], dtype=np.int64)
     values = np.asarray(dirichlet[1], dtype=float)
-    a = (1.0 + damping * ds) * matrices.mass + ds ** 2 * matrices.stiffness
+    a = (1.0 + damping * ds) * mass + ds ** 2 * stiffness
     free = np.setdiff1d(np.arange(a.shape[0]), nodes)
     rows = a[free]
-    return WaveFactors(matrices=matrices, damping=float(damping), ds=float(ds),
-                       fixed_nodes=nodes, fixed_values=values, free=free,
+    return WaveFactors(mass=mass, stiffness=stiffness, damping=float(damping),
+                       ds=float(ds), fixed_nodes=nodes, fixed_values=values, free=free,
                        lift=rows[:, nodes] @ values,
                        lu=spla.splu(rows[:, free].tocsc(), permc_spec="MMD_AT_PLUS_A"))
 
@@ -102,7 +86,7 @@ class LevelSetState:
     def energy(self) -> float:
         """Discrete kinetic + potential energy of the current state pair."""
         vel = self.velocity()
-        m, k = self.factors.matrices.mass, self.factors.matrices.stiffness
+        m, k = self.factors.mass, self.factors.stiffness
         return float(0.5 * vel @ (m @ vel) + 0.5 * self.phi @ (k @ self.phi))
 
 
@@ -132,7 +116,7 @@ def step(state: LevelSetState, forcing: np.ndarray) -> np.ndarray:
     b_ds = factors.damping * ds
     rhs_field = (-forcing * state.width * ds ** 2
                  + (2.0 + b_ds) * state.phi - state.phi_prev)
-    rhs = factors.matrices.mass @ rhs_field
+    rhs = factors.mass @ rhs_field
     phi_new = np.empty_like(state.phi)
     phi_new[factors.free] = factors.lu.solve(rhs[factors.free] - factors.lift)
     phi_new[factors.fixed_nodes] = factors.fixed_values

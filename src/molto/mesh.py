@@ -4,7 +4,8 @@ both cut from one grid triangulation.
 Meshes are immutable after construction and safe to share between concurrent
 candidate runs; the P1 geometry (shape function gradients, lumped node areas)
 and the sparse operators built from it (element strains, element means,
-nodal projection, scalar mass) are computed on first use and read-only.
+nodal projection, scalar mass and Laplacian) are computed on first use and
+read-only.
 Boundary edges carry a single tag each; tagging is done by axis-aligned
 regions with a snapping tolerance of a quarter edge length.
 """
@@ -132,14 +133,12 @@ class Mesh:
         base = (np.ones((3, 3)) + np.eye(3)) / 12.0
         return _frozen(_assemble_scalar(self, self.element_areas[:, None, None] * base))
 
-    def stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Anisotropic stiffness: integral of grad(Ni) . coeff . grad(Nj), a
-        fresh matrix on every call; ``coeff`` is a constant 2x2 tensor (pass
-        c**2 * I for an isotropic operator with speed c)."""
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """Stiffness of the scalar Laplacian: integral of grad(Ni) . grad(Nj)."""
         grads = self.grads
-        cg = np.einsum("ij,taj->tai", np.asarray(coeff, dtype=float), grads)
-        elems = np.einsum("tai,tbi->tab", grads, cg) * self.element_areas[:, None, None]
-        return _assemble_scalar(self, elems)
+        elems = np.einsum("tai,tbi->tab", grads, grads) * self.element_areas[:, None, None]
+        return _frozen(_assemble_scalar(self, elems))
 
     def edges_with_tag(self, tag: str) -> np.ndarray:
         """Boundary edges carrying ``tag``; at least one must."""

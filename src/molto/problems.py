@@ -138,7 +138,7 @@ class FEMProblem:
             pattern = self._operator(
                 ("stiffness", supports),
                 lambda: el.StiffnessPattern(self.mesh, self.mat, self.springs, supports))
-            fact = el.FactorizedSystem(el.assemble_state(pattern, tau))
+            fact = el.FactorizedSystem(pattern, el.assemble_state(pattern, tau))
             solved = fact.solve(np.column_stack([self.traction_vectors[k] for k in members]))
             for k, u in zip(members, solved.T):
                 states[k], facts[k] = u, fact
@@ -163,7 +163,8 @@ class FEMProblem:
         problem's prescribed values on its prescribed nodes."""
         return self._operator(
             ("wave_factors", float(wave_speed), float(damping), float(ds)),
-            lambda: levelset.factorize(levelset.assemble_wave(self.mesh, wave_speed),
+            lambda: levelset.factorize(self.mesh.mass,
+                                       levelset.assemble_wave(self.mesh, wave_speed),
                                        damping, ds, self.phi_fixed))
 
     def filter_forcing(self, forcing: np.ndarray) -> np.ndarray:

@@ -175,7 +175,7 @@ def perturbation_stress_volume(mesh: Mesh, mat: el.MaterialParams, dtau,
 def helmholtz_operator(mesh: Mesh, eta: float):
     """LU factors of eta * K + M_L, the filter's left-hand side, ordered by
     minimum degree on its symmetric pattern."""
-    a = mesh.stiffness(eta * np.eye(2))
+    a = eta * mesh.laplacian
     # writes the stored diagonal: the pattern, explicit zeros too, is kept
     a.setdiag(a.diagonal() + mesh.node_areas)
     return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")

@@ -30,14 +30,8 @@ def stick_to_weights(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).ravel()
     if q.size and (q.min() <= 0.0 or q.max() >= 1.0):
         raise InvalidArgument("stick coordinates must lie strictly in (0, 1)")
-    m = q.size + 1
-    w = np.empty(m)
-    prefix = 1.0
-    for v in range(m - 1):
-        w[v] = (1.0 - q[v]) * prefix
-        prefix *= q[v]
-    w[m - 1] = prefix
-    return w
+    prefix = np.cumprod(np.concatenate([[1.0], q]))  # prefix[v] = prod_{u<v} q_u
+    return np.append((1.0 - q) * prefix[:-1], prefix[-1])
 
 
 def weights_to_stick(w) -> np.ndarray:
@@ -56,16 +50,11 @@ def weights_to_stick(w) -> np.ndarray:
 def stick_jacobian(q) -> np.ndarray:
     """Analytic (m, m-1) matrix of dw_v / dq_u; columns sum to zero."""
     q = np.asarray(q, dtype=float).ravel()
-    m = q.size + 1
-    jac = np.zeros((m, q.size))
-    prefix = np.concatenate([[1.0], np.cumprod(q)])  # prefix[v] = prod_{u<v} q_u
-    for v in range(m - 1):
-        for u in range(v):
-            jac[v, u] = (1.0 - q[v]) * prefix[v] / q[u]
-        jac[v, v] = -prefix[v]
-    for u in range(m - 1):
-        jac[m - 1, u] = prefix[m - 1] / q[u]
-    return jac
+    prefix = np.cumprod(np.concatenate([[1.0], q]))  # prefix[v] = prod_{u<v} q_u
+    # dw_v/dq_u = w_v / q_u below the diagonal, -prefix_v on it
+    jac = np.tril(((1.0 - q) * prefix[:-1])[:, None] / q, -1)
+    np.fill_diagonal(jac, -prefix[:-1])
+    return np.vstack([jac, prefix[-1] / q])
 
 
 def forcing(q_now, q_prev, j_now, j_prev, j_star, ds: float = 1.0) -> np.ndarray:

@@ -102,7 +102,7 @@ def test_c4_fem_verification():
     pattern = el.StiffnessPattern(mesh, mat, (), [el.FixedBoundary("left", "x"),
                                                   el.FixedBoundary("bottom", "y")])
     system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
-    u = el.FactorizedSystem(system).solve(load)
+    u = el.FactorizedSystem(pattern, system).solve(load)
     eps = np.linalg.solve(el.plane_strain_matrix(mat), [1.0, 0.0, 0.0])
     exact = np.column_stack([eps[0] * mesh.nodes[:, 0],
                              eps[1] * mesh.nodes[:, 1]]).ravel()
@@ -122,7 +122,7 @@ def test_c4_fem_verification():
     p = 1e-3
     beam_pattern = el.StiffnessPattern(beam, beam_mat, (), [el.FixedBoundary("root", "both")])
     beam_sys = el.assemble_state(beam_pattern, np.ones(beam.num_triangles))
-    u_beam = el.FactorizedSystem(beam_sys).solve(
+    u_beam = el.FactorizedSystem(beam_pattern, beam_sys).solve(
         el.boundary_vector(beam, "tip", (0.0, -p / height)))
     tip = beam.nodes_with_tag("tip")
     deflection = -np.mean(u_beam[2 * tip + 1])
@@ -147,7 +147,8 @@ def test_c5_sensitivity_adjoint_oracle():
 
 def test_c6_levelset_free_decay():
     mesh = build_rect_mesh(1.0, 1.0, 16, 16)
-    factors = levelset.factorize(levelset.assemble_wave(mesh, 0.2), 0.5, 1.0, ((), ()))
+    factors = levelset.factorize(mesh.mass, levelset.assemble_wave(mesh, 0.2), 0.5, 1.0,
+                                 ((), ()))
     rng = np.random.default_rng(42)
     bump = (0.5 * np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
             + 0.1 * rng.uniform(-1.0, 1.0, mesh.num_nodes))

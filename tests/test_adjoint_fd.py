@@ -164,7 +164,7 @@ def test_stress_adjoint_load_at_large_exponent():
     assert np.all(problem.constraint_values(bundle) > 0.0)
     u = bundle.states[0]
     d = np.random.default_rng(1).normal(size=u.size)
-    d[np.setdiff1d(np.arange(u.size), bundle.facts[0].system.free_dofs)] = 0.0
+    d[np.setdiff1d(np.arange(u.size), bundle.facts[0].pattern.free_dofs)] = 0.0
 
     def aggregate(v):
         return el.stress_aggregate(mesh, mat, el.element_strains(mesh, v), tau,

@@ -6,11 +6,13 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import molto.asd as asd
 import molto.cli as cli
+import molto.elasticity as el
+import molto.problems as problems
 from molto.config import _RULES, KINDS, _parse_value, load_config, parse_config
 from molto.errors import ConfigError
 from molto.mesh import build_rect_mesh
@@ -657,6 +659,133 @@ def test_pareto_ends_in_a_bounded_exit_on_a_mutated_register(surrogate_register,
         code = cli.main(["pareto", str(path)])
     assert code in (0, 2)
     assert code == 0 or err.getvalue().strip()
+
+
+# every bundled config capped so that an example runs in a fraction of a
+# second: a coarse mesh, a few iterations, no refinement and at most two
+# workers; the L-bracket's spacing must divide its cut
+_FUZZ_CAPS = {"nx": 12, "ny": 6, "max_iterations": 3, "window": 2, "max_levels": 0,
+              "jobs": 2}
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["", "x", "nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+                     "1e999", "0", "-0", "-1", "2", "0.5", "1_0", "0x10", "\u0661\u0662",
+                     "0.5 0.5", "1 0", "0.9 0.1 ; 0.1 0.9", "True", "1e", "+", "\xa0"]),
+    st.text(max_size=6))
+_FUZZ_BYTES = st.one_of(st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\x00", b"\r", b"\n",
+                                         b"=", b"#", b";", b"\t", b"\xe2\x80\x8b"]),
+                        st.binary(min_size=1, max_size=3))
+
+
+def _capped_lines(name: str) -> list:
+    """The key = value lines of the bundled config ``name``, capped."""
+    caps = {**_FUZZ_CAPS, "nx": 10} if name == "lbracket" else _FUZZ_CAPS
+    lines = []
+    for line in bundled_text(name).splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append(f"{key} = {caps[key]}" if key in caps else line)
+    return lines
+
+
+@st.composite
+def _mutated_config(draw) -> bytes:
+    """A capped bundled config with one to three edits: a key dropped,
+    repeated or blanked, a value replaced, or bytes inserted."""
+    lines = _capped_lines(draw(st.sampled_from(BUNDLED)))
+    inserts = []
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "repeat", "blank", "value", "bytes"]))
+        if edit == "bytes":
+            inserts.append((draw(st.integers(0, 10 ** 6)), draw(_FUZZ_BYTES)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        key = lines[i].split("=", 1)[0].strip()
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = f"{key} = {'' if edit == 'blank' else draw(_FUZZ_VALUES)}"
+    data = ("\n".join(lines) + "\n").encode()
+    for back, extra in inserts:
+        at = len(data) - back % (len(data) + 1)
+        data = data[:at] + extra + data[at:]
+    return data
+
+
+def _within_caps(data: bytes) -> bool:
+    """Whether ``data``, if it loads at all, keeps every value within
+    ``_FUZZ_CAPS``: an edit may drop a capped key, and its default is the
+    full size."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            values = parse_config(data.decode("utf-8-sig")).values
+    except Exception:   # the CLI run of the example reports it
+        return True
+    return all(values.get(key, 0) <= cap for key, cap in _FUZZ_CAPS.items())
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_validate_and_run_end_in_a_bounded_exit_on_a_mutated_config(fuzz_dir, data):
+    # whatever the edits, validate and a capped run each end in exit 0, 1 or
+    # 2, with a message for 1 and 2, and never raise
+    config = data.draw(_mutated_config())
+    assume(_within_caps(config))
+    cfg = fuzz_dir / "mutated.cfg"
+    cfg.write_bytes(config)
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(fuzz_dir / "out")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("ignore")
+            mp.delenv(cli.OUTPUT_ENV, raising=False)
+            code = cli.main(argv)
+        assert code in (0, 1, 2)
+        assert code == 0 or err.getvalue().strip()
+
+
+def _too_large(*args, **kwargs):
+    raise MemoryError("Unable to allocate 364. TiB for an array")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_mesh_too_large_to_allocate_is_a_configuration_error(tmp_path, monkeypatch,
+                                                               capsys, command):
+    # no array is allocated: the mesh builder fails as numpy does for a mesh
+    # past the address space
+    monkeypatch.setattr(problems, "build_rect_mesh", _too_large)
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(bundled_text("girder_desk"))
+    out = tmp_path / "out"
+    argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: girder: the problem does not fit in memory: " \
+        "Unable to allocate 364. TiB" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_running_out_of_memory_mid_run_exits_1(tmp_path, monkeypatch, capsys, command):
+    # the first candidate builds the stiffness pattern, once the problem is
+    # built: running out of memory there is exit 1 for validate and run
+    monkeypatch.setattr(el, "StiffnessPattern", _too_large)
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+    cfg = tmp_path / "g.cfg"
+    text = bundled_text("girder_desk")
+    for small, smaller in _SMALL_GIRDER.items():
+        text = text.replace(small, smaller)
+    cfg.write_text(text)
+    argv = [command, str(cfg)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert cli.main(argv) == 1
+    assert "error: out of memory: Unable to allocate 364. TiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "pareto"])

@@ -102,8 +102,7 @@ def test_stiffness_matches_independent_quadrature():
         assert np.allclose(blocks[t], oracle, atol=1e-7)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 1.0), "left")
     pattern = el.StiffnessPattern(mesh, mat, (), [el.FixedBoundary("left", "both")])
-    system = el.assemble_state(pattern, np.ones(2))
-    dense = system.matrix.toarray()
+    dense = el.assemble_state(pattern, np.ones(2)).toarray()
     assert np.allclose(dense, dense.T, atol=1e-14)
 
 
@@ -123,7 +122,7 @@ def test_stiffness_linear_in_tau():
     pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
     solid = el.assemble_state(pattern, np.ones(mesh.num_triangles))
     scaled = el.assemble_state(pattern, np.full(mesh.num_triangles, MAT.floor))
-    assert np.allclose(scaled.matrix.toarray(), MAT.floor * solid.matrix.toarray(),
+    assert np.allclose(scaled.toarray(), MAT.floor * solid.toarray(),
                        atol=1e-15)
 
 
@@ -162,13 +161,14 @@ def test_cached_assembly_matches_coo_reference():
                       | set(2 * mesh.nodes_with_tag("bottom") + 1) | {2 * corner + 1})
     free = np.setdiff1d(np.arange(2 * mesh.num_nodes), sorted(expected_fixed))
     # the free DOFs come in elimination order: the same set, renumbered
-    assert np.array_equal(np.sort(a.free_dofs), free)
+    assert np.array_equal(np.sort(pattern.free_dofs), free)
 
+    order = pattern.free_dofs
     for system, tau in ((a, tau_a), (b, tau_b)):
-        ref = _coo_reference(mesh, tau, MAT, springs)[a.free_dofs][:, a.free_dofs]
-        assert spla.norm(system.matrix - ref) <= 1e-14 * spla.norm(ref)
+        ref = _coo_reference(mesh, tau, MAT, springs)[order][:, order]
+        assert spla.norm(system - ref) <= 1e-14 * spla.norm(ref)
     # each assembly owns its values: building b left a untouched
-    assert not np.shares_memory(a.matrix.data, b.matrix.data)
+    assert not np.shares_memory(a.data, b.data)
 
 
 def test_no_constraints_raises():
@@ -185,12 +185,12 @@ def _patch_problem(nx=4, ny=4, mat=MAT):
     load = el.boundary_vector(mesh, "right", (1.0, 0.0))
     bcs = [el.FixedBoundary("left", "x"), el.FixedBoundary("bottom", "y")]
     pattern = el.StiffnessPattern(mesh, mat, (), bcs)
-    return mesh, el.assemble_state(pattern, np.ones(mesh.num_triangles)), load
+    return mesh, pattern, el.assemble_state(pattern, np.ones(mesh.num_triangles)), load
 
 
 def test_patch_test_uniform_strain():
-    mesh, system, load = _patch_problem()
-    u = el.FactorizedSystem(system).solve(load)
+    mesh, pattern, system, load = _patch_problem()
+    u = el.FactorizedSystem(pattern, system).solve(load)
     strains = el.element_strains(mesh, u)
     # uniform strain state, exact for linear elements
     assert np.abs(strains - strains[0]).max() < 1e-10
@@ -205,9 +205,9 @@ def test_patch_test_uniform_strain():
 
 
 def test_zero_load_zero_displacement():
-    mesh, system, load = _patch_problem()
+    mesh, pattern, system, load = _patch_problem()
     load[:] = 0.0
-    assert np.abs(el.FactorizedSystem(system).solve(load)).max() == 0.0
+    assert np.abs(el.FactorizedSystem(pattern, system).solve(load)).max() == 0.0
 
 
 def test_cantilever_beam_oracle():
@@ -221,7 +221,7 @@ def test_cantilever_beam_oracle():
     load = el.boundary_vector(mesh, "tip", (0.0, -p / height))
     pattern = el.StiffnessPattern(mesh, mat, (), [el.FixedBoundary("root", "both")])
     system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
-    u = el.FactorizedSystem(system).solve(load)
+    u = el.FactorizedSystem(pattern, system).solve(load)
     tip_nodes = mesh.nodes_with_tag("tip")
     deflection = -np.mean(u[2 * tip_nodes + 1])
     inertia = height ** 3 / 12.0
@@ -230,8 +230,8 @@ def test_cantilever_beam_oracle():
 
 
 def test_work_energy_identity():
-    mesh, system, load = _patch_problem(6, 6)
-    u = el.FactorizedSystem(system).solve(load)
+    mesh, pattern, system, load = _patch_problem(6, 6)
+    u = el.FactorizedSystem(pattern, system).solve(load)
     compliance = float(load @ u)
     eps = el.element_strains(mesh, u)
     density = el.mutual_energy_density(MAT, eps, eps)
@@ -249,8 +249,9 @@ def test_compliance_monotone_in_tau():
     tau = rng.uniform(0.2, 0.9, mesh.num_triangles)
 
     def compliance(t):
-        system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), t)
-        return float(load @ el.FactorizedSystem(system).solve(load))
+        pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
+        system = el.assemble_state(pattern, t)
+        return float(load @ el.FactorizedSystem(pattern, system).solve(load))
 
     base = compliance(tau)
     for e in rng.choice(mesh.num_triangles, size=8, replace=False):
@@ -270,7 +271,7 @@ def test_gripper_adjoint_reciprocity():
                el.Spring("output", 1.0, (0.0, -1.0)))
     pattern = el.StiffnessPattern(mesh, MAT, springs, [el.FixedBoundary("clamp", "both")])
     system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
-    fact = el.FactorizedSystem(system)
+    fact = el.FactorizedSystem(pattern, system)
     u = fact.solve(load)
     out_vec = el.boundary_vector(mesh, "output", (0.0, -1.0))
     j1 = -float(out_vec @ u)
@@ -288,8 +289,8 @@ def test_assembled_matrix_symmetry_with_springs():
     springs = (el.Spring("out", 50.0, (0.6, 0.8)),)
     pattern = el.StiffnessPattern(mesh, MAT, springs, [el.FixedBoundary("clamp", "both")])
     system = el.assemble_state(pattern, tau)
-    asym = np.abs((system.matrix - system.matrix.T).data)
-    scale = np.abs(system.matrix.data).max()
+    asym = np.abs((system - system.T).data)
+    scale = np.abs(system.data).max()
     assert (asym.max() if asym.size else 0.0) <= 1e-12 * scale
 
 
@@ -385,17 +386,17 @@ def test_stress_pnorm_monotone():
 
 
 def test_solve_residual_contract():
-    mesh, system, load = _patch_problem(8, 8)
-    u = el.FactorizedSystem(system).solve(load)
-    residual = _full_residual(mesh, np.ones(mesh.num_triangles), (), system, u, load)
-    assert np.linalg.norm(residual) / np.linalg.norm(load[system.free_dofs]) <= 1e-9
+    mesh, pattern, system, load = _patch_problem(8, 8)
+    u = el.FactorizedSystem(pattern, system).solve(load)
+    residual = _full_residual(mesh, np.ones(mesh.num_triangles), (), pattern, u, load)
+    assert np.linalg.norm(residual) / np.linalg.norm(load[pattern.free_dofs]) <= 1e-9
 
 
-def _full_residual(mesh, tau, springs, system, u, load):
+def _full_residual(mesh, tau, springs, pattern, u, load):
     """K u - f of the from-scratch assembly, zero on the fixed rows, which
     carry the reactions."""
     residual = _coo_reference(mesh, tau, MAT, springs) @ u - load
-    fixed = np.setdiff1d(np.arange(load.size), system.free_dofs)
+    fixed = np.setdiff1d(np.arange(load.size), pattern.free_dofs)
     residual[fixed] = 0.0
     return residual
 
@@ -433,16 +434,16 @@ def test_residual_gate_and_fallback(monkeypatch):
     far = rng.uniform(0.1, 1.0, mesh.num_triangles)
     pattern = el.StiffnessPattern(mesh, MAT, springs, bcs)
     system = el.assemble_state(pattern, tau)
-    fact = el.FactorizedSystem(system)
-    fact._lu = el.FactorizedSystem(el.assemble_state(pattern, near))._lu
+    fact = el.FactorizedSystem(pattern, system)
+    fact._lu = el.FactorizedSystem(pattern, el.assemble_state(pattern, near))._lu
 
     calls = _counted_fallbacks(monkeypatch)
     u = fact.solve(load)
     assert len(calls) == 1
-    residual = _full_residual(mesh, tau, springs, system, u, load)
-    assert np.linalg.norm(residual) / np.linalg.norm(load[system.free_dofs]) <= 1e-9
+    residual = _full_residual(mesh, tau, springs, pattern, u, load)
+    assert np.linalg.norm(residual) / np.linalg.norm(load[pattern.free_dofs]) <= 1e-9
 
-    fact._lu = el.FactorizedSystem(el.assemble_state(pattern, far))._lu
+    fact._lu = el.FactorizedSystem(pattern, el.assemble_state(pattern, far))._lu
     with pytest.raises(SolverFailure, match=r"relative residual .* exceeds 1e-9"):
         fact.solve(load)
     assert len(calls) == 2
@@ -453,13 +454,11 @@ def test_blocked_solve_falls_back_per_column(monkeypatch):
     # alone is refined, both end within the gate, and refinement on the
     # factor of a design far from the assembled one fails with the
     # single-column message
-    mesh, system, load = _patch_problem(8, 8)
-    fact = el.FactorizedSystem(system)
+    mesh, pattern, system, load = _patch_problem(8, 8)
+    fact = el.FactorizedSystem(pattern, system)
     exact = fact._lu
-    bcs = [el.FixedBoundary("left", "x"), el.FixedBoundary("bottom", "y")]
     tau_far = np.random.default_rng(5).uniform(0.1, 1.0, mesh.num_triangles)
-    pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
-    far = el.FactorizedSystem(el.assemble_state(pattern, tau_far))._lu
+    far = el.FactorizedSystem(pattern, el.assemble_state(pattern, tau_far))._lu
 
     class SkewedLU:
         # the blocked solve skews column 0; a refinement solve (one column)
@@ -478,12 +477,12 @@ def test_blocked_solve_falls_back_per_column(monkeypatch):
     fallbacks = _counted_fallbacks(monkeypatch)
     u = fact.solve(loads)
     assert len(fallbacks) == 1
-    assert np.array_equal(fallbacks[0], load[system.free_dofs])
+    assert np.array_equal(fallbacks[0], load[pattern.free_dofs])
     for j in range(2):
-        residual = _full_residual(mesh, np.ones(mesh.num_triangles), (), system,
+        residual = _full_residual(mesh, np.ones(mesh.num_triangles), (), pattern,
                                   u[:, j], loads[:, j])
         assert (np.linalg.norm(residual)
-                <= 1e-9 * np.linalg.norm(loads[system.free_dofs, j]))
+                <= 1e-9 * np.linalg.norm(loads[pattern.free_dofs, j]))
 
     fact._lu.refine = far
     with pytest.raises(SolverFailure, match=r"^relative residual .* exceeds 1e-9$"):
@@ -544,11 +543,12 @@ def test_condensed_factor_fills_no_more_than_mmd():
     mesh, _, bcs, _ = _rollers()
     tau = el.ersatz_tau(np.random.default_rng(6).uniform(0.0, 1.0, mesh.num_triangles),
                         MAT)
-    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), tau)
-    ascending = np.argsort(system.free_dofs)
-    reference = spla.splu(system.matrix[ascending][:, ascending].tocsc(),
+    pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
+    system = el.assemble_state(pattern, tau)
+    ascending = np.argsort(pattern.free_dofs)
+    reference = spla.splu(system[ascending][:, ascending].tocsc(),
                           permc_spec="MMD_AT_PLUS_A")
-    assert el.FactorizedSystem(system)._lu.nnz <= reference.nnz
+    assert el.FactorizedSystem(pattern, system)._lu.nnz <= reference.nnz
 
 
 @pytest.mark.parametrize("build", [
@@ -558,10 +558,11 @@ def test_condensed_solve_matches_superlu(build, capfd):
     mesh, springs, bcs, load = build()
     tau = el.ersatz_tau(np.random.default_rng(9).uniform(0.0, 1.0, mesh.num_triangles),
                         MAT)
-    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, springs, bcs), tau)
-    f = load[system.free_dofs]
-    reference = spla.splu(system.matrix, permc_spec="MMD_AT_PLUS_A").solve(f)
-    x = el.FactorizedSystem(system)._lu.solve(f)
+    pattern = el.StiffnessPattern(mesh, MAT, springs, bcs)
+    system = el.assemble_state(pattern, tau)
+    f = load[pattern.free_dofs]
+    reference = spla.splu(system, permc_spec="MMD_AT_PLUS_A").solve(f)
+    x = el.FactorizedSystem(pattern, system)._lu.solve(f)
     assert x.shape == f.shape
     assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
     assert capfd.readouterr() == ("", "")   # LAPACK prints bad arguments
@@ -607,9 +608,9 @@ def test_adjacent_condensable_nodes_keep_the_lower_one():
     system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
     load = np.zeros(2 * mesh.num_nodes)
     load[[0, 3]] = (1.0, -2.0)
-    u = el.FactorizedSystem(system).solve(load)
-    assert np.allclose(spla.spsolve(system.matrix, load[system.free_dofs]),
-                       u[system.free_dofs], rtol=1e-12, atol=0.0)
+    u = el.FactorizedSystem(pattern, system).solve(load)
+    assert np.allclose(spla.spsolve(system, load[pattern.free_dofs]),
+                       u[pattern.free_dofs], rtol=1e-12, atol=0.0)
 
 
 def test_pattern_build_peaks_within_twice_what_it_keeps():
@@ -754,8 +755,8 @@ def test_band_matches_a_full_length_band_map(build, case, monkeypatch):
     tau = el.ersatz_tau(np.random.default_rng(7).uniform(0.0, 1.0, problem.mesh.num_triangles),
                         problem.mat)
     system = el.assemble_state(pattern, tau)
-    el.FactorizedSystem(system)
-    assert recorded.data is system.matrix.data
+    el.FactorizedSystem(pattern, system)
+    assert recorded.data is system.data
     values = np.concatenate([recorded.data, recorded.fill.ravel()])
     reference = (_full_band_map(pattern) @ values).reshape(pattern._band_shape, order="F")
     assert [lower for _, lower in received] == [1]
@@ -810,11 +811,12 @@ def test_rigid_mode_ends_in_solver_failure(seed):
     tau = (np.ones(mesh.num_triangles) if seed is None else
            el.ersatz_tau(np.random.default_rng(seed).uniform(0.0, 1.0, mesh.num_triangles),
                          MAT))
-    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), tau)
+    pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
+    system = el.assemble_state(pattern, tau)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverFailure, match=f"^{_RIGID_FAILURE}"):
-            el.FactorizedSystem(system).solve(load)
+            el.FactorizedSystem(pattern, system).solve(load)
 
 
 def test_a_load_orthogonal_to_the_rigid_mode_ends_in_solver_failure():
@@ -823,10 +825,12 @@ def test_a_load_orthogonal_to_the_rigid_mode_ends_in_solver_failure():
     # operator itself
     mesh, bcs = _rigid_mode()
     tau = el.ersatz_tau(np.random.default_rng(3).uniform(0.0, 1.0, mesh.num_triangles), MAT)
-    system = el.assemble_state(el.StiffnessPattern(mesh, MAT, (), bcs), tau)
+    pattern = el.StiffnessPattern(mesh, MAT, (), bcs)
+    system = el.assemble_state(pattern, tau)
     with pytest.raises(SolverFailure, match=r"^elastic operator is not positive definite "
                                             r"\(Cholesky pivot .* of its diagonal entry\)$"):
-        el.FactorizedSystem(system).solve(el.boundary_vector(mesh, "right", (1.0, 0.0)))
+        el.FactorizedSystem(pattern, system).solve(
+            el.boundary_vector(mesh, "right", (1.0, 0.0)))
 
 
 def test_rigid_mode_fails_the_candidate():

@@ -131,9 +131,9 @@ def test_state_is_derived_once_per_distinct_design(monkeypatch):
     factorizations = []
     factorize = el.FactorizedSystem.__init__
 
-    def counting(self, system):
-        factorizations.append(system)
-        factorize(self, system)
+    def counting(self, pattern, matrix):
+        factorizations.append(matrix)
+        factorize(self, pattern, matrix)
 
     monkeypatch.setattr(el.FactorizedSystem, "__init__", counting)
     cand = run_candidate(problem, (0.5, 0.5), RunConfig(max_iterations=30))

@@ -196,11 +196,11 @@ def test_mechanism_adjoints_are_one_blocked_solve(monkeypatch):
     # S u from the spring-held operator instead would lose ~1e-11 of the load
     # to the cancelling spring force, some 6e4 times the load
     u, fact = bundle.states[0], bundle.facts[0]
-    free = fact.system.free_dofs
+    free = fact.pattern.free_dofs
     elastic = el.StiffnessPattern(problem.mesh, problem.mat, (), problem.cases[0].supports)
     assert np.array_equal(elastic.free_dofs, free)
     bulk = np.zeros_like(u)
-    bulk[free] = el.assemble_state(elastic, bundle.tau).matrix @ u[free]
+    bulk[free] = el.assemble_state(elastic, bundle.tau) @ u[free]
     loads = [-(w[0] / j_star[0]) * problem.output_vector, (w[1] / j_star[1]) * bulk]
     assert len(got) == 2
     # the loads match to rounding (4e-15 of the largest entry here). The
@@ -253,9 +253,9 @@ def test_load_cases_sharing_supports_are_one_blocked_solve(monkeypatch):
     calls = {"factorize": 0, "solve": []}
     real_init, real_solve = el.FactorizedSystem.__init__, el.FactorizedSystem.solve
 
-    def counting_init(self, system):
+    def counting_init(self, pattern, matrix):
         calls["factorize"] += 1
-        real_init(self, system)
+        real_init(self, pattern, matrix)
 
     def counting_solve(self, rhs):
         calls["solve"].append(rhs.shape)
@@ -304,7 +304,7 @@ def test_each_load_case_is_one_state_solve(make, groups):
     for case, u in zip(problem.cases, bundle.states):
         pattern = el.StiffnessPattern(mesh, problem.mat, problem.springs, case.supports)
         system = el.assemble_state(pattern, tau)
-        ref = el.FactorizedSystem(system).solve(
+        ref = el.FactorizedSystem(pattern, system).solve(
             el.boundary_vector(mesh, case.traction_tag, case.traction))
         assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
     facts = bundle.facts[:len(problem.cases)]

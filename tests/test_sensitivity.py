@@ -207,7 +207,7 @@ def test_helmholtz_operator_factors_the_lil_construction(crossed):
     # pattern
     mesh = build_lshape_mesh(1.0, 0.6, 0.025, crossed=crossed)
     eta = 1e-4
-    lil = mesh.stiffness(eta * np.eye(2)).tolil()
+    lil = (eta * mesh.laplacian).tolil()
     lil.setdiag(lil.diagonal() + mesh.node_areas)
     reference = spla.splu(lil.tocsc(), permc_spec="MMD_AT_PLUS_A")
     found = sens.helmholtz_operator(mesh, eta)

@@ -103,6 +103,34 @@ def test_jacobian_columns_sum_to_zero():
         assert np.abs(wt.stick_jacobian(q).sum(axis=0)).max() < 1e-14
 
 
+def _loop_weights_and_jacobian(q):
+    """The stick-breaking map and its Jacobian, entry by entry."""
+    m = q.size + 1
+    w, jac, prefix = np.empty(m), np.zeros((m, m - 1)), [1.0]
+    for v in range(m - 1):
+        w[v] = (1.0 - q[v]) * prefix[v]
+        prefix.append(prefix[v] * q[v])
+    w[m - 1] = prefix[m - 1]
+    for v in range(m - 1):
+        for u in range(v):
+            jac[v, u] = (1.0 - q[v]) * prefix[v] / q[u]
+        jac[v, v] = -prefix[v]
+    for u in range(m - 1):
+        jac[m - 1, u] = prefix[m - 1] / q[u]
+    return w, jac
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=0, max_size=4))
+def test_closed_forms_match_the_product_loops(qvals):
+    # same products in the same order, so equal bit for bit
+    q = np.array(qvals)
+    w, jac = _loop_weights_and_jacobian(q)
+    assert wt.stick_to_weights(q).tobytes() == w.tobytes()
+    assert wt.stick_jacobian(q).shape == jac.shape
+    assert wt.stick_jacobian(q).tobytes() == jac.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 5),
        st.lists(st.floats(0.01, 0.99), min_size=4, max_size=4))
