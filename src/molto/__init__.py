@@ -8,9 +8,7 @@ from .elasticity import (FactorizedSystem, FixedBoundary, MaterialParams,
                          PointConstraint, Spring, StiffnessPattern,
                          StressAggregate, assemble_state, boundary_vector,
                          ersatz_dtau, ersatz_tau, heaviside, stress_aggregate)
-from .errors import (ConfigError, DegenerateSensitivityError, InvalidArgument,
-                     MoltoError, SingularSystemError, SolverFailure,
-                     TagMatchError)
+from .errors import ConfigError, InvalidArgument, MoltoError, SolverFailure
 from .levelset import (LevelSetState, WaveFactors, assemble_wave, factorize,
                        initialize)
 from .mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary

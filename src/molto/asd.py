@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, SolverFailure
 from .optimizer import RunConfig, SolutionCandidate, run_candidate
 
 WEIGHT_DEDUP_TOL = 1e-9
@@ -178,9 +178,9 @@ class ASDResult:
 def _run_batch(problem, weights_batch, cfg: ASDConfig) -> list:
     if cfg.jobs > 1 and len(weights_batch) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(run_candidate, problem, w, cfg.run)
-                       for w in weights_batch]
-            return [f.result() for f in futures]
+            # map cancels the queued runs when its wait is interrupted
+            return list(pool.map(lambda w: run_candidate(problem, w, cfg.run),
+                                 weights_batch))
     return [run_candidate(problem, w, cfg.run) for w in weights_batch]
 
 
@@ -189,7 +189,7 @@ def run_asd(problem, initial_weights, cfg: ASDConfig) -> ASDResult:
     of the objective-space complex drops below the tolerance."""
     m = problem.num_objectives
     pending = [np.asarray(w, dtype=float) for w in initial_weights]
-    if len(pending) < min(2, m) or (m > 2 and len(pending) < m):
+    if len(pending) < m:
         raise InvalidArgument("not enough initial reference weights")
 
     register = SolutionRegister()
@@ -203,7 +203,7 @@ def run_asd(problem, initial_weights, cfg: ASDConfig) -> ASDResult:
             else:
                 register.add(cand)
         if len(register) == 0:
-            raise RuntimeError(f"all {len(batch)} candidates failed at level 0; "
+            raise SolverFailure(f"all {len(batch)} candidates failed at level 0; "
                                f"first: {batch[0].error}")
         if len(register) < m:
             break

@@ -1,6 +1,7 @@
 """Command line interface: run, surrogate, validate, pareto.
 
-Exit codes: 0 success, 1 numerical failure or out of memory, 2 configuration error.
+Exit codes: 0 success, 1 numerical failure or out of memory, 2 configuration
+error, 130 interrupted (the candidates finished by then are not written yet).
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import Callable
 from . import problems
 from .asd import ASDConfig, same_weight
 from .elasticity import MaterialParams
-from .errors import ConfigError, InvalidArgument, TagMatchError
+from .errors import ConfigError, InvalidArgument
 from .optimizer import RunConfig
 from .weights import in_open_simplex
 
@@ -61,11 +61,6 @@ _RULES = {
     "stress_limit": _positive, "filter_eta": _nonneg, "filter_gamma": _positive,
 }
 
-# config key -> MaterialParams field
-_MATERIAL_FIELDS = {"young": "young", "poisson": "poisson",
-                    "ersatz_exponent": "exponent", "ersatz_floor": "floor"}
-
-
 def _keys(defaults: dict) -> dict:
     """The entries of ``defaults`` that are config keys, in ``_RULES`` order."""
     return {key: defaults[key] for key in _RULES if key in defaults}
@@ -74,10 +69,7 @@ def _keys(defaults: dict) -> dict:
 # key -> default; weights_init has none and must be given
 _SWEEP_KEYS = _keys({**vars(ASDConfig()), "out_dir": "molto_out",
                      "weights_init": None})
-_FEM_KEYS = _keys({**vars(RunConfig()),
-                   **{key: getattr(MaterialParams(), name)
-                      for key, name in _MATERIAL_FIELDS.items()},
-                   **_SWEEP_KEYS})
+_FEM_KEYS = _keys({**vars(RunConfig()), **vars(MaterialParams()), **_SWEEP_KEYS})
 
 
 @dataclass
@@ -99,8 +91,7 @@ class ProblemConfig:
         return [tuple(w) for w in self.values["weights_init"]]
 
     def material(self) -> MaterialParams:
-        return MaterialParams(**{name: self.values[key]
-                                 for key, name in _MATERIAL_FIELDS.items()})
+        return MaterialParams(**self._fields_of(MaterialParams))
 
     def build_problem(self):
         """The problem this configuration describes; a value the schema
@@ -109,7 +100,7 @@ class ProblemConfig:
         dimension than its objective count."""
         try:
             problem = KINDS[self.kind].build(self)
-        except (InvalidArgument, TagMatchError) as exc:
+        except InvalidArgument as exc:
             raise ConfigError(f"{self.kind}: {exc}") from exc
         except MemoryError as exc:
             raise ConfigError(f"{self.kind}: the problem does not fit in memory: "

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .errors import InvalidArgument, SingularSystemError, SolverFailure
+from .errors import InvalidArgument, SolverFailure
 from .mesh import Mesh
 
 
@@ -33,25 +33,25 @@ from .mesh import Mesh
 class MaterialParams:
     """Isotropic material with smoothed solid/void interpolation.
 
-    young    : Young's modulus E (N/mm^2)
-    poisson  : Poisson ratio
-    exponent : interpolation exponent (> 1)
-    floor    : relative void stiffness (0 < floor << 1)
+    young           : Young's modulus E (N/mm^2)
+    poisson         : Poisson ratio
+    ersatz_exponent : interpolation exponent (> 1)
+    ersatz_floor    : relative void stiffness (0 < ersatz_floor << 1)
     """
 
     young: float = 1.0
     poisson: float = 0.3
-    exponent: float = 3.0
-    floor: float = 1e-3
+    ersatz_exponent: float = 3.0
+    ersatz_floor: float = 1e-3
 
     def __post_init__(self):
         if self.young <= 0.0:
             raise InvalidArgument("Young's modulus must be positive")
         if not 0.0 <= self.poisson < 0.5:
             raise InvalidArgument("Poisson ratio must lie in [0, 0.5)")
-        if self.exponent <= 1.0:
+        if self.ersatz_exponent <= 1.0:
             raise InvalidArgument("interpolation exponent must exceed 1")
-        if not 0.0 < self.floor < 1.0:
+        if not 0.0 < self.ersatz_floor < 1.0:
             raise InvalidArgument("stiffness floor must lie in (0, 1)")
 
 
@@ -64,12 +64,13 @@ def heaviside(phi: np.ndarray, width: float) -> np.ndarray:
 
 def ersatz_tau(theta: np.ndarray, mat: MaterialParams) -> np.ndarray:
     """Relative stiffness (1 - d) * theta^a + d, in [d, 1]."""
-    return (1.0 - mat.floor) * np.asarray(theta, dtype=float) ** mat.exponent + mat.floor
+    d = mat.ersatz_floor
+    return (1.0 - d) * np.asarray(theta, dtype=float) ** mat.ersatz_exponent + d
 
 
 def ersatz_dtau(theta: np.ndarray, mat: MaterialParams) -> np.ndarray:
     """Interpolation derivative a * (1 - d) * theta (binary-design reduction)."""
-    return mat.exponent * (1.0 - mat.floor) * np.asarray(theta, dtype=float)
+    return mat.ersatz_exponent * (1.0 - mat.ersatz_floor) * np.asarray(theta, dtype=float)
 
 
 def plane_strain_matrix(mat: MaterialParams) -> np.ndarray:
@@ -246,7 +247,7 @@ class StiffnessPattern:
         n = 2 * mesh.num_nodes
         fixed = _fixed_dofs(mesh, bcs)
         if fixed.size == 0 and not springs:
-            raise SingularSystemError("no Dirichlet, roller, or spring constraint present")
+            raise SolverFailure("no Dirichlet, roller, or spring constraint present")
         springs = spring_matrix(mesh, springs).tocoo()
 
         free = np.ones(n, dtype=bool)

@@ -9,20 +9,9 @@ class InvalidArgument(MoltoError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class TagMatchError(MoltoError, ValueError):
-    """A boundary region matched no edges (would silently drop loads/supports)."""
-
-
-class SingularSystemError(MoltoError, RuntimeError):
-    """Assembled system has no constraint at all and cannot be solved."""
-
-
 class SolverFailure(MoltoError, RuntimeError):
-    """A linear solve did not reach the required residual."""
-
-
-class DegenerateSensitivityError(MoltoError, RuntimeError):
-    """A sensitivity field is non-finite; the perturbation cannot be formed."""
+    """A numerical failure: an unconstrained or singular operator, a linear
+    solve past the residual gate, or a non-finite sensitivity field."""
 
 
 class ConfigError(MoltoError, ValueError):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidArgument, TagMatchError
+from .errors import InvalidArgument
 
 FREE_TAG = "free"
 
@@ -291,7 +291,7 @@ def tag_boundary(mesh: Mesh, start, end, tag: str) -> Mesh:
     Returns a new Mesh that differs only in its tags: it shares the source's
     validated arrays and the geometry the source has cached, and is not
     validated again. Last write wins on re-tagged edges. Raises
-    TagMatchError when no edge matches.
+    InvalidArgument when no edge matches.
     """
     (x0, y0), (x1, y1) = start, end
     tol = 0.25 * mesh.spacing
@@ -308,7 +308,7 @@ def tag_boundary(mesh: Mesh, start, end, tag: str) -> Mesh:
     else:
         raise InvalidArgument("tag region must be axis-aligned")
     if not match.any():
-        raise TagMatchError(f"region {start}-{end} matched no boundary edges for tag '{tag}'")
+        raise InvalidArgument(f"region {start}-{end} matched no boundary edges for tag '{tag}'")
     tags = mesh.edge_tags.copy()
     tags[match] = tag
     tags.setflags(write=False)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import levelset, sensitivity, weights
-from .errors import MoltoError
+from .errors import InvalidArgument, MoltoError
 from .problems import SurrogateProblem
 
 
@@ -52,13 +52,13 @@ class RunConfig:
 
     def __post_init__(self):
         if self.window < 2 or self.max_iterations < self.window:
-            raise ValueError("need max_iterations >= window >= 2")
+            raise InvalidArgument("need max_iterations >= window >= 2")
         if min(self.tol_objective, self.tol_constraint) <= 0.0:
-            raise ValueError("tolerances must be positive")
+            raise InvalidArgument("tolerances must be positive")
         if self.multiplier_init < 0.0:
-            raise ValueError("multiplier_init must be non-negative")
+            raise InvalidArgument("multiplier_init must be non-negative")
         if self.penalty <= 0.0:
-            raise ValueError("penalty must be positive")
+            raise InvalidArgument("penalty must be positive")
 
 
 @dataclass
@@ -80,7 +80,7 @@ class SolutionCandidate:
     error: str = ""
 
 
-def stationarity(j_history, g_latest, window: int, tol_objective: float,
+def stationarity(j_history, g, window: int, tol_objective: float,
                  tol_constraint: float) -> bool:
     """Windowed objective stability gated by constraint feasibility."""
     if len(j_history) < window:
@@ -89,7 +89,7 @@ def stationarity(j_history, g_latest, window: int, tol_objective: float,
     scale = np.max(np.abs(block), axis=0)
     scale[scale == 0.0] = 1.0
     rel = (block.max(axis=0) - block.min(axis=0)) / scale
-    feasible = bool(np.all(np.asarray(g_latest) <= tol_constraint))
+    feasible = bool(np.all(np.asarray(g) <= tol_constraint))
     return bool(rel.max() <= tol_objective) and feasible
 
 
@@ -131,12 +131,9 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
         cfg.interface_width)
 
     j_history: list[np.ndarray] = []
-    g_latest = None
     j_star = lam = None
-    w_now = wstate.weights
     history_rows = []
     converged = False
-    iterations = 0
     bundle = None
 
     for s in range(cfg.max_iterations + 1):
@@ -145,7 +142,7 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
             fq = weights.forcing(wstate.q, wstate.q_prev, j_history[-1], j_prev,
                                  j_star, ds=cfg.step_size)
             weights.step(wstate, fq)
-            w_now = wstate.weights
+        w_now = wstate.weights
 
         theta = problem.theta_elements(lstate.phi, cfg.interface_width)
         if bundle is not None and not np.array_equal(theta, bundle.theta):
@@ -164,21 +161,18 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
         levelset.step(lstate, problem.filter_forcing(pert.total))
 
         j_history.append(j_now)
-        g_latest = g_now
         history_rows.append((s, tuple(j_now), tuple(g_now), tuple(w_now)))
-        iterations = s
-        if s > 0 and stationarity(j_history, g_latest, cfg.window,
+        if s > 0 and stationarity(j_history, g_now, cfg.window,
                                   cfg.tol_objective, cfg.tol_constraint):
             converged = True
             break
 
-    j_final = j_history[-1]
     return SolutionCandidate(
         w_star=tuple(np.asarray(w_star, dtype=float)),
         w_final=tuple(w_now),
-        objectives=tuple(j_final),
-        normalized=tuple(j_final / j_star),
-        feasible=tuple(bool(g <= cfg.tol_constraint) for g in g_latest),
-        converged=converged, iterations=iterations, phi=lstate.phi.copy(),
+        objectives=tuple(j_now),
+        normalized=tuple(j_now / j_star),
+        feasible=tuple(bool(g <= cfg.tol_constraint) for g in g_now),
+        converged=converged, iterations=s, phi=lstate.phi.copy(),
         history=history_rows, weight_clamps=wstate.clamp_events,
         levelset_clamps=lstate.clamp_events)

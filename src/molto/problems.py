@@ -217,10 +217,9 @@ class ComplianceProblem(FEMProblem):
 
 def make_girder(nx=60, ny=30, traction=1.0, length=1.0, num_cases=2,
                 volume_fraction=0.45,
-                mat: el.MaterialParams | None = None) -> ComplianceProblem:
+                mat: el.MaterialParams = el.MaterialParams()) -> ComplianceProblem:
     """Simply supported girder: rollers on bottom corner patches, downward
     load patches on the top edge (two mirrored cases by default)."""
-    mat = mat or el.MaterialParams()
     w, h = length, 0.5 * length
     mesh = build_rect_mesh(w, h, nx, ny, crossed=True)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.05 * w, 0.0), "roller_left")
@@ -244,10 +243,9 @@ def make_girder(nx=60, ny=30, traction=1.0, length=1.0, num_cases=2,
 
 def make_clamped_tri(nx=60, ny=30, traction=1.0, length=1.0,
                      volume_fraction=0.45,
-                     mat: el.MaterialParams | None = None) -> ComplianceProblem:
+                     mat: el.MaterialParams = el.MaterialParams()) -> ComplianceProblem:
     """Clamped girder with three load cases under different loading and
     supporting conditions (tip bending, propped mid-span bending, axial pull)."""
-    mat = mat or el.MaterialParams()
     w, h = length, 0.5 * length
     mesh = build_rect_mesh(w, h, nx, ny, crossed=True)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, h), "clamp")
@@ -320,11 +318,10 @@ class MechanismProblem(FEMProblem):
 
 def make_gripper(nx=40, ny=20, traction=1.0, spring_in=1e5, spring_out=1e3,
                  dir_in=(1.0, 0.0), dir_out=(0.0, -1.0), volume_fraction=0.30,
-                 mat: el.MaterialParams | None = None) -> MechanismProblem:
+                 mat: el.MaterialParams = el.MaterialParams()) -> MechanismProblem:
     """Half-model gripper: input push on the lower left edge, clamped upper
     left corner, symmetry rollers along the closed part of the bottom edge,
     and a fixed solid jaw tip above the output face."""
-    mat = mat or el.MaterialParams()
     w, h = 1.0, 0.5
     mesh = build_rect_mesh(w, h, nx, ny, crossed=True)
     mesh = tag_boundary(mesh, (0.0, 0.0), (0.0, 0.1 * h), "input")
@@ -409,10 +406,9 @@ class StressVolumeProblem(FEMProblem):
 def make_lbracket(nx=40, outer=1.0, cut=0.6, traction=1.0,
                   stress_exponent=5.0, yield_stress=42.0, stress_limit=0.05,
                   filter_eta=1e-4, filter_gamma=2.0,
-                  mat: el.MaterialParams | None = None) -> StressVolumeProblem:
+                  mat: el.MaterialParams = el.MaterialParams()) -> StressVolumeProblem:
     """L-bracket: clamped along the top edge, downward load near the top of
     the right edge, level set held at -1 along the re-entrant void walls."""
-    mat = mat or el.MaterialParams()
     h = outer / nx
     mesh = build_lshape_mesh(outer, cut, h)
     leg = outer - cut

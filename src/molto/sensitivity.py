@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import elasticity as el
-from .errors import DegenerateSensitivityError, InvalidArgument
+from .errors import InvalidArgument, SolverFailure
 from .mesh import Mesh
 
 NORMALIZATION_FLOOR = 1e-12
@@ -108,7 +108,7 @@ def _combine(mesh: Mesh, mat: el.MaterialParams, dtau, constraint, explicit,
         c_norm.append(c)
     total_e = np.sum(contributions, axis=0)
     if not np.all(np.isfinite(total_e)):
-        raise DegenerateSensitivityError("perturbation field is non-finite")
+        raise SolverFailure("perturbation field is non-finite")
     return PerturbationResult(f_alpha_elem=contributions, c_norm=tuple(c_norm),
                               total_elem=total_e,
                               total=element_to_nodes(mesh, total_e))

@@ -14,7 +14,7 @@ from molto.mesh import build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.problems import (ComplianceProblem, LoadCase, MechanismProblem,
                             StressVolumeProblem, make_lbracket)
 
-MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=2.0, floor=1e-3)
+MAT = el.MaterialParams(young=1.0, poisson=0.3, ersatz_exponent=2.0, ersatz_floor=1e-3)
 
 
 def tiny_compliance():

@@ -1,7 +1,10 @@
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import molto.asd as asd
 from molto.asd import (ASDConfig, SolutionRegister, build_complex, dedup,
                        dominates, mark_and_refine, mean_edge_length,
                        normalize_objectives, pareto_filter, run_asd)
@@ -288,6 +292,30 @@ class _ExplodingSurrogate(SurrogateProblem):
     def evaluate(self, w):
         from molto.errors import SolverFailure
         raise SolverFailure("synthetic")
+
+
+def test_an_interrupted_batch_starts_no_queued_candidate(monkeypatch):
+    # the interrupt lands in the main thread, as Ctrl-C does, while it waits
+    # on the batch; both workers are busy and two weights are queued
+    main = threading.main_thread().ident
+    called = []
+
+    def fake_run_candidate(problem, w, cfg):
+        called.append(float(w[0]))
+        if len(called) == 1:
+            time.sleep(0.05)
+            signal.pthread_kill(main, signal.SIGINT)
+        time.sleep(0.5)
+
+    monkeypatch.setattr(asd, "run_candidate", fake_run_candidate)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            asd._run_batch(None, [np.array([x, 1.0 - x]) for x in (0.2, 0.4, 0.6, 0.8)],
+                           ASDConfig(jobs=2))
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert sorted(called) == [0.2, 0.4]
 
 
 def test_failed_candidates_stay_out_of_register():

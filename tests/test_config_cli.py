@@ -911,6 +911,19 @@ def test_cli_failed_sweep_names_its_cause(tmp_path, monkeypatch, capsys):
             "first: SolverFailure: synthetic breakdown") in err
 
 
+def test_an_interrupted_run_exits_130(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(cli.OUTPUT_ENV, raising=False)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_asd", interrupted)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(bundled_text("surrogate2"))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
 # each config capped to a few iterations of one level on a coarse mesh
 _EXTREME_CAPS = {"girder_desk": {"nx": "6", "ny": "3"}, "lbracket": {"nx": "10"},
                  "gripper": {"nx": "6", "ny": "3"}}

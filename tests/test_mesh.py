@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import molto.mesh as mesh_module
 from molto.config import load_config
-from molto.errors import InvalidArgument, TagMatchError
+from molto.errors import InvalidArgument
 from molto.mesh import (FREE_TAG, Mesh, _cells, _grid_mesh, build_lshape_mesh,
                         build_rect_mesh, signed_areas, tag_boundary)
 
@@ -101,7 +101,7 @@ def test_tag_full_edge_any_resolution():
 
 def test_tag_no_match_raises():
     mesh = build_rect_mesh(1.0, 1.0, 4, 4)
-    with pytest.raises(TagMatchError):
+    with pytest.raises(InvalidArgument):
         tag_boundary(mesh, (0.5, 0.5), (0.6, 0.5), "inside")
     with pytest.raises(InvalidArgument, match="no boundary edges tagged 'inside'"):
         mesh.edges_with_tag("inside")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -83,6 +85,22 @@ def test_failed_candidate_is_reported_not_raised():
     assert cand.failed
     assert "SolverFailure" in cand.error
     assert not cand.converged
+
+
+def test_a_non_finite_state_fails_the_candidate():
+    problem = _single_case_girder(8, 4)
+    solve_states = problem.solve_states
+
+    def nan_states(theta):
+        bundle = solve_states(theta)
+        return dataclasses.replace(
+            bundle, states=[np.full_like(u, np.nan) for u in bundle.states],
+            strains=[np.full_like(e, np.nan) for e in bundle.strains])
+
+    problem.solve_states = nan_states
+    cand = run_candidate(problem, (1.0,), RunConfig())
+    assert cand.failed
+    assert cand.error.startswith("SolverFailure: perturbation field is non-finite")
 
 
 def test_ws_limit_weights_pinned():

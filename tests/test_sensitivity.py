@@ -6,12 +6,12 @@ import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
 import molto.sensitivity as sens
-from molto.errors import InvalidArgument
+from molto.errors import InvalidArgument, SolverFailure
 from molto.mesh import build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.problems import (ComplianceProblem, LoadCase, MechanismProblem,
                             StateBundle, StressVolumeProblem)
 
-MAT = el.MaterialParams(young=1.0, poisson=0.3, exponent=3.0, floor=1e-3)
+MAT = el.MaterialParams(young=1.0, poisson=0.3, ersatz_exponent=3.0, ersatz_floor=1e-3)
 
 
 def _loaded_square(nx=4, traction=(0.0, -1.0)):
@@ -134,6 +134,16 @@ def test_perturbation_zero_states_pure_pressure():
                                           problem.design_mask)
     assert np.allclose(result.total_elem, 4.0, atol=1e-12)
     assert np.allclose(result.total, 4.0, atol=1e-12)
+
+
+def test_non_finite_strains_are_a_solver_failure():
+    problem = _loaded_square()
+    mesh = problem.mesh
+    theta = np.ones(mesh.num_triangles)
+    nan = np.full_like(el.element_strains(mesh, np.zeros(2 * mesh.num_nodes)), np.nan)
+    with pytest.raises(SolverFailure, match="non-finite"):
+        sens.perturbation_compliance(mesh, MAT, el.ersatz_dtau(theta, MAT), [nan], [nan],
+                                     0.0, 1.0, [1.0], problem.design_mask)
 
 
 def test_perturbation_sum_identity():
