@@ -70,7 +70,8 @@ def normalize_objectives(objectives: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SimplexComplex:
-    simplices: list            # tuples of candidate indices, m vertices each
+    simplices: np.ndarray      # (S, m) candidate indices, one simplex per row
+    sides: np.ndarray          # (S, P) row of ``edges`` of each vertex pair
     edges: np.ndarray          # (E, 2) unique index pairs, sorted
     edge_lengths: np.ndarray   # normalized objective-space lengths
 
@@ -99,10 +100,11 @@ def build_complex(register: SolutionRegister, m: int) -> SimplexComplex:
 
     slots = np.transpose(np.triu_indices(verts.shape[1], 1))  # (P, 2) vertex pairs
     ends = np.sort(verts.astype(np.int64), axis=1)[:, slots]
-    edges = np.unique(ends.reshape(-1, 2), axis=0)
+    # the inverse's shape varies across numpy versions when axis is given
+    edges, sides = np.unique(ends.reshape(-1, 2), axis=0, return_inverse=True)
     coords = normalize_objectives(register.objectives)
     lengths = np.linalg.norm(coords[edges[:, 0]] - coords[edges[:, 1]], axis=1)
-    return SimplexComplex(simplices=[tuple(s) for s in verts.tolist()],
+    return SimplexComplex(simplices=verts, sides=sides.reshape(ends.shape[:2]),
                           edges=edges, edge_lengths=lengths)
 
 
@@ -120,12 +122,10 @@ def mark_and_refine(complex_: SimplexComplex, register: SolutionRegister,
     whose longest edge exceeds the tolerance), in simplex order. A midpoint
     is dropped if it names a weight already held, in ``known`` (weights run
     before, such as failures) or emitted before it."""
-    verts = np.array(complex_.simplices)
+    verts = complex_.simplices
     first, second = np.triu_indices(verts.shape[1], 1)
     a, b = verts[:, first], verts[:, second]
-    length = np.zeros((len(register),) * 2)
-    length[tuple(complex_.edges.T)] = complex_.edge_lengths
-    poor = (length + length.T)[a, b].max(axis=1) > edge_tolerance
+    poor = complex_.edge_lengths[complex_.sides].max(axis=1) > edge_tolerance
 
     held = register.weights
     seen = np.vstack([held, np.reshape(known, (-1, held.shape[1]))])

@@ -121,14 +121,10 @@ def boundary_vector(mesh: Mesh, tag: str, vector) -> np.ndarray:
     """Consistent nodal vector of a constant traction on a tagged boundary."""
     edges = mesh.edges_with_tag(tag)
     delta = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
-    lengths = np.hypot(delta[:, 0], delta[:, 1])
-    f = np.zeros(2 * mesh.num_nodes)
-    vx, vy = float(vector[0]), float(vector[1])
-    for comp, val in ((0, vx), (1, vy)):
-        if val != 0.0:
-            np.add.at(f, 2 * edges[:, 0] + comp, 0.5 * lengths * val)
-            np.add.at(f, 2 * edges[:, 1] + comp, 0.5 * lengths * val)
-    return f
+    half = 0.5 * np.hypot(delta[:, 0], delta[:, 1])[:, None] * np.asarray(vector, dtype=float)
+    f = np.zeros((mesh.num_nodes, 2))
+    np.add.at(f, edges, half[:, None, :])
+    return f.ravel()
 
 
 def spring_matrix(mesh: Mesh, springs) -> sp.csr_matrix:
@@ -198,12 +194,13 @@ def _csc_structure(keys: np.ndarray, m: int):
     return row.astype(np.int32), indptr
 
 
-def _condensed_nodes(mesh: Mesh, edges: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _condensed_nodes(mesh: Mesh, free: np.ndarray) -> np.ndarray:
     """Which nodes the factorization condenses out, bool per node: interior
     nodes with exactly four neighbours and both DOFs free (``free`` is bool
     per DOF), and of two adjacent such nodes only the lower-numbered one.
     On a crossed mesh these are the cell centres; a two-triangle mesh has
     none. Springs act on boundary edges, so no condensed node carries one."""
+    edges = mesh.edges
     condensed = np.bincount(edges.ravel(), minlength=mesh.num_nodes) == 4
     condensed[mesh.boundary_edges] = False
     condensed &= free[0::2] & free[1::2]
@@ -235,12 +232,14 @@ class StiffnessPattern:
     condensed pairs follow, node by node. Entries that touch a fixed DOF
     are dropped.
 
-    The pattern is built from the node pairs of the triangles and springs,
-    each standing for its 2x2 DOF entries, and every temporary is freed once
-    read, so the build's peak memory stays within about twice what the
-    pattern keeps. ``band`` forms the condensed operator's band by a gather
-    and one ``np.subtract.at``, over the band slots that receive a value
-    (``_band_slots``); the other slots of the (kd + 1) x r band are zero.
+    The pattern is built from one table of the triangles' node pairs, each
+    standing for its 2x2 DOF entries; the elements, the springs and the
+    condensed nodes all find their CSC positions in it. Every temporary is
+    freed once read, so the build's peak memory stays within about twice
+    what the pattern keeps. ``band`` forms the condensed operator's band by
+    a gather and one ``np.subtract.at``, over the band slots that receive a
+    value (``_band_slots``); the other slots of the (kd + 1) x r band are
+    zero.
     """
 
     def __init__(self, mesh: Mesh, mat: MaterialParams, springs, bcs):
@@ -252,7 +251,7 @@ class StiffnessPattern:
 
         free = np.ones(n, dtype=bool)
         free[fixed] = False
-        condensed = _condensed_nodes(mesh, mesh.edges, free)
+        condensed = _condensed_nodes(mesh, free)
         self.condensed = centres = np.flatnonzero(condensed)
         kept = np.flatnonzero(free & ~np.repeat(condensed, 2))
         major = int(np.ptp(mesh.nodes[:, 1]) > np.ptp(mesh.nodes[:, 0]))
@@ -263,17 +262,16 @@ class StiffnessPattern:
         renumber = np.full(n, m, dtype=np.int64)
         renumber[self.free_dofs] = np.arange(m)
 
-        # every (row node, column node) pair of a triangle or a spring once;
-        # pair k holds the 2x2 entries between the DOFs of its two nodes
-        nodes, num_pairs = mesh.num_nodes, 9 * mesh.num_triangles
+        # every (row node, column node) pair of a triangle once; pair k holds
+        # the 2x2 entries between the DOFs of its two nodes. A spring acts on
+        # a boundary edge, a side of a triangle, so its pairs are among these
+        nodes = mesh.num_nodes
         tri = mesh.triangles.astype(np.int64)
-        pairs, inverse = np.unique(np.concatenate([
-            (tri[:, :, None] * nodes + tri[:, None, :]).ravel(),
-            springs.row.astype(np.int64) // 2 * nodes + springs.col // 2]), return_inverse=True)
+        pairs, inverse = np.unique((tri[:, :, None] * nodes + tri[:, None, :]).ravel(),
+                                   return_inverse=True)
         inverse = inverse.astype(_index_dtype(inverse.size))
         rows = [renumber.take(2 * (pairs // nodes) + i) for i in (0, 1)]
         cols = [renumber.take(2 * (pairs % nodes) + j) for j in (0, 1)]
-        del pairs
         # column-major keys sort into CSC order with sorted row indices; the
         # discarded bin m * m sorts after all of them. Entry (i, j) of pair
         # k is key 4k + 2i + j; each is formed along the pairs, since numpy
@@ -291,23 +289,23 @@ class StiffnessPattern:
         self._shape = (m, m)
         self._spring_data = None
         if springs.nnz:
-            at = position[inverse[num_pairs:], springs.row % 2, springs.col % 2]
+            at = position[np.searchsorted(pairs, springs.row.astype(np.int64) // 2 * nodes
+                                          + springs.col // 2), springs.row % 2, springs.col % 2]
             self._spring_data = np.bincount(at, weights=springs.data, minlength=nnz)[:nnz]
+        self._factor_maps(pairs, position, renumber, keys, r)
+        del pairs, keys, renumber
 
         # CSC position of entry (2p + i, 2q + j) of each element block: the
         # (i, j) entry of the element's node pair (p, q), gathered by pair
         # (a, b, i, j) and reordered to the block's (a, i, b, j); nnz where
         # discarded
-        scatter = position.take(inverse[:num_pairs], axis=0).reshape(
+        scatter = position.take(inverse, axis=0).reshape(
             -1, 3, 3, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 36)
         del inverse, position
         inside = scatter < nnz
         scatter = scatter[inside]
         columns = np.zeros(mesh.num_triangles + 1, dtype=np.int32)
         np.cumsum(inside.sum(axis=1), out=columns[1:])
-
-        self._factor_maps(mesh.edges, condensed, renumber, keys, r)
-        del keys, renumber
         # column t of the map holds element t's block entries at their CSC
         # positions, so map @ tau_e sums each value over its elements in
         # ascending order; the blocks are computed last, once the other
@@ -316,30 +314,27 @@ class StiffnessPattern:
         self._map = sp.csc_matrix((blocks[inside], scatter, columns),
                                   shape=(nnz, mesh.num_triangles))
 
-    def _factor_maps(self, edges, condensed, renumber, keys, r):
-        """The index arrays of ``CondensedCholesky``: the CSC positions of
-        each condensed node's 2x2 block and 2x8 coupling, its corners in the
-        kept numbering, and the gathers that form the band of the condensed
+    def _factor_maps(self, pairs, position, renumber, keys, r):
+        """The index arrays of ``CondensedCholesky``, read from the node pair
+        table ``pairs`` and the CSC positions of its 2x2 entries: each
+        condensed node's 2x2 block and 2x8 coupling, its corners in the kept
+        numbering, and the gathers that form the band of the condensed
         operator."""
-        m, nnz, centres = self._shape[0], keys.size, self.condensed
-        # the four neighbours of each condensed node, and their DOFs in the
-        # kept numbering (r where fixed)
-        ends = edges[condensed[edges].any(axis=1)]
-        centre_end = condensed[ends[:, 0]]
-        owner = np.where(centre_end, ends[:, 0], ends[:, 1])
-        other = np.where(centre_end, ends[:, 1], ends[:, 0])
-        neighbours = other[np.lexsort((other, owner))].reshape(-1, 4)
-        corners = renumber[2 * neighbours[:, :, None] + [0, 1]].reshape(-1, 8)
+        m, centres, nodes = self._shape[0], self.condensed, renumber.size // 2
+        # a condensed node's pairs are consecutive rows of the table: the
+        # node itself and its four neighbours, ascending
+        rows = np.searchsorted(pairs, centres * nodes)[:, None] + np.arange(5)
+        other = pairs[rows] % nodes
+        own = other == centres[:, None]
+        corners = renumber[2 * other[~own].reshape(-1, 4, 1) + [0, 1]].reshape(-1, 8)
         corners[corners >= m] = r
         # CSC positions of each condensed 2x2 block and of its 2x8 coupling
         # B to the corners (row: the condensed DOF; nnz, one past the values,
         # where the corner is fixed)
-        own = r + 2 * np.arange(centres.size)[:, None] + [0, 1]
-        self._block_pos = np.searchsorted(keys, own[:, None, :] * m + own[:, :, None])
+        self._block_pos = position[rows[own]]
+        self._coupling_pos = position[rows[~own]].reshape(-1, 4, 2, 2).transpose(
+            0, 2, 1, 3).reshape(-1, 2, 8)
         kept = corners < r
-        self._coupling_pos = np.where(
-            kept[:, None, :], np.searchsorted(keys, corners[:, None, :] * m + own[:, :, None]),
-            nnz)
         # W x gathers x at the corners; a fixed corner reads DOF 0, which its
         # zero column of W cancels. W^T sums each corner's (c, 8) entries
         # into its kept DOF.
@@ -512,8 +507,7 @@ class FactorizedSystem:
             if not rel_j <= 1e-9:
                 raise SolverFailure(f"relative residual {rel_j:.3e} exceeds 1e-9")
         u = np.zeros((rhs.shape[0], x.shape[1]), order="F")
-        for j, column in enumerate(x.T):
-            u[:, j][free] = column
+        u[free] = x
         return u.reshape(rhs.shape)
 
     def _cg_fallback(self, f, x, scale):

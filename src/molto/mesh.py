@@ -26,33 +26,33 @@ FREE_TAG = "free"
 
 @dataclass(frozen=True)
 class Mesh:
-    """Triangulated 2D domain with tagged boundary edges.
+    """Triangulated 2D domain whose edges and boundary derive from its triangles.
 
     nodes          : (N, 2) coordinates in mm
     triangles      : (T, 3) node indices, counterclockwise
-    boundary_edges : (E, 2) node index pairs, each edge owned by one triangle
+    edges          : every edge once, ascending node pairs in ascending order
+    boundary_edges : the edges of exactly one triangle, ordered as ``edges``
     edge_tags      : (E,) tag per boundary edge ("free" until tagged)
-    edges          : every edge once, ascending node pairs in ascending
-                     order; enumerated from the triangles when not given
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
-    edge_tags: np.ndarray
     spacing: float
-    edges: np.ndarray | None = None
+    edges: np.ndarray = field(init=False)
+    boundary_edges: np.ndarray = field(init=False)
+    edge_tags: np.ndarray = field(init=False)
     element_areas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         areas = signed_areas(self.nodes, self.triangles)
         if np.any(areas <= 0.0):
             raise InvalidArgument("mesh contains non-positive triangle areas")
-        object.__setattr__(self, "element_areas", areas)
-        if self.edges is None:
-            object.__setattr__(self, "edges", _edges(self.triangles, self.num_nodes)[0])
-        for arr in (self.nodes, self.triangles, self.boundary_edges,
-                    self.edge_tags, self.edges, self.element_areas):
+        edges, boundary = _edges(self.triangles, self.num_nodes)
+        derived = {"edges": edges, "boundary_edges": boundary, "element_areas": areas,
+                   "edge_tags": np.full(boundary.shape[0], FREE_TAG, dtype=object)}
+        for name, arr in derived.items():
+            object.__setattr__(self, name, arr)
+        for arr in (self.nodes, self.triangles, *derived.values()):
             arr.setflags(write=False)
 
     @property
@@ -227,10 +227,7 @@ def _grid_mesh(xs, ys, ci, cj, crossed, spacing) -> Mesh:
 
     used = np.zeros(nodes.shape[0], dtype=bool)
     used[triangles] = True
-    nodes, triangles = nodes[used], (np.cumsum(used) - 1)[triangles].astype(np.int32)
-    edges, boundary = _edges(triangles, nodes.shape[0])
-    return Mesh(nodes, triangles, boundary, np.full(boundary.shape[0], FREE_TAG, dtype=object),
-                float(spacing), edges)
+    return Mesh(nodes[used], (np.cumsum(used) - 1)[triangles].astype(np.int32), float(spacing))
 
 
 def _cells(nx: int, ny: int):

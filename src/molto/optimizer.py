@@ -144,7 +144,7 @@ def _run_fem_candidate(problem, w_star, cfg: RunConfig) -> SolutionCandidate:
             weights.step(wstate, fq)
         w_now = wstate.weights
 
-        theta = problem.theta_elements(lstate.phi, cfg.interface_width)
+        theta = problem.theta_elements(lstate.phi, lstate.width)
         if bundle is not None and not np.array_equal(theta, bundle.theta):
             bundle = None   # free its factorizations before new ones are made
         if bundle is None:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from molto.asd import (ASDConfig, SolutionRegister, build_complex, dedup,
                        normalize_objectives, pareto_filter, run_asd)
 from molto.errors import InvalidArgument
 from molto.optimizer import RunConfig, SolutionCandidate
-from molto.problems import SurrogateProblem
+from molto.problems import SurrogateProblem, convex_quadratic_map
 
 
 def make_candidate(w_star, objectives):
@@ -57,7 +58,7 @@ def test_build_complex_path_m2():
                          ((0.9, 0.1), (0.1, 2.0)),
                          ((0.5, 0.5), (1.0, 1.0))])
     cx = build_complex(reg, 2)
-    assert cx.simplices == [(0, 2), (2, 1)]
+    assert cx.simplices.tolist() == [[0, 2], [2, 1]]
     assert cx.edges.shape[0] == 2
 
 
@@ -153,6 +154,23 @@ def test_mark_and_refine_reads_the_complex_edge_lengths():
     cx = build_complex(reg, 2)
     cx.edge_lengths = np.array([0.01])
     assert mark_and_refine(cx, reg, 0.04) == []
+
+
+def test_mark_and_refine_memory_does_not_grow_with_the_register_squared():
+    # each simplex reads its edge lengths through the complex's sides; a
+    # table over candidate pairs would take 2 x 32 MB at 2,000 candidates
+    reg = register_from([(w, convex_quadratic_map(w)) for w in
+                         np.column_stack([np.linspace(0.0, 1.0, 2000),
+                                          np.linspace(1.0, 0.0, 2000)])])
+    cx = build_complex(reg, 2)
+    tracemalloc.start()
+    try:
+        emitted = mark_and_refine(cx, reg, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(emitted) == 1999
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_mark_and_refine_triangle_barycenters():

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 import molto.elasticity as el
 from molto.errors import InvalidArgument, SolverFailure
-from molto.mesh import Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
+from molto.mesh import FREE_TAG, Mesh, build_lshape_mesh, build_rect_mesh, tag_boundary
 from molto.optimizer import RunConfig, run_candidate
 from molto.problems import (ComplianceProblem, LoadCase, make_clamped_tri, make_girder,
                             make_gripper, make_lbracket)
@@ -601,9 +601,9 @@ def test_adjacent_condensable_nodes_keep_the_lower_one():
                       [0.5, -1.0]])
     triangles = np.array([[0, 3, 2], [0, 1, 3], [0, 5, 1], [0, 2, 5], [1, 4, 3],
                           [1, 5, 4]], dtype=np.int32)
-    boundary = np.array([[2, 3], [3, 4], [4, 5], [2, 5]], dtype=np.int32)
-    mesh = Mesh(nodes, triangles, boundary, np.array(["edge"] * 4, dtype=object), 1.0)
-    pattern = el.StiffnessPattern(mesh, MAT, (), [el.FixedBoundary("edge", "both")])
+    mesh = Mesh(nodes, triangles, 1.0)
+    assert mesh.boundary_edges.tolist() == [[2, 3], [2, 5], [3, 4], [4, 5]]
+    pattern = el.StiffnessPattern(mesh, MAT, (), [el.FixedBoundary(FREE_TAG, "both")])
     assert pattern.condensed.tolist() == [0]
     system = el.assemble_state(pattern, np.ones(mesh.num_triangles))
     load = np.zeros(2 * mesh.num_nodes)

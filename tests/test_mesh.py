@@ -158,9 +158,10 @@ def _assert_edges_match_np_unique(mesh):
     for found, reference in ((mesh.edges, edges), (mesh.boundary_edges, boundary)):
         assert found.dtype == np.int32
         assert found.tolist() == reference.tolist()
-    # a mesh built without its edges enumerates them itself
-    bare = Mesh(mesh.nodes, mesh.triangles, mesh.boundary_edges, mesh.edge_tags, mesh.spacing)
+    # a mesh built from its nodes and triangles alone derives the same edges
+    bare = Mesh(mesh.nodes, mesh.triangles, mesh.spacing)
     assert bare.edges.tolist() == edges.tolist()
+    assert bare.boundary_edges.tolist() == boundary.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,8 +216,6 @@ def test_tagged_mesh_shares_its_source_arrays():
 
 def test_clockwise_triangle_is_rejected():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    boundary = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int32)
-    tags = np.full(3, FREE_TAG, dtype=object)
-    Mesh(nodes, np.array([[0, 1, 2]], dtype=np.int32), boundary, tags, 1.0)
+    Mesh(nodes, np.array([[0, 1, 2]], dtype=np.int32), 1.0)
     with pytest.raises(InvalidArgument, match="non-positive triangle areas"):
-        Mesh(nodes, np.array([[0, 2, 1]], dtype=np.int32), boundary, tags.copy(), 1.0)
+        Mesh(nodes, np.array([[0, 2, 1]], dtype=np.int32), 1.0)
